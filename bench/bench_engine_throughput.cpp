@@ -1,11 +1,11 @@
-// Engine throughput: rounds/sec vs. worker count, shard salting, and
-// aggregation batch size.
+// Engine throughput: rounds/sec vs. worker count (across rounds and inside
+// one hot round) and aggregation batch size.
 //
 // Workload: `--rounds=N` precomputed (prover, prefix, epoch) minimum-
 // operator rounds (default 10000: 25 prefixes x 400 epochs, 3 providers,
 // RSA-512 to keep the single-machine run short). Every 7th round injects a
 // Byzantine prover so the Evidence stream is non-trivial; the drained
-// evidence must be byte-identical across worker counts AND sharding modes
+// evidence must be byte-identical across worker counts and shard keyings
 // (the engine's determinism contract).
 //
 // Four measurements:
@@ -13,10 +13,8 @@
 //      1/2/4/8 workers, rounds spread over 25 prefixes (cross-round
 //      parallelism; thread-level speedup tracks physical cores);
 //   1b. intra sweep  — the same closures submitted under ONE hot
-//      (prover, prefix): unsalted sharding pins them all to a single
-//      shard/worker (the pre-salting speedup_8v1 = 0.97 behavior); salted
-//      sharding spreads them, yielding speedup_8v1_intra on multi-core
-//      hosts;
+//      (prover, prefix): salted sharding spreads them over the pool,
+//      yielding speedup_8v1_intra on multi-core hosts;
 //   2. aggregation   — bundle authentications/sec when the prover signs one
 //      Merkle root per epoch instead of one bundle per prefix (algorithmic
 //      speedup, independent of core count);
@@ -147,14 +145,13 @@ struct SweepResult {
   std::string digest;
 };
 
-// Drains every round through one engine. When `hot_id` is set, every
-// submission is keyed by that single (prover, prefix) with epoch = index —
-// the hot-prefix case salting exists for (the closures are unchanged, only
+// Drains every round through one engine. When `hot_key` is set, every
+// submission is keyed by one (prover, prefix) with epoch = index — the
+// hot-prefix case salting exists for (the closures are unchanged, only
 // shard placement differs).
 [[nodiscard]] SweepResult run_sweep(const Workload& w, std::size_t workers,
-                                    bool salt_shards, bool hot_key) {
-  engine::VerificationEngine engine(
-      {.workers = workers, .salt_shards = salt_shards}, &w.keys.directory);
+                                    bool hot_key) {
+  engine::VerificationEngine engine({.workers = workers}, &w.keys.directory);
   const double t0 = now_seconds();
   for (std::size_t r = 0; r < w.rounds.size(); ++r) {
     const Round& round = w.rounds[r];
@@ -203,8 +200,7 @@ int main(int argc, char** argv) {
   double rps_at_8 = 0;
   bool deterministic = true;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    const SweepResult result =
-        run_sweep(w, workers, /*salt_shards=*/true, /*hot_key=*/false);
+    const SweepResult result = run_sweep(w, workers, /*hot_key=*/false);
     if (workers == 1) {
       digest_at_1 = result.digest;
       rps_at_1 = result.rounds_per_sec;
@@ -230,22 +226,14 @@ int main(int argc, char** argv) {
               std::thread::hardware_concurrency());
 
   // --- 1b. Intra-round sweep: every submission under ONE (prover, prefix) ---
-  // Unsalted, a hot key serializes on one shard however many workers exist;
-  // salted shard keys spread the same tasks across the pool. Identical
+  // Salted shard keys spread the hot key's tasks across the pool. Identical
   // closures and submission order, so the digest must not move either.
   std::printf("%-22s %-10s %-12s %-9s\n", "intra (hot prefix)", "workers",
               "rounds/sec", "speedup");
-  const SweepResult unsalted_hot_8 =
-      run_sweep(w, 8, /*salt_shards=*/false, /*hot_key=*/true);
-  const SweepResult salted_hot_1 =
-      run_sweep(w, 1, /*salt_shards=*/true, /*hot_key=*/true);
-  const SweepResult salted_hot_8 =
-      run_sweep(w, 8, /*salt_shards=*/true, /*hot_key=*/true);
+  const SweepResult salted_hot_1 = run_sweep(w, 1, /*hot_key=*/true);
+  const SweepResult salted_hot_8 = run_sweep(w, 8, /*hot_key=*/true);
   const double rps_intra_1 = salted_hot_1.rounds_per_sec;
   const double rps_intra_8 = salted_hot_8.rounds_per_sec;
-  std::printf("%-22s %-10d %-12.1f %-9.2f\n", "unsalted (pinned)", 8,
-              unsalted_hot_8.rounds_per_sec,
-              unsalted_hot_8.rounds_per_sec / rps_intra_1);
   std::printf("%-22s %-10d %-12.1f %-9.2f\n", "salted", 1, rps_intra_1, 1.0);
   std::printf("%-22s %-10d %-12.1f %-9.2f\n\n", "salted", 8, rps_intra_8,
               rps_intra_8 / rps_intra_1);
@@ -255,8 +243,7 @@ int main(int argc, char** argv) {
     const SweepResult* result;
   };
   for (const IntraRow& row :
-       {IntraRow{"unsalted", 8, &unsalted_hot_8},
-        IntraRow{"salted", 1, &salted_hot_1},
+       {IntraRow{"salted", 1, &salted_hot_1},
         IntraRow{"salted", 8, &salted_hot_8}}) {
     if (row.result->digest != digest_at_1) deterministic = false;
     std::printf("{\"bench\":\"engine_sweep_intra\",\"seed\":%llu,"

@@ -147,14 +147,12 @@ struct ScaleRow {
   return row;
 }
 
-// ---- Wire-mode comparison: aggregated bundles + root gossip vs legacy ----
+// ---- Bundle wire cost: aggregated bundles + root gossip ------------------
 //
 // A Figure-1 neighborhood pushes `kWirePrefixes` concurrent rounds through
-// one epoch window over the simulated network. In legacy mode every
-// per-prefix signed bundle is sent AND gossiped in full across the
-// verifier mesh; in aggregated mode (the default) the prover sends one
-// signed Merkle root plus per-prefix openings (pvr.bundle.agg) and the
-// mesh gossips only the small signed roots (pvr.gossip.root).
+// one epoch window over the simulated network. The prover sends one signed
+// Merkle root plus per-prefix openings (pvr.bundle.agg) and the mesh
+// gossips only the small signed roots (pvr.gossip.root).
 
 constexpr std::size_t kWireProviders = 6;
 constexpr std::size_t kWirePrefixes = 12;
@@ -177,11 +175,9 @@ struct WireRow {
   return route;
 }
 
-[[nodiscard]] WireRow run_wire_mode(bool aggregate, std::uint64_t seed) {
-  core::Figure1Setup setup{.seed = 77 + seed,
-                           .provider_count = kWireProviders};
-  setup.aggregate_wire_bundles = aggregate;
-  core::Figure1Handles handles = core::make_figure1_world(setup);
+[[nodiscard]] WireRow run_wire(std::uint64_t seed) {
+  core::Figure1Handles handles = core::make_figure1_world(
+      {.seed = 77 + seed, .provider_count = kWireProviders});
   core::Figure1World& world = *handles.world;
 
   std::vector<bgp::Ipv4Prefix> prefixes;
@@ -212,10 +208,10 @@ struct WireRow {
   WireRow row;
   row.violations = engine.drain().violations;
 
-  const auto bundle_stats = world.sim.stats().channel_group(
-      aggregate ? core::kBundleAggChannel : core::kBundleChannel);
-  const auto gossip_stats = world.sim.stats().channel_group(
-      aggregate ? core::kGossipRootChannel : core::kGossipChannel);
+  const auto bundle_stats =
+      world.sim.stats().channel_group(core::kBundleAggChannel);
+  const auto gossip_stats =
+      world.sim.stats().channel_group(core::kGossipRootChannel);
   row.bundle_msgs = bundle_stats.messages_sent;
   row.bundle_bytes = bundle_stats.bytes_sent;
   row.gossip_msgs = gossip_stats.messages_sent;
@@ -253,53 +249,31 @@ int main(int argc, char** argv) {
               "grows linearly with the number of verifying neighborhoods;\n"
               "0 violations with honest speakers.\n");
 
-  // ---- Aggregated wire mode vs legacy full-bundle gossip -------------------
-  std::printf("\nbundle wire modes: %zu providers, %zu concurrent prefixes, "
-              "one epoch window\n",
+  // ---- Aggregated bundle wire: one signed root per window ------------------
+  std::printf("\nbundle wire: %zu providers, %zu concurrent prefixes, one "
+              "epoch window\n",
               static_cast<std::size_t>(pvr::bench::kWireProviders),
               static_cast<std::size_t>(pvr::bench::kWirePrefixes));
-  std::printf("%-11s %-12s %-13s %-12s %-13s %-12s %-6s\n", "mode",
-              "bundle_msgs", "bundle_bytes", "gossip_msgs", "gossip_bytes",
-              "total_bytes", "viol");
-  const WireRow legacy = run_wire_mode(false, args.seed);
-  const WireRow aggregated = run_wire_mode(true, args.seed);
-  const auto print_row = [](const char* mode, const WireRow& row) {
-    std::printf("%-11s %-12llu %-13llu %-12llu %-13llu %-12llu %-6llu\n", mode,
-                static_cast<unsigned long long>(row.bundle_msgs),
-                static_cast<unsigned long long>(row.bundle_bytes),
-                static_cast<unsigned long long>(row.gossip_msgs),
-                static_cast<unsigned long long>(row.gossip_bytes),
-                static_cast<unsigned long long>(row.total_bytes()),
-                static_cast<unsigned long long>(row.violations));
-  };
-  print_row("per-prefix", legacy);
-  print_row("aggregated", aggregated);
-  const double gossip_reduction =
-      aggregated.gossip_bytes == 0
-          ? 0.0
-          : static_cast<double>(legacy.gossip_bytes) /
-                static_cast<double>(aggregated.gossip_bytes);
-  const double total_reduction =
-      aggregated.total_bytes() == 0
-          ? 0.0
-          : static_cast<double>(legacy.total_bytes()) /
-                static_cast<double>(aggregated.total_bytes());
-  std::printf("root gossip cuts mesh gossip bytes %.1fx and total bundle-path "
-              "bytes %.1fx\n",
-              gossip_reduction, total_reduction);
+  const WireRow wire = run_wire(args.seed);
+  std::printf("%-12s %-13s %-12s %-13s %-12s %-6s\n", "bundle_msgs",
+              "bundle_bytes", "gossip_msgs", "gossip_bytes", "total_bytes",
+              "viol");
+  std::printf("%-12llu %-13llu %-12llu %-13llu %-12llu %-6llu\n",
+              static_cast<unsigned long long>(wire.bundle_msgs),
+              static_cast<unsigned long long>(wire.bundle_bytes),
+              static_cast<unsigned long long>(wire.gossip_msgs),
+              static_cast<unsigned long long>(wire.gossip_bytes),
+              static_cast<unsigned long long>(wire.total_bytes()),
+              static_cast<unsigned long long>(wire.violations));
   std::printf("{\"bench\":\"internet_scale\",\"seed\":%llu,"
               "\"wire_prefixes\":%zu,"
-              "\"legacy_bundle_path_bytes\":%llu,"
               "\"agg_bundle_path_bytes\":%llu,"
-              "\"gossip_byte_reduction\":%.2f,"
-              "\"total_byte_reduction\":%.2f,\"violations\":%llu}\n",
+              "\"agg_gossip_bytes\":%llu,\"violations\":%llu}\n",
               static_cast<unsigned long long>(args.seed),
               static_cast<std::size_t>(pvr::bench::kWirePrefixes),
-              static_cast<unsigned long long>(legacy.total_bytes()),
-              static_cast<unsigned long long>(aggregated.total_bytes()),
-              gossip_reduction, total_reduction,
-              static_cast<unsigned long long>(legacy.violations +
-                                              aggregated.violations));
+              static_cast<unsigned long long>(wire.total_bytes()),
+              static_cast<unsigned long long>(wire.gossip_bytes),
+              static_cast<unsigned long long>(wire.violations));
   pvr::bench::emit_obs_snapshot("internet_scale");
-  return legacy.violations + aggregated.violations == 0 ? 0 : 1;
+  return wire.violations == 0 ? 0 : 1;
 }

@@ -219,53 +219,40 @@ void PvrNode::run_prover_batch(net::Transport& sim, std::uint64_t epoch,
             ",\"prefixes\":" + std::to_string(batch.size()) + "}");
   }
 
-  // Publish the bundles. When equivocating, the first half of the providers
-  // get the conflicting variant.
+  // Publish the window's bundles under one signed Merkle root
+  // (pvr.bundle.agg, DESIGN.md §8.5). When equivocating, the first half of
+  // the providers get the conflicting variant.
   const std::size_t half = config_.providers.size() / 2;
-  if (config_.aggregate_wire_bundles) {
-    const std::uint32_t window = next_batch_[epoch]++;
-    std::vector<SignedMessage> honest;
-    std::vector<SignedMessage> variant;
-    bool equivocating = false;
-    for (const PrefixRound& round : batch) {
-      honest.push_back(round.result.signed_bundle);
-      variant.push_back(round.result.equivocating_bundle.has_value()
-                            ? *round.result.equivocating_bundle
-                            : round.result.signed_bundle);
-      equivocating |= round.result.equivocating_bundle.has_value();
-    }
-    // Batch-split evasion: the variant gets its OWN window number, so no
-    // two signed roots share a batch — only the common prefixes they both
-    // claim betray the equivocation (roots_conflict's second rule).
-    const std::uint32_t variant_window =
-        equivocating && config_.misbehavior.batch_split ? next_batch_[epoch]++
-                                                        : window;
-    const AggregatedBundleMessage agg_honest = aggregate_signed_bundles(
-        config_.asn, epoch, window, honest, *config_.private_key);
-    std::optional<AggregatedBundleMessage> agg_variant;
-    if (equivocating) {
-      agg_variant = aggregate_signed_bundles(
-          config_.asn, epoch, variant_window, variant, *config_.private_key);
-    }
-    for (std::size_t i = 0; i < config_.providers.size(); ++i) {
-      const AggregatedBundleMessage& message =
-          (agg_variant.has_value() && i < half) ? *agg_variant : agg_honest;
-      send(sim, config_.providers[i], kBundleAggChannel, message.encode());
-    }
-    send(sim, config_.recipient, kBundleAggChannel, agg_honest.encode());
-  } else {
-    for (const PrefixRound& round : batch) {
-      for (std::size_t i = 0; i < config_.providers.size(); ++i) {
-        const SignedMessage& bundle =
-            (round.result.equivocating_bundle.has_value() && i < half)
-                ? *round.result.equivocating_bundle
-                : round.result.signed_bundle;
-        send(sim, config_.providers[i], kBundleChannel, bundle.encode());
-      }
-      send(sim, config_.recipient, kBundleChannel,
-           round.result.signed_bundle.encode());
-    }
+  const std::uint32_t window = next_batch_[epoch]++;
+  std::vector<SignedMessage> honest;
+  std::vector<SignedMessage> variant;
+  bool equivocating = false;
+  for (const PrefixRound& round : batch) {
+    honest.push_back(round.result.signed_bundle);
+    variant.push_back(round.result.equivocating_bundle.has_value()
+                          ? *round.result.equivocating_bundle
+                          : round.result.signed_bundle);
+    equivocating |= round.result.equivocating_bundle.has_value();
   }
+  // Batch-split evasion: the variant gets its OWN window number, so no
+  // two signed roots share a batch — only the common prefixes they both
+  // claim betray the equivocation (roots_conflict's second rule).
+  const std::uint32_t variant_window =
+      equivocating && config_.misbehavior.batch_split ? next_batch_[epoch]++
+                                                      : window;
+  const AggregatedBundleMessage agg_honest = aggregate_signed_bundles(
+      config_.asn, epoch, window, honest, *config_.private_key);
+  std::optional<AggregatedBundleMessage> agg_variant;
+  if (equivocating) {
+    agg_variant = aggregate_signed_bundles(
+        config_.asn, epoch, variant_window, variant, *config_.private_key);
+  }
+  for (std::size_t i = 0; i < config_.providers.size(); ++i) {
+    const AggregatedBundleMessage& message =
+        (agg_variant.has_value() && i < half) ? *agg_variant : agg_honest;
+    send(sim, config_.providers[i], kBundleAggChannel, message.encode());
+  }
+  send(sim, config_.recipient, kBundleAggChannel, agg_honest.encode());
 
   // Reveals and exports, per prefix round.
   for (const PrefixRound& round : batch) {
@@ -344,9 +331,10 @@ void PvrNode::observe_root(net::Transport& sim, const SignedMessage& signed_root
   // a payload still has to prove itself — a forged root (claimed signer,
   // garbage signature) is dropped before it can enter the dedup set,
   // pollute round state, trigger escalation, or get relayed onward. The
-  // lookup must not create the per-epoch map entry either (seen_roots_ is
-  // never pruned, so default-constructing on an attacker-chosen epoch
-  // would grow memory on unverified traffic).
+  // lookup must not create the per-epoch map entry either: seen_roots_ is
+  // pruned only by gc_epoch_roots, which retires the epochs of settled
+  // rounds, so an entry for an attacker-chosen epoch would grow memory on
+  // unverified traffic and never be retired.
   const RootKey key{root.prover, root.epoch};
   const crypto::Digest digest = crypto::sha256(std::span(signed_root.payload));
   const auto seen_it = seen_roots_.find(key);
@@ -787,7 +775,6 @@ Figure1Handles make_figure1_world(const Figure1Setup& setup) {
         .misbehavior = role == PvrRole::kProver ? setup.misbehavior
                                                 : ProverMisbehavior{},
         .rng_seed = setup.seed,
-        .aggregate_wire_bundles = setup.aggregate_wire_bundles,
         .finalize_chunk_pairs = setup.finalize_chunk_pairs,
     };
     world.sim.add_node(asn, std::make_unique<PvrNode>(std::move(config)));

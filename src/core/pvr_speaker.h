@@ -38,7 +38,6 @@
 #include "core/bundle_aggregation.h"
 #include "core/min_protocol.h"
 #include "crypto/sha256.h"
-#include "net/gossip.h"
 #include "net/simulator.h"
 
 namespace pvr::core {
@@ -83,10 +82,6 @@ struct PvrConfig {
   net::SimTime batch_deadline = 0;
   ProverMisbehavior misbehavior;            // prover only
   std::uint64_t rng_seed = 1;
-  // Default wire mode: one signed Merkle root + openings per epoch window
-  // (pvr.bundle.agg), with verifiers gossiping roots. false = one signed
-  // bundle per prefix (pvr.bundle) with full-bundle gossip.
-  bool aggregate_wire_bundles = true;
   // Max times a gossiped bundle/root is relayed peer-to-peer. Bounds the
   // flood; must be >= the verifier mesh diameter for full convergence.
   std::uint8_t gossip_hop_budget = 8;
@@ -309,8 +304,9 @@ class PvrNode : public net::Node {
 
   void send(net::Transport& sim, bgp::AsNumber to, const char* channel,
             std::vector<std::uint8_t> payload);
-  // Records a signed per-prefix bundle; in legacy wire mode relays it on
-  // pvr.gossip (skipping `origin`) while `hops` is under the budget.
+  // Records a signed per-prefix bundle received on pvr.bundle or
+  // pvr.gossip and relays it on pvr.gossip (skipping `origin`) while `hops`
+  // is under the budget.
   void observe_bundle(net::Transport& sim, const SignedMessage& bundle,
                       bgp::AsNumber origin, std::uint8_t hops);
   // Records a signed aggregation root and relays it on pvr.gossip.root.
@@ -434,7 +430,6 @@ struct Figure1Setup {
   // Offset applied to every ASN, so several neighborhoods (distinct
   // provers) can run in the same epoch without ASN collisions.
   bgp::AsNumber asn_base = 0;
-  bool aggregate_wire_bundles = true;
   std::size_t finalize_chunk_pairs = 32;  // see PvrConfig
 };
 

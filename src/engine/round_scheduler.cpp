@@ -9,8 +9,7 @@
 
 namespace pvr::engine {
 
-RoundScheduler::RoundScheduler(SchedulerConfig config)
-    : salt_shards_(config.salt_shards) {
+RoundScheduler::RoundScheduler(SchedulerConfig config) {
   const std::size_t shards = std::max<std::size_t>(1, config.shards);
   shard_queues_.resize(shards);
   shard_busy_.assign(shards, false);
@@ -35,16 +34,9 @@ RoundScheduler::~RoundScheduler() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-std::size_t RoundScheduler::shard_of(const core::ProtocolId& id) const {
-  // Hash the (prover, prefix) projection, not the epoch: in unsalted mode
-  // successive epochs of one prover's rounds for one prefix must serialize.
-  core::ProtocolId projection = id;
-  projection.epoch = 0;
-  return core::ProtocolIdHash{}(projection) % shard_queues_.size();
-}
-
 std::size_t RoundScheduler::shard_of(const core::ProtocolId& id,
                                      std::size_t salt) const {
+  // Hash the (prover, prefix) projection, not the epoch.
   core::ProtocolId projection = id;
   projection.epoch = 0;
   // splitmix64-style finalizer over (key hash ⊕ salt): tickets are
@@ -72,8 +64,7 @@ std::size_t RoundScheduler::submit(const core::ProtocolId& id,
           "(tickets restart per batch — collect it first)");
     }
     ticket = tasks_.size();
-    const std::size_t shard =
-        salt_shards_ ? shard_of(id, ticket) : shard_of(id);
+    const std::size_t shard = shard_of(id, ticket);
     tasks_.push_back(Task{.id = id, .work = std::move(work)});
     results_.emplace_back();
     shard_queues_[shard].push_back(ticket);
@@ -85,7 +76,7 @@ std::size_t RoundScheduler::submit(const core::ProtocolId& id,
 
 bool RoundScheduler::run_one(std::unique_lock<std::mutex>& lock) {
   // Find a shard that is idle and has queued work. Same-shard tasks are
-  // FIFO and never run concurrently, so per-prefix execution is serial.
+  // FIFO and never run concurrently.
   for (std::size_t shard = 0; shard < shard_queues_.size(); ++shard) {
     if (shard_busy_[shard] || shard_queues_[shard].empty()) continue;
     shard_busy_[shard] = true;

@@ -4,20 +4,17 @@
 // per (prover, prefix, epoch) at Internet scale; this scheduler drains
 // thousands of such rounds through a bounded thread pool.
 //
-// Shard assignment (DESIGN.md §8.1): by default every submission's shard
-// key is SALTED with its submission ticket, so even two tasks of the SAME
-// round — e.g. the n+1 verifier checks of one (prover, prefix, epoch) —
-// land on different shards and run concurrently. This is safe because
-// submitted closures are self-contained snapshots (they share no mutable
-// state), and it is what keeps one hot prefix from pinning a single
-// worker. Callers whose closures DO share per-(prover, prefix) state can
-// set `salt_shards = false` to get the legacy guarantee back: all rounds
-// of one (prover, prefix) execute serially in submission order.
+// Shard assignment (DESIGN.md §8.1): every submission's shard key is
+// SALTED with its submission ticket, so even two tasks of the SAME round —
+// e.g. the n+1 verifier checks of one (prover, prefix, epoch) — land on
+// different shards and run concurrently. This is safe because submitted
+// closures are self-contained snapshots (they share no mutable state), and
+// it is what keeps one hot prefix from pinning a single worker.
 //
 // Determinism guarantee (DESIGN.md §"Engine"): drain() returns outcomes in
 // submission order, and each round closure only reads its own snapshot, so
 // the drained sequence — and therefore any Evidence log built from it — is
-// byte-identical for every worker count and either salting mode.
+// byte-identical for every worker count.
 #pragma once
 
 #include <condition_variable>
@@ -39,11 +36,6 @@ struct SchedulerConfig {
   // the constructor and joined in the destructor.
   std::size_t workers = 0;
   std::size_t shards = 64;
-  // true (default): each submission's shard key is salted with its ticket,
-  // so same-round tasks parallelize (closures must be self-contained).
-  // false: shard purely by (prover, prefix) — same-key tasks serialize in
-  // submission order.
-  bool salt_shards = true;
 };
 
 // One drained round: the findings plus the identity of the round that
@@ -95,13 +87,9 @@ class RoundScheduler {
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shard_queues_.size();
   }
-  [[nodiscard]] bool salted() const noexcept { return salt_shards_; }
-  // The unsalted shard key: hashes the (prover, prefix) projection (the
-  // assignment used when salt_shards = false).
-  [[nodiscard]] std::size_t shard_of(const core::ProtocolId& id) const;
-  // The salted key actually used for a submission with ticket `salt` when
-  // salting is enabled: mixes the ticket into the hash so every submission
-  // — same round or not — gets an independent shard.
+  // The shard of a submission with ticket `salt`: hashes the (prover,
+  // prefix) projection and mixes in the ticket, so every submission — same
+  // round or not — gets an independent shard.
   [[nodiscard]] std::size_t shard_of(const core::ProtocolId& id,
                                      std::size_t salt) const;
 
@@ -134,7 +122,6 @@ class RoundScheduler {
   std::vector<bool> shard_busy_;
   std::vector<std::uint64_t> shard_totals_;
   std::size_t completed_ = 0;
-  bool salt_shards_ = true;
   // Non-null while an async batch is in flight (begin_drain registered a
   // callback the batch has not yet delivered to).
   std::function<void(std::vector<RoundOutcome>)> async_callback_;

@@ -25,8 +25,7 @@ VerificationEngine::VerificationEngine(EngineConfig config,
     : ctx_(ctx),
       intra_round_checks_(config.intra_round_checks),
       scheduler_(SchedulerConfig{.workers = config.workers,
-                                 .shards = config.shards,
-                                 .salt_shards = config.salt_shards}) {}
+                                 .shards = config.shards}) {}
 
 VerificationEngine::VerificationEngine(EngineConfig config,
                                        const core::KeyDirectory* directory)

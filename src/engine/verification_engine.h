@@ -60,10 +60,6 @@ namespace pvr::engine {
 struct EngineConfig {
   std::size_t workers = 0;  // 0 = hardware concurrency
   std::size_t shards = 64;
-  // Salt the scheduler's shard keys per submission so same-round tasks
-  // spread across shards (engine closures are self-contained snapshots,
-  // which is what makes this safe). See SchedulerConfig::salt_shards.
-  bool salt_shards = true;
   // Split node rounds into one task per check (defer_finalize_checks)
   // instead of one whole-round closure. false = legacy whole-round tasks.
   bool intra_round_checks = true;

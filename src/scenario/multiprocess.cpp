@@ -14,15 +14,12 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/evidence.h"
 #include "core/pvr_speaker.h"
-#include "core/verify_context.h"
 #include "crypto/encoding.h"
-#include "engine/verification_engine.h"
 #include "net/frame.h"
 #include "net/simulator.h"
 #include "obs/export.h"
@@ -209,17 +206,6 @@ class LockstepTransport final : public net::Transport {
   net::SimStats stats_;
 };
 
-struct LocalVerifier {
-  std::size_t hood = 0;
-  std::size_t verifier_index = 0;
-  core::PvrNode* node = nullptr;
-};
-
-struct LocalProver {
-  std::size_t hood = 0;
-  core::PvrNode* node = nullptr;
-};
-
 }  // namespace
 
 std::size_t owner_of(const WorldPlan& plan, bgp::AsNumber asn,
@@ -300,42 +286,13 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
   control.append(net::kFrameReady, {});
   if (!control.flush_all()) return 2;
 
-  // Local shard of the world: every participant this process owns.
+  // Local shard of the world: every participant this process owns, with a
+  // shard-local verify context (verdicts are identical to the simulated
+  // run's; the shared precompute amortizes within the shard).
   LockstepTransport transport(plan, process_index, processes);
-  // Shard-local world context (each process builds its own; the shared
-  // precompute amortizes within the shard, verdicts are identical).
-  const core::VerifyContext world_ctx(&plan.keys.directory,
-                                      spec.world_sig_cache);
-  std::vector<std::unique_ptr<core::PvrNode>> owned;
-  std::map<net::NodeId, core::PvrNode*> local_nodes;
-  std::vector<LocalVerifier> local_verifiers;
-  std::vector<LocalProver> local_provers;
-  for (std::size_t h = 0; h < plan.hoods.size(); ++h) {
-    const Neighborhood& hood = plan.hoods[h];
-    const auto adopt = [&](bgp::AsNumber asn,
-                           core::PvrRole role) -> core::PvrNode* {
-      if (owner_of(plan, asn, processes) != process_index) return nullptr;
-      core::PvrConfig cfg = plan.node_config(spec, h, asn, role);
-      cfg.verify_ctx = &world_ctx;
-      owned.push_back(std::make_unique<core::PvrNode>(std::move(cfg)));
-      core::PvrNode* raw = owned.back().get();
-      local_nodes.emplace(asn, raw);
-      return raw;
-    };
-    if (core::PvrNode* prover = adopt(hood.prover, core::PvrRole::kProver)) {
-      local_provers.push_back(LocalProver{.hood = h, .node = prover});
-    }
-    const std::vector<bgp::AsNumber> verifier_asns = hood.verifiers();
-    for (std::size_t v = 0; v < verifier_asns.size(); ++v) {
-      const core::PvrRole role = v + 1 == verifier_asns.size()
-                                     ? core::PvrRole::kRecipient
-                                     : core::PvrRole::kProvider;
-      if (core::PvrNode* node = adopt(verifier_asns[v], role)) {
-        local_verifiers.push_back(
-            LocalVerifier{.hood = h, .verifier_index = v, .node = node});
-      }
-    }
-  }
+  World world(spec, plan, spec.workers, [&](bgp::AsNumber asn) {
+    return owner_of(plan, asn, processes) == process_index;
+  });
 
   // Relayed real messages from peer processes, keyed by cookie. Entries are
   // kept after delivery so an interceptor-replayed placeholder can be
@@ -401,9 +358,9 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
       obs::MetricsRegistry::global().snapshot();
   obs::StatsServer stats_server(static_cast<std::uint32_t>(process_index));
   stats_server.arm();
-  stats_server.set_gauges([&local_nodes] {
+  stats_server.set_gauges([&world] {
     obs::StatsServer::Gauges gauges;
-    for (const auto& [asn, node] : local_nodes) {
+    for (const auto& [asn, node] : world.nodes()) {
       gauges.open_rounds += static_cast<std::int64_t>(node->open_rounds());
       gauges.peak_open_rounds =
           std::max(gauges.peak_open_rounds,
@@ -431,15 +388,7 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
       const net::SimTime at = reader.get_u64();
       transport.begin_grant(at);
       if (kind == kGrantApp) {
-        const AppEvent& event = plan.app_events.at(reader.get_u32());
-        core::PvrNode* node = local_nodes.at(event.actor);
-        if (event.is_input) {
-          node->provide_input(
-              transport, event.epoch, event.prefix,
-              provider_route(event.prefix, event.actor, event.route_length));
-        } else {
-          node->start_round(transport, event.epoch, event.prefix);
-        }
+        world.apply(transport, plan.app_events.at(reader.get_u32()));
       } else if (kind == kGrantTimer) {
         transport.take_timer(reader.get_u64())();
       } else if (kind == kGrantDeliver) {
@@ -457,7 +406,7 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
           tracer.flow('f', "msg.flow", "flow", obs::Track::kSim, message.to,
                       at, cookie);
         }
-        local_nodes.at(message.to)->on_message(transport, message);
+        world.deliver(transport, message);
       } else {
         return 2;
       }
@@ -490,39 +439,31 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
     return 2;
   }
 
-  // Offline verification of the local verifier shard, exactly the runner's
-  // loop restricted to locally-owned nodes. Evidence is engine-order
-  // deterministic, so shards concatenate into the monolithic logs.
-  engine::VerificationEngine engine({.workers = spec.workers}, &world_ctx);
-  engine::EngineReport drained;
-  {
-    const obs::TraceSpan verify_span("node.verify_shard", "scenario");
-    for (const RoundArrival& arrival : plan.arrivals) {
-      const core::ProtocolId id{
-          .prover = plan.hoods[arrival.neighborhood].prover,
-          .prefix = arrival.prefix,
-          .epoch = arrival.epoch};
-      for (const LocalVerifier& verifier : local_verifiers) {
-        if (verifier.hood != arrival.neighborhood) continue;
-        (void)engine.submit_node_round(*verifier.node, id);
-      }
-    }
-    drained = engine.drain(/*rethrow_errors=*/false);
-  }
+  // The tail schedule over the local verifier shard. Evidence is
+  // engine-order deterministic, so shards concatenate into the monolithic
+  // logs.
+  world.finish();
+  const std::vector<net::TraceProverMeta> provers = world.prover_counters();
 
   crypto::ByteWriter result;
-  result.put_u64(drained.failed_rounds);
-  result.put_u32(static_cast<std::uint32_t>(local_provers.size()));
-  for (const LocalProver& prover : local_provers) {
-    result.put_u32(plan.hoods[prover.hood].prover);
-    result.put_u64(prover.node->rounds_started());
-    result.put_u64(prover.node->windows_fired());
+  result.put_u64(world.verify_failures());
+  result.put_u32(static_cast<std::uint32_t>(provers.size()));
+  for (const net::TraceProverMeta& prover : provers) {
+    result.put_u32(prover.node);
+    result.put_u64(prover.rounds_started);
+    result.put_u64(prover.windows_fired);
   }
-  result.put_u32(static_cast<std::uint32_t>(local_verifiers.size()));
-  for (const LocalVerifier& verifier : local_verifiers) {
-    result.put_u32(static_cast<std::uint32_t>(verifier.hood));
-    result.put_u32(static_cast<std::uint32_t>(verifier.verifier_index));
-    const std::vector<core::Evidence>& log = verifier.node->evidence();
+  std::vector<std::pair<std::size_t, std::size_t>> verifiers;
+  for (std::size_t h = 0; h < plan.hoods.size(); ++h) {
+    for (std::size_t v = 0; v < plan.hoods[h].verifiers().size(); ++v) {
+      if (world.verifier(h, v) != nullptr) verifiers.emplace_back(h, v);
+    }
+  }
+  result.put_u32(static_cast<std::uint32_t>(verifiers.size()));
+  for (const auto& [h, v] : verifiers) {
+    result.put_u32(static_cast<std::uint32_t>(h));
+    result.put_u32(static_cast<std::uint32_t>(v));
+    const std::vector<core::Evidence>& log = world.verifier(h, v)->evidence();
     result.put_u32(static_cast<std::uint32_t>(log.size()));
     for (const core::Evidence& item : log) result.put_bytes(item.encode());
   }
@@ -843,28 +784,13 @@ void Conductor::collect_results(MultiprocessResult& out) {
   for (const auto& [node, meta] : provers) out.trace.provers.push_back(meta);
 
   // Score and account exactly like the monolithic runner.
-  out.report.scenario = spec_.name;
-  out.report.adversary = spec_.adversary;
-  out.report.seed = spec_.seed;
-  out.report.workers = spec_.workers;
-  out.report.online = false;
-  out.report.as_count = plan_.topology.graph.as_count();
-  out.report.neighborhoods = plan_.hoods.size();
-  out.report.pvr_nodes = plan_.participants.size();
-  for (const auto& [node, meta] : provers) {
-    out.report.rounds_started += meta.rounds_started;
-    out.report.windows_fired += meta.windows_fired;
-  }
-  out.report.coalesced = out.report.windows_fired < out.report.rounds_started;
   out.report.drain_batches = 1;
-  out.report.hw_threads = std::thread::hardware_concurrency();
-  score_evidence(plan_,
-                 [&evidence](std::size_t h, std::size_t v)
-                     -> const std::vector<core::Evidence>& {
-                   return evidence.at({h, v});
-                 },
-                 out.report);
-  fill_byte_accounting(sim_.stats(), out.report);
+  assemble_report(spec_, plan_, spec_.workers,
+                  [&evidence](std::size_t h, std::size_t v)
+                      -> const std::vector<core::Evidence>& {
+                    return evidence.at({h, v});
+                  },
+                  out.trace.provers, sim_.stats(), out.report);
 
   // Cross-process aggregation: the conductor's own run delta (its
   // simulator drove the schedule and the scoring pass just ran) merged

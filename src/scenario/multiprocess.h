@@ -26,7 +26,7 @@
 // handlers did, so same-time events tiebreak identically. At the end each
 // child engine-verifies its local verifiers and ships the evidence logs,
 // prover counters, and its MessageTrace shard (conductor-issued sequence
-// numbers) back; the conductor scores with the shared score_evidence pass
+// numbers) back; the conductor scores with the shared assemble_report pass
 // and merges the shards into one trace that replays through
 // scenario::replay_trace to the same fingerprint. DESIGN.md §13.
 #pragma once

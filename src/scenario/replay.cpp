@@ -1,17 +1,10 @@
 #include "scenario/replay.h"
 
 #include <algorithm>
-#include <map>
-#include <memory>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/evidence.h"
-#include "core/pvr_speaker.h"
-#include "core/verify_context.h"
-#include "engine/verification_engine.h"
 #include "net/simulator.h"
 #include "scenario/world.h"
 
@@ -63,11 +56,6 @@ class ReplayTransport final : public net::Transport {
   net::SimStats stats_;    // empty: the recorded run's stats travel in the trace
 };
 
-struct ReplayHood {
-  std::vector<core::PvrNode*> providers;  // Neighborhood::providers order
-  std::vector<core::PvrNode*> verifiers;  // Neighborhood::verifiers() order
-};
-
 }  // namespace
 
 ScenarioReport replay_trace(const ScenarioSpec& spec,
@@ -78,17 +66,8 @@ ScenarioReport replay_trace(const ScenarioSpec& spec,
     throw std::invalid_argument(
         "replay_trace: trace identity does not match the spec");
   }
-  WorldPlan plan = plan_world(spec);
-
-  ScenarioReport report;
-  report.scenario = spec.name;
-  report.adversary = spec.adversary;
-  report.seed = spec.seed;
-  report.workers = workers;
-  report.online = false;
-  report.as_count = plan.topology.graph.as_count();
-  report.neighborhoods = plan.hoods.size();
-  report.pvr_nodes = plan.participants.size();
+  const WorldPlan plan = plan_world(spec);
+  World world(spec, plan, workers);
 
   // The Simulator serves purely as clock + ordered event queue here: no
   // nodes are registered with it and nothing sends through it, so its rng
@@ -97,35 +76,6 @@ ScenarioReport replay_trace(const ScenarioSpec& spec,
   // its FIFO tiebreak reproduces the recorded same-time ordering.
   net::Simulator clock(spec.seed);
   ReplayTransport transport(clock);
-
-  std::vector<std::unique_ptr<core::PvrNode>> owned;
-  std::map<net::NodeId, core::PvrNode*> by_id;
-  std::vector<ReplayHood> hood_nodes(plan.hoods.size());
-  // Same world-shared verification context as the live runner, so the
-  // replay's verdicts (and fingerprint) come from the identical path.
-  const core::VerifyContext world_ctx(&plan.keys.directory,
-                                      spec.world_sig_cache);
-  for (std::size_t h = 0; h < plan.hoods.size(); ++h) {
-    const Neighborhood& hood = plan.hoods[h];
-    const auto add_node = [&](bgp::AsNumber asn,
-                              core::PvrRole role) -> core::PvrNode* {
-      core::PvrConfig cfg = plan.node_config(spec, h, asn, role);
-      cfg.verify_ctx = &world_ctx;
-      owned.push_back(std::make_unique<core::PvrNode>(std::move(cfg)));
-      core::PvrNode* raw = owned.back().get();
-      by_id.emplace(asn, raw);
-      return raw;
-    };
-    (void)add_node(hood.prover, core::PvrRole::kProver);
-    core::PvrNode* recipient =
-        add_node(hood.recipient, core::PvrRole::kRecipient);
-    for (const bgp::AsNumber provider : hood.providers) {
-      hood_nodes[h].providers.push_back(
-          add_node(provider, core::PvrRole::kProvider));
-    }
-    hood_nodes[h].verifiers = hood_nodes[h].providers;
-    hood_nodes[h].verifiers.push_back(recipient);
-  }
 
   // Provider own-input state: verify-as-provider compares the revealed
   // input against what the provider itself supplied, so the plan's
@@ -137,13 +87,8 @@ ScenarioReport replay_trace(const ScenarioSpec& spec,
   // the trace already.
   for (const AppEvent& event : plan.app_events) {
     if (!event.is_input) continue;
-    core::PvrNode* provider_node =
-        hood_nodes[event.hood].providers[event.provider_index];
-    clock.schedule(event.at, [&transport, provider_node, event] {
-      provider_node->provide_input(
-          transport, event.epoch, event.prefix,
-          provider_route(event.prefix, event.actor, event.route_length));
-    });
+    clock.schedule(event.at,
+                   [&world, &transport, &event] { world.apply(transport, event); });
   }
 
   std::vector<net::TraceEntry> entries = trace.entries;
@@ -155,50 +100,18 @@ ScenarioReport replay_trace(const ScenarioSpec& spec,
     if (entry.at < clock.now()) {
       throw std::invalid_argument("replay_trace: trace timestamps regress");
     }
-    clock.schedule(entry.at,
-                   [&transport, &by_id, entry = std::move(entry)] {
-                     const auto it = by_id.find(entry.message.to);
-                     if (it != by_id.end()) {
-                       it->second->on_message(transport, entry.message);
-                     }
-                   });
+    clock.schedule(entry.at, [&world, &transport, entry = std::move(entry)] {
+      world.deliver(transport, entry.message);
+    });
   }
 
   clock.run();
-
-  // Offline verification over the planned rounds at the requested worker
-  // count — the engine's evidence is byte-identical at any (DESIGN.md §9).
-  engine::VerificationEngine engine({.workers = workers}, &world_ctx);
-  for (const RoundArrival& arrival : plan.arrivals) {
-    const core::ProtocolId id{
-        .prover = plan.hoods[arrival.neighborhood].prover,
-        .prefix = arrival.prefix,
-        .epoch = arrival.epoch};
-    for (core::PvrNode* verifier : hood_nodes[arrival.neighborhood].verifiers) {
-      (void)engine.submit_node_round(*verifier, id);
-    }
-  }
-  const engine::EngineReport drained = engine.drain(/*rethrow_errors=*/false);
-  report.verify_failures = drained.failed_rounds;
-  report.drain_batches = 1;
-
-  score_evidence(plan,
-                 [&hood_nodes](std::size_t h, std::size_t v)
-                     -> const std::vector<core::Evidence>& {
-                   return hood_nodes[h].verifiers[v]->evidence();
-                 },
-                 report);
+  world.finish();
 
   // Prover counters and wire accounting come from the recorded run — the
   // replay neither runs prover windows nor re-sends bytes.
-  for (const net::TraceProverMeta& prover : trace.provers) {
-    report.rounds_started += prover.rounds_started;
-    report.windows_fired += prover.windows_fired;
-  }
-  report.coalesced = report.windows_fired < report.rounds_started;
-  fill_byte_accounting(trace.stats, report);
-
-  report.hw_threads = std::thread::hardware_concurrency();
+  ScenarioReport report;
+  world.fill_report(trace.stats, trace.provers, report);
   return report;
 }
 

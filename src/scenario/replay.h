@@ -7,7 +7,7 @@
 // delivery). Verifier-side protocol state is a pure function of delivery
 // order, so the replayed evidence logs are byte-identical to the recorded
 // run's; verifying them through the engine at ANY worker count and scoring
-// with the shared scenario::score_evidence pass reproduces the original
+// with the shared scenario::assemble_report pass reproduces the original
 // ScenarioReport::fingerprint() exactly (DESIGN.md §13).
 //
 // Prover-side dynamic state (round windows, coalescing timers) is NOT

@@ -1,21 +1,13 @@
 #include "scenario/runner.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <deque>
-#include <map>
 #include <memory>
-#include <set>
 #include <stdexcept>
-#include <thread>
-#include <utility>
 
-#include "core/evidence.h"
 #include "core/pvr_speaker.h"
-#include "core/verify_context.h"
-#include "engine/verification_engine.h"
+#include "net/simulator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "scenario/world.h"
@@ -30,16 +22,18 @@ namespace {
       .count();
 }
 
-// Per-hood node pointers, resolved ONCE at world-build time. The pre-PR-5
-// runner re-did a dynamic_cast<core::PvrNode&> inside every hot scheduling
-// lambda (per provider input, per start_round) and again per verifier at
-// verification and scoring time; the cached pointers make those paths a
-// plain indexed load (measured in bench_scenarios' rounds_per_sec).
-struct HoodNodes {
-  core::PvrNode* prover = nullptr;
-  std::vector<core::PvrNode*> providers;  // Neighborhood::providers order
-  std::vector<core::PvrNode*> verifiers;  // Neighborhood::verifiers() order
-  std::vector<core::PvrNode*> members;    // prover + verifiers
+// The simulator's handle on a World-owned node: it forwards deliveries, the
+// World keeps ownership.
+class SimEndpoint final : public net::Node {
+ public:
+  explicit SimEndpoint(core::PvrNode* node) noexcept : node_(node) {}
+  void on_message(net::Transport& transport,
+                  const net::Message& message) override {
+    node_->on_message(transport, message);
+  }
+
+ private:
+  core::PvrNode* node_;
 };
 
 }  // namespace
@@ -97,17 +91,6 @@ std::string ScenarioReport::to_json_line() const {
 
 ScenarioReport run_scenario(const ScenarioSpec& spec,
                             net::MessageTrace* record) {
-  if (spec.online && spec.drain_interval_us == 0) {
-    throw std::invalid_argument(
-        "run_scenario: online mode needs a nonzero drain_interval_us");
-  }
-  ScenarioReport report;
-  report.scenario = spec.name;
-  report.adversary = spec.adversary;
-  report.seed = spec.seed;
-  report.workers = spec.workers;
-  report.online = spec.online;
-
   // Crypto profile baseline: the report's rsa_verifies/sig_cache_hits are
   // this run's delta of the process-wide counters (scenario runs are
   // sequential within a process). Both stay 0 under -DPVR_OBS=OFF.
@@ -115,249 +98,29 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
   const std::uint64_t rsa_verifies_before = hot.crypto_rsa_verifies.value();
   const std::uint64_t cache_hits_before = hot.crypto_sig_cache_hits.value();
   const std::uint64_t world_hits_before = hot.crypto_world_cache_hits.value();
-  // Settle latencies aggregate through a local histogram so the report
-  // carries them in BOTH obs build flavors (the global scenario.settle_us
-  // histogram additionally feeds obs snapshots when hooks are compiled in).
-  obs::Histogram settle_hist;
 
-  // 1–3. The deterministic world plan: topology, neighborhoods, adversary,
-  // keys, link latencies, and the jittered round schedule — shared with the
-  // trace replayer and the multiprocess conductor, which must re-derive the
-  // identical world (world.h).
-  WorldPlan plan = plan_world(spec);
-  const std::vector<Neighborhood>& hoods = plan.hoods;
-  report.as_count = plan.topology.graph.as_count();
-  report.neighborhoods = hoods.size();
-  report.pvr_nodes = plan.participants.size();
-
-  // 4. World: one PvrNode per participant, star + verifier-mesh links with
-  // the planned jittered latencies. Node pointers are resolved here, once —
-  // the scheduling lambdas, the verification loops, and the scoring pass
-  // below all reuse them instead of re-running a dynamic_cast per event.
+  // The deterministic world plan (world.h), the World built from it, and
+  // the simulator as its transport: star + verifier-mesh links with the
+  // planned jittered latencies, the adversary's wire hook, and the planned
+  // app events scheduled in canonical order so same-time events keep their
+  // sequence tiebreak.
+  const WorldPlan plan = plan_world(spec);
+  World world(spec, plan, spec.workers);
   net::Simulator sim(spec.seed);
   net::Transport& transport = sim.transport();
   if (record != nullptr) sim.set_trace(record);
-  // The world-shared verification context: every node and engine worker
-  // verifies through it, sharing per-key Montgomery precompute and (when
-  // spec.world_sig_cache) the verified-signature cache. Verdicts match the
-  // per-directory context exactly, so the fingerprint cannot see it.
-  const core::VerifyContext world_ctx(&plan.keys.directory,
-                                      spec.world_sig_cache);
-  std::vector<HoodNodes> hood_nodes(hoods.size());
-  for (std::size_t h = 0; h < hoods.size(); ++h) {
-    const Neighborhood& hood = hoods[h];
-    const auto add_node = [&](bgp::AsNumber asn,
-                              core::PvrRole role) -> core::PvrNode* {
-      core::PvrConfig cfg = plan.node_config(spec, h, asn, role);
-      cfg.verify_ctx = &world_ctx;
-      auto node = std::make_unique<core::PvrNode>(std::move(cfg));
-      core::PvrNode* raw = node.get();
-      sim.add_node(asn, std::move(node));
-      return raw;
-    };
-    HoodNodes& nodes = hood_nodes[h];
-    nodes.prover = add_node(hood.prover, core::PvrRole::kProver);
-    core::PvrNode* recipient = add_node(hood.recipient, core::PvrRole::kRecipient);
-    for (const bgp::AsNumber provider : hood.providers) {
-      nodes.providers.push_back(add_node(provider, core::PvrRole::kProvider));
-    }
-    // Same order as Neighborhood::verifiers(): providers, then recipient.
-    nodes.verifiers = nodes.providers;
-    nodes.verifiers.push_back(recipient);
-    nodes.members = nodes.verifiers;
-    nodes.members.push_back(nodes.prover);
+  for (const auto& [asn, node] : world.nodes()) {
+    sim.add_node(asn, std::make_unique<SimEndpoint>(node.get()));
   }
   for (const PlannedLink& link : plan.links) {
     sim.connect(link.a, link.b, link.config);
   }
-  plan.adversary->install(transport, hoods, plan.attacked, spec.seed);
-
-  // 5. Jittered round traffic, scheduled in the plan's canonical order so
-  // same-time events keep their historical sequence tiebreak.
+  plan.adversary->install(transport, plan.hoods, plan.attacked, spec.seed);
   for (const AppEvent& event : plan.app_events) {
-    if (event.is_input) {
-      core::PvrNode* provider_node =
-          hood_nodes[event.hood].providers[event.provider_index];
-      sim.schedule(event.at, [&transport, provider_node, event] {
-        provider_node->provide_input(
-            transport, event.epoch, event.prefix,
-            provider_route(event.prefix, event.actor, event.route_length));
-      });
-    } else {
-      core::PvrNode* prover_node = hood_nodes[event.hood].prover;
-      sim.schedule(event.at, [&transport, prover_node, event] {
-        prover_node->start_round(transport, event.epoch, event.prefix);
-      });
-    }
+    sim.schedule(event.at,
+                 [&world, &transport, &event] { world.apply(transport, event); });
   }
-
-  // 6. Engine-backed verification. Offline: run to quiescence, submit every
-  // round, one drain. Online (the paper's deployment model): each prover's
-  // window-close event queues its rounds; once a round's settle horizon has
-  // passed, a periodic in-simulation drain submits it to the long-lived
-  // engine, folds the findings back, and GCs the settled state — so memory
-  // tracks concurrently-open windows, not trace length. Either way the
-  // engine drains with rethrow_errors = false: a round whose closure threw
-  // is COUNTED (report.verify_failures, gated nonzero-fatal by the bench
-  // and CI) instead of silently discarded like the pre-PR-5
-  // `(void)engine.drain()` — or, worse, aborting the whole trace.
-  engine::VerificationEngine engine({.workers = spec.workers}, &world_ctx);
-  const bool pipelined = spec.online && spec.pipelined;
-  double verify_blocked_ms = 0;  // sim-thread wall time spent on verification
-  double overlapped_ms = 0;      // fold time that overlapped the simulation
-  double fold_window_ms = 0;     // total async fold window across batches
-
-  struct SettledEntry {
-    net::SimTime settled_at = 0;
-    std::size_t hood = 0;
-    core::ProtocolId id;
-  };
-  std::deque<SettledEntry> pending;  // window-close order == settle order
-  // The two-slot batch buffer (DESIGN.md §12): `batch` is the slot being
-  // gathered and sealed this tick; `inflight` is the previous batch, owned
-  // by the engine's workers until the next tick harvests it. Entries are
-  // immutable after sealing — the engine verifies over the shared_ptr
-  // RoundState snapshots defer_finalize_checks took at submit time, so the
-  // simulator mutating live node state in between cannot race the checks.
-  std::vector<SettledEntry> batch;
-  std::vector<SettledEntry> inflight;
-  bool inflight_active = false;
-
-  // Rounds left to harvest per (hood, epoch): when the count hits zero,
-  // every round of the epoch is past its settle horizon AND harvested, so
-  // the epoch's seen-root dedup digests retire (gc_epoch_roots).
-  std::map<std::pair<std::size_t, std::uint64_t>, std::uint64_t>
-      epoch_rounds_left;
-  if (spec.online) {
-    for (const RoundArrival& arrival : plan.arrivals) {
-      epoch_rounds_left[{arrival.neighborhood, arrival.epoch}] += 1;
-    }
-  }
-
-  const net::SimTime settle_horizon =
-      spec.settle_horizon_us != 0
-          ? spec.settle_horizon_us
-          : settle_horizon_for(spec, *plan.adversary, [&] {
-              std::size_t most = 0;
-              for (const Neighborhood& hood : hoods) {
-                most = std::max(most, hood.providers.size() + 1);
-              }
-              return most;
-            }());
-
-  const auto consume_report = [&](const engine::EngineReport& drained) {
-    report.verify_failures += drained.failed_rounds;
-    report.drain_batches += 1;
-    overlapped_ms += drained.overlapped_ms;
-    fold_window_ms += drained.verify_wall_ms;
-  };
-
-  // Harvest the in-flight batch: collect() applies its folded findings to
-  // the nodes (one tick after submission), then the settled state is GC'd
-  // and fully-harvested epochs retire their root-dedup digests.
-  const auto harvest = [&] {
-    if (!inflight_active) return;
-    const double t0 = now_ms();
-    const obs::TraceSpan span("scenario.harvest", "scenario");
-    consume_report(engine.collect(/*rethrow_errors=*/false));
-    for (const SettledEntry& entry : inflight) {
-      for (core::PvrNode* member : hood_nodes[entry.hood].members) {
-        (void)member->gc_finalized(entry.id);
-      }
-      const auto left = epoch_rounds_left.find({entry.hood, entry.id.epoch});
-      if (left != epoch_rounds_left.end() && --left->second == 0) {
-        // The settle horizon bounds gossip chains AND the adversary's
-        // replay lag, so with every round of this (hood, epoch) harvested,
-        // no message referencing the epoch's roots can still arrive — a
-        // late replay after this retirement would miss the dedup and
-        // re-create round state, which the fingerprint-parity gates would
-        // catch (same empirical enforcement as the horizon itself).
-        const bgp::AsNumber prover = hoods[entry.hood].prover;
-        for (core::PvrNode* member : hood_nodes[entry.hood].members) {
-          (void)member->gc_epoch_roots(prover, entry.id.epoch);
-        }
-        epoch_rounds_left.erase(left);
-      }
-    }
-    inflight.clear();
-    inflight_active = false;
-    verify_blocked_ms += now_ms() - t0;
-  };
-
-  // Gather every settled round and seal them as the next batch: submit all
-  // verifier rounds, then begin_drain hands the batch to the workers
-  // WITHOUT blocking (pipelined mode harvests it next tick).
-  const auto submit_settled = [&](bool flush_all) {
-    batch.clear();
-    while (!pending.empty() &&
-           (flush_all || pending.front().settled_at <= sim.now())) {
-      batch.push_back(pending.front());
-      pending.pop_front();
-    }
-    if (batch.empty()) return;
-    const double t0 = now_ms();
-    const obs::TraceSpan flush_span("scenario.drain_flush", "scenario");
-    obs::TraceWriter& tracer = obs::TraceWriter::global();
-    for (const SettledEntry& entry : batch) {
-      for (core::PvrNode* verifier : hood_nodes[entry.hood].verifiers) {
-        (void)engine.submit_node_round(*verifier, entry.id);
-      }
-      // Settle latency in SIM time, recorded at SUBMISSION: the round's
-      // window closed at settled_at - settle_horizon and this tick is when
-      // its verification was sealed. Identical at any worker count (the
-      // drain schedule is simulated) and identical pipelined or not — the
-      // harvest landing one tick later must not widen the gated quantiles.
-      const net::SimTime close_at = entry.settled_at - settle_horizon;
-      const std::uint64_t latency =
-          static_cast<std::uint64_t>(sim.now() - close_at);
-      settle_hist.record(latency);
-      PVR_OBS_RECORD(scenario_settle_us, latency);
-      if (tracer.active()) {
-        tracer.sim_span("round.settle", entry.hood,
-                        static_cast<std::uint64_t>(close_at),
-                        static_cast<std::uint64_t>(sim.now()));
-      }
-    }
-    engine.begin_drain();
-    inflight.swap(batch);
-    inflight_active = true;
-    verify_blocked_ms += now_ms() - t0;
-  };
-
-  if (spec.online) {
-    report.settle_horizon_us = settle_horizon;
-    for (std::size_t h = 0; h < hoods.size(); ++h) {
-      const bgp::AsNumber prover = hoods[h].prover;
-      hood_nodes[h].prover->set_window_close_handler(
-          [&sim, &pending, settle_horizon, h, prover](
-              std::uint64_t epoch, const std::vector<bgp::Ipv4Prefix>& prefixes) {
-            const net::SimTime settled_at = sim.now() + settle_horizon;
-            for (const bgp::Ipv4Prefix& prefix : prefixes) {
-              pending.push_back(SettledEntry{
-                  .settled_at = settled_at,
-                  .hood = h,
-                  .id = core::ProtocolId{
-                      .prover = prover, .prefix = prefix, .epoch = epoch}});
-            }
-          });
-    }
-    if (pipelined) {
-      // Pipelined tick: harvest batch N (findings applied one tick late),
-      // then seal batch N+1 — the workers verify it while the simulator
-      // advances toward the next tick.
-      sim.schedule_periodic(spec.drain_interval_us, [&] {
-        harvest();
-        submit_settled(false);
-      });
-    } else {
-      // Synchronous A/B schedule (pre-pipelining): seal and immediately
-      // harvest inside one tick — blocking engine.drain semantics.
-      sim.schedule_periodic(spec.drain_interval_us, [&] {
-        submit_settled(false);
-        harvest();
-      });
-    }
-  }
+  if (spec.online) world.arm_online(transport);
 
   // Distributed-parity baseline (DESIGN.md §14): everything from here to the
   // end of scoring is the work the multiprocess deployment shards across the
@@ -374,65 +137,27 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
     sim.run();
   }
   // Drain work ran interleaved on this thread; subtract the blocked share.
-  report.sim_ms = now_ms() - t_sim - verify_blocked_ms;
+  const double sim_ms = now_ms() - t_sim - world.verify_blocked_ms();
+  world.finish();
+  const double wall_ms = now_ms() - t_sim;
 
-  if (spec.online) {
-    // Tail barrier: harvest whatever the final tick left in flight, then
-    // flush the rounds whose settle horizon outlived the trace (plus any
-    // final partial batch) and harvest those too. The simulator is
-    // quiescent, so these submit against exactly the state the offline
-    // path would have seen — after this barrier, online == offline.
-    report.harvest_pending_at_end = inflight_active;
-    harvest();
-    submit_settled(true);
-    harvest();
-  } else {
-    const double t_verify = now_ms();
-    for (const RoundArrival& arrival : plan.arrivals) {
-      const Neighborhood& hood = hoods[arrival.neighborhood];
-      const core::ProtocolId id{.prover = hood.prover,
-                                .prefix = arrival.prefix,
-                                .epoch = arrival.epoch};
-      for (core::PvrNode* verifier : hood_nodes[arrival.neighborhood].verifiers) {
-        (void)engine.submit_node_round(*verifier, id);
-      }
-    }
-    consume_report(engine.drain(/*rethrow_errors=*/false));
-    verify_blocked_ms += now_ms() - t_verify;
-  }
-  report.wall_ms = now_ms() - t_sim;
-  report.verify_ms = verify_blocked_ms + overlapped_ms;
-  report.pipeline_overlap_ratio =
-      fold_window_ms > 0 ? overlapped_ms / fold_window_ms : 0.0;
-
-  // 7. Score: the canonical pass shared with replay and the multiprocess
-  // conductor (world.h) — identical evidence logs in identical order must
-  // score identically wherever they were produced.
-  score_evidence(plan,
-                 [&hood_nodes](std::size_t h, std::size_t v)
-                     -> const std::vector<core::Evidence>& {
-                   return hood_nodes[h].verifiers[v]->evidence();
-                 },
-                 report);
-
-  for (const HoodNodes& nodes : hood_nodes) {
-    report.rounds_started += nodes.prover->rounds_started();
-    report.windows_fired += nodes.prover->windows_fired();
-    for (const core::PvrNode* member : nodes.members) {
-      report.peak_open_rounds =
-          std::max(report.peak_open_rounds,
-                   static_cast<std::uint64_t>(member->peak_open_rounds()));
-      report.peak_root_digests = std::max(
-          report.peak_root_digests,
-          static_cast<std::uint64_t>(member->peak_seen_root_digests()));
-      report.final_root_epochs =
-          std::max(report.final_root_epochs,
-                   static_cast<std::uint64_t>(member->seen_root_epochs()));
-    }
-  }
-  report.coalesced = report.windows_fired < report.rounds_started;
-
-  fill_byte_accounting(sim.stats(), report);
+  ScenarioReport report;
+  const std::vector<net::TraceProverMeta> provers = world.prover_counters();
+  world.fill_report(sim.stats(), provers, report);
+  report.sim_ms = sim_ms;
+  report.wall_ms = wall_ms;
+  // Throughput over MEASURED elapsed time: with pipelining, wall_ms can be
+  // less than sim_ms + verify_ms (the overlapped share is counted in both),
+  // and the rate should credit that overlap.
+  report.rounds_per_sec =
+      wall_ms <= 0.0 ? 0.0
+                     : static_cast<double>(report.rounds_started) /
+                           (wall_ms / 1000.0);
+  report.rsa_verifies = hot.crypto_rsa_verifies.value() - rsa_verifies_before;
+  report.sig_cache_hits =
+      hot.crypto_sig_cache_hits.value() - cache_hits_before;
+  report.world_cache_hits =
+      hot.crypto_world_cache_hits.value() - world_hits_before;
 
   // Finalize the recorded trace: identity, the run's wire stats, and the
   // per-prover round counters replay_trace() reports instead of replaying
@@ -443,31 +168,8 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
     record->seed = spec.seed;
     record->backend = "sim";
     record->stats = sim.stats();
-    record->provers.clear();
-    for (std::size_t h = 0; h < hoods.size(); ++h) {
-      record->provers.push_back(net::TraceProverMeta{
-          .node = hoods[h].prover,
-          .rounds_started = hood_nodes[h].prover->rounds_started(),
-          .windows_fired = hood_nodes[h].prover->windows_fired()});
-    }
+    record->provers = provers;
   }
-
-  report.p50_settle_us = settle_hist.quantile(0.5);
-  report.p99_settle_us = settle_hist.quantile(0.99);
-  report.rsa_verifies = hot.crypto_rsa_verifies.value() - rsa_verifies_before;
-  report.sig_cache_hits =
-      hot.crypto_sig_cache_hits.value() - cache_hits_before;
-  report.world_cache_hits =
-      hot.crypto_world_cache_hits.value() - world_hits_before;
-
-  // Throughput over MEASURED elapsed time: with pipelining, wall_ms can be
-  // less than sim_ms + verify_ms (the overlapped share is counted in both),
-  // and the rate should credit that overlap.
-  report.hw_threads = std::thread::hardware_concurrency();
-  report.rounds_per_sec =
-      report.wall_ms <= 0.0 ? 0.0
-                            : static_cast<double>(report.rounds_started) /
-                                  (report.wall_ms / 1000.0);
 
   report.obs_sim_fingerprint =
       obs::MetricsSnapshot::delta(obs::MetricsRegistry::global().snapshot(),

@@ -12,10 +12,13 @@
 // offline (run to quiescence, then one drain) or online (ScenarioSpec::
 // online: rounds stream into a long-lived engine as their windows close,
 // drained every drain_interval_us of sim time, settled state GC'd) — and
-// score the outcome. Everything except the wall-clock and drain-schedule
-// fields of the report is a pure function of (spec) — fingerprint() is the
-// byte-identity the determinism gates compare across worker counts, drain
-// intervals, and online vs offline mode.
+// score the outcome. The world itself (nodes, engine, drain schedules,
+// scoring) is scenario::World (world.h), shared with replay_trace and the
+// multiprocess node processes; this runner supplies the simulator.
+// Everything except the wall-clock and drain-schedule fields of the report
+// is a pure function of (spec) — fingerprint() is the byte-identity the
+// determinism gates compare across worker counts, drain intervals, and
+// online vs offline mode.
 #pragma once
 
 #include <cstdint>
@@ -53,22 +56,16 @@ struct ScenarioSpec {
   std::uint32_t max_len = 16;
   // Online verification (the paper's deployment model): rounds are
   // submitted to a long-lived engine as their windows close and the engine
-  // drains every drain_interval_us of SIMULATED time, with settled rounds
+  // drains every drain_interval_us of SIMULATED time, pipelined — each
+  // tick harvests the previous batch and seals the next, so workers verify
+  // while the simulator advances (DESIGN.md §12) — with settled rounds
   // GC'd so memory is bounded by concurrently-open windows instead of
-  // trace length. false = legacy offline mode (verify after global
-  // quiescence). The report fingerprint is byte-identical in both modes
-  // at any worker count and any drain interval (DESIGN.md §10).
+  // trace length. false = offline: verify every round after global
+  // quiescence in one drain, the parity oracle. The report fingerprint and
+  // evidence_digest are byte-identical in both modes at any worker count
+  // and any drain interval (DESIGN.md §10).
   bool online = false;
   net::SimTime drain_interval_us = 25'000;
-  // Pipelined online verification (DESIGN.md §12, the default): each drain
-  // tick first HARVESTS the previous batch's folded findings (applying
-  // them one tick late) and then seals the next batch with a non-blocking
-  // begin_drain, so engine workers verify batch N while the simulator
-  // advances toward batch N+1's tick. false = the pre-PR-7 synchronous
-  // schedule (submit + blocking drain inside one tick) — kept as the A/B
-  // leg the interleaving stress tests compare evidence logs against.
-  // Ignored offline. The fingerprint is byte-identical either way.
-  bool pipelined = true;
   // How long after a window closes the runner waits before treating the
   // window's rounds as settled (no message referencing them can still be
   // in flight). 0 = derive a conservative bound from the link latency
@@ -122,7 +119,7 @@ struct ScenarioReport {
   bool online = false;
   // Whether the trace ended with a sealed batch still in flight (the tail
   // barrier then harvested it) — the state the final-flush parity test
-  // forces. Always false offline / non-pipelined.
+  // forces. Always false offline.
   bool harvest_pending_at_end = false;
   // Root-dedup footprint (epoch-keyed seen-root GC): the highest live
   // digest count any node reached, and the epochs still holding digests
@@ -163,10 +160,13 @@ struct ScenarioReport {
   // SHA-256 (hex) over every node's evidence log in node order — a strict
   // superset of the fingerprint's evidence COUNT: it pins the APPLICATION
   // ORDER, which the two-slot pipeline must preserve batch by batch.
-  // Deterministic per verification schedule (identical pipelined vs
-  // synchronous at the same drain schedule — the stress test's assertion)
-  // but mode-dependent (offline applies in arrival order, online in settle
-  // order), so excluded from fingerprint().
+  // Invariant: identical online and offline, at every worker count and
+  // drain interval (online_pipeline_test and the stress tests assert it).
+  // Offline applies a node's rounds in arrival order, online in settle
+  // order, and the two orders agree: a node only logs its own
+  // neighborhood's rounds, whose prover closes windows in arrival order
+  // and lists each window's rounds in arrival order. Not part of
+  // fingerprint(); the parity tests compare it directly.
   std::string evidence_digest;
   // Wall clock — excluded from fingerprint(). sim_ms is the simulator's
   // own wall time (drain work subtracted), verify_ms the total

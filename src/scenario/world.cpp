@@ -1,11 +1,14 @@
 #include "scenario/world.h"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "core/bundle_aggregation.h"
 #include "crypto/sha256.h"
+#include "obs/trace.h"
 
 namespace pvr::scenario {
 
@@ -71,8 +74,6 @@ void append_covered_rounds(const core::Evidence& item,
   return attacked;
 }
 
-}  // namespace
-
 bgp::Route provider_route(const bgp::Ipv4Prefix& prefix,
                           bgp::AsNumber provider, std::size_t length) {
   std::vector<bgp::AsNumber> hops;
@@ -110,30 +111,13 @@ net::SimTime settle_horizon_for(const ScenarioSpec& spec,
   return per_hop * (chain * cascades + 1) + adversary.max_replay_lag();
 }
 
-core::PvrConfig WorldPlan::node_config(const ScenarioSpec& spec,
-                                       std::size_t hood, bgp::AsNumber asn,
-                                       core::PvrRole role) const {
-  const Neighborhood& neighborhood = hoods[hood];
-  return core::PvrConfig{
-      .asn = asn,
-      .role = role,
-      .directory = &keys.directory,
-      .private_key = &keys.private_keys.at(asn).priv,
-      .op = core::OperatorKind::kMinimum,
-      .max_len = spec.max_len,
-      .prover = neighborhood.prover,
-      .providers = neighborhood.providers,
-      .recipient = neighborhood.recipient,
-      .collect_window = spec.collect_window,
-      .batch_deadline = spec.batch_deadline,
-      .misbehavior = role == core::PvrRole::kProver && attacked[hood]
-                         ? misbehavior
-                         : core::ProverMisbehavior{},
-      .rng_seed = spec.seed,
-      .gossip_hop_budget = spec.gossip_hop_budget,
-      .finalize_chunk_pairs = spec.finalize_chunk_pairs,
-  };
+[[nodiscard]] double now_ms() {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
+
+}  // namespace
 
 WorldPlan plan_world(const ScenarioSpec& spec) {
   if (spec.collect_window <= kMaxScenarioLatency) {
@@ -230,8 +214,36 @@ WorldPlan plan_world(const ScenarioSpec& spec) {
   return plan;
 }
 
-void score_evidence(const WorldPlan& plan, const EvidenceAccessor& evidence_of,
-                    ScenarioReport& report) {
+void assemble_report(const ScenarioSpec& spec, const WorldPlan& plan,
+                     std::size_t workers, const EvidenceAccessor& evidence_of,
+                     const std::vector<net::TraceProverMeta>& provers,
+                     const net::SimStats& stats, ScenarioReport& report) {
+  report.scenario = spec.name;
+  report.adversary = spec.adversary;
+  report.seed = spec.seed;
+  report.workers = workers;
+  report.as_count = plan.topology.graph.as_count();
+  report.neighborhoods = plan.hoods.size();
+  report.pvr_nodes = plan.participants.size();
+  report.hw_threads = std::thread::hardware_concurrency();
+  for (const net::TraceProverMeta& prover : provers) {
+    report.rounds_started += prover.rounds_started;
+    report.windows_fired += prover.windows_fired;
+  }
+  report.coalesced = report.windows_fired < report.rounds_started;
+
+  // Byte accounting. kBundleChannel is a prefix of kBundleAggChannel and
+  // kGossipChannel of kGossipRootChannel, so each group covers both.
+  report.bytes_input = stats.channel_group(core::kInputChannel).bytes_sent;
+  report.bytes_bundle = stats.channel_group(core::kBundleChannel).bytes_sent;
+  const net::ChannelStats gossip = stats.channel_group(core::kGossipChannel);
+  report.bytes_gossip = gossip.bytes_sent;
+  report.gossip_messages = gossip.messages_sent;
+  report.bytes_reveal_export = stats.channel_group("pvr.reveal").bytes_sent +
+                               stats.channel_group("pvr.export").bytes_sent;
+  report.bytes_total = stats.channel_group("pvr.").bytes_sent;
+
+  // Scoring, over every verifier's evidence log in (hood, verifier) order.
   const core::Auditor auditor(&plan.keys.directory);
   const std::vector<core::ViolationKind> expected =
       plan.adversary->expected_kinds();
@@ -289,17 +301,284 @@ void score_evidence(const WorldPlan& plan, const EvidenceAccessor& evidence_of,
                 static_cast<double>(attacked_rounds.size());
 }
 
-void fill_byte_accounting(const net::SimStats& stats, ScenarioReport& report) {
-  report.bytes_input = stats.channel_group(core::kInputChannel).bytes_sent;
-  // kBundleChannel is a prefix of kBundleAggChannel, kGossipChannel of
-  // kGossipRootChannel: each group covers both wire modes.
-  report.bytes_bundle = stats.channel_group(core::kBundleChannel).bytes_sent;
-  const net::ChannelStats gossip = stats.channel_group(core::kGossipChannel);
-  report.bytes_gossip = gossip.bytes_sent;
-  report.gossip_messages = gossip.messages_sent;
-  report.bytes_reveal_export = stats.channel_group("pvr.reveal").bytes_sent +
-                               stats.channel_group("pvr.export").bytes_sent;
-  report.bytes_total = stats.channel_group("pvr.").bytes_sent;
+World::World(const ScenarioSpec& spec, const WorldPlan& plan,
+             std::size_t workers,
+             const std::function<bool(bgp::AsNumber)>& owns)
+    : spec_(&spec),
+      plan_(&plan),
+      workers_(workers),
+      // Every node and engine worker verifies through this one context,
+      // sharing per-key Montgomery precompute and (spec.world_sig_cache)
+      // the verified-signature cache. Verdicts match the per-directory
+      // context exactly, so the fingerprint cannot see it.
+      ctx_(&plan.keys.directory, spec.world_sig_cache),
+      hoods_(plan.hoods.size()),
+      engine_({.workers = workers}, &ctx_) {
+  for (std::size_t h = 0; h < plan.hoods.size(); ++h) {
+    const Neighborhood& neighborhood = plan.hoods[h];
+    const auto add = [&](bgp::AsNumber asn,
+                         core::PvrRole role) -> core::PvrNode* {
+      if (owns && !owns(asn)) return nullptr;
+      auto node = std::make_unique<core::PvrNode>(core::PvrConfig{
+          .asn = asn,
+          .role = role,
+          .directory = &plan.keys.directory,
+          .verify_ctx = &ctx_,
+          .private_key = &plan.keys.private_keys.at(asn).priv,
+          .op = core::OperatorKind::kMinimum,
+          .max_len = spec.max_len,
+          .prover = neighborhood.prover,
+          .providers = neighborhood.providers,
+          .recipient = neighborhood.recipient,
+          .collect_window = spec.collect_window,
+          .batch_deadline = spec.batch_deadline,
+          .misbehavior = role == core::PvrRole::kProver && plan.attacked[h]
+                             ? plan.misbehavior
+                             : core::ProverMisbehavior{},
+          .rng_seed = spec.seed,
+          .gossip_hop_budget = spec.gossip_hop_budget,
+          .finalize_chunk_pairs = spec.finalize_chunk_pairs,
+      });
+      core::PvrNode* raw = node.get();
+      nodes_.emplace(asn, std::move(node));
+      return raw;
+    };
+    Hood& hood = hoods_[h];
+    hood.prover = add(neighborhood.prover, core::PvrRole::kProver);
+    for (const bgp::AsNumber provider : neighborhood.providers) {
+      hood.verifiers.push_back(add(provider, core::PvrRole::kProvider));
+    }
+    hood.verifiers.push_back(
+        add(neighborhood.recipient, core::PvrRole::kRecipient));
+    for (core::PvrNode* member : hood.verifiers) {
+      if (member != nullptr) hood.members.push_back(member);
+    }
+    if (hood.prover != nullptr) hood.members.push_back(hood.prover);
+  }
+}
+
+void World::apply(net::Transport& transport, const AppEvent& event) const {
+  const Hood& hood = hoods_[event.hood];
+  core::PvrNode* actor =
+      event.is_input ? hood.verifiers[event.provider_index] : hood.prover;
+  if (actor == nullptr) {
+    throw std::logic_error("World::apply: the event's actor is not local");
+  }
+  if (event.is_input) {
+    actor->provide_input(
+        transport, event.epoch, event.prefix,
+        provider_route(event.prefix, event.actor, event.route_length));
+  } else {
+    actor->start_round(transport, event.epoch, event.prefix);
+  }
+}
+
+void World::deliver(net::Transport& transport,
+                    const net::Message& message) const {
+  const auto it = nodes_.find(message.to);
+  if (it != nodes_.end()) it->second->on_message(transport, message);
+}
+
+void World::arm_online(net::Transport& transport) {
+  if (spec_->drain_interval_us == 0) {
+    throw std::invalid_argument(
+        "World::arm_online: online mode needs a nonzero drain_interval_us");
+  }
+  transport_ = &transport;
+  std::size_t most_verifiers = 0;
+  for (const Neighborhood& hood : plan_->hoods) {
+    most_verifiers = std::max(most_verifiers, hood.providers.size() + 1);
+  }
+  settle_horizon_ =
+      spec_->settle_horizon_us != 0
+          ? spec_->settle_horizon_us
+          : settle_horizon_for(*spec_, *plan_->adversary, most_verifiers);
+  for (const RoundArrival& arrival : plan_->arrivals) {
+    epoch_rounds_left_[{arrival.neighborhood, arrival.epoch}] += 1;
+  }
+  for (std::size_t h = 0; h < hoods_.size(); ++h) {
+    if (hoods_[h].prover == nullptr) continue;
+    const bgp::AsNumber prover = plan_->hoods[h].prover;
+    hoods_[h].prover->set_window_close_handler(
+        [this, h, prover](std::uint64_t epoch,
+                          const std::vector<bgp::Ipv4Prefix>& prefixes) {
+          const net::SimTime settled_at = transport_->now() + settle_horizon_;
+          for (const bgp::Ipv4Prefix& prefix : prefixes) {
+            pending_.push_back(SettledEntry{
+                .settled_at = settled_at,
+                .hood = h,
+                .id = core::ProtocolId{
+                    .prover = prover, .prefix = prefix, .epoch = epoch}});
+          }
+        });
+  }
+  // Pipelined tick: harvest batch N (findings applied one tick late), then
+  // seal batch N+1 — the workers verify it while the simulator advances
+  // toward the next tick.
+  transport.schedule_periodic(spec_->drain_interval_us, [this] {
+    harvest();
+    submit_settled(false);
+  });
+}
+
+void World::finish() {
+  if (transport_ != nullptr) {
+    // Tail barrier: harvest whatever the final tick left in flight, then
+    // flush the rounds whose settle horizon outlived the trace (plus any
+    // final partial batch) and harvest those too. The world is quiescent,
+    // so these submit against exactly the state the tail schedule sees —
+    // after this barrier, online == offline.
+    harvest_pending_at_end_ = engine_.has_pending();
+    harvest();
+    submit_settled(true);
+    harvest();
+    return;
+  }
+  // Tail schedule: every planned round, in arrival order, for every local
+  // verifier, then one drain. The engine's evidence is byte-identical at
+  // any worker count (DESIGN.md §8.2).
+  const double t0 = now_ms();
+  const obs::TraceSpan span("scenario.verify_tail", "scenario");
+  for (const RoundArrival& arrival : plan_->arrivals) {
+    const core::ProtocolId id{.prover = plan_->hoods[arrival.neighborhood].prover,
+                              .prefix = arrival.prefix,
+                              .epoch = arrival.epoch};
+    submit_round(arrival.neighborhood, id);
+  }
+  consume(engine_.drain(/*rethrow_errors=*/false));
+  verify_blocked_ms_ += now_ms() - t0;
+}
+
+void World::submit_round(std::size_t hood, const core::ProtocolId& id) {
+  for (core::PvrNode* verifier : hoods_[hood].verifiers) {
+    if (verifier != nullptr) (void)engine_.submit_node_round(*verifier, id);
+  }
+}
+
+// Every drain runs with rethrow_errors = false: a round whose closure threw
+// is COUNTED (report.verify_failures, gated nonzero-fatal by the bench and
+// CI) instead of silently discarded or aborting the whole trace.
+void World::consume(const engine::EngineReport& drained) {
+  verify_failures_ += drained.failed_rounds;
+  drain_batches_ += 1;
+  overlapped_ms_ += drained.overlapped_ms;
+  fold_window_ms_ += drained.verify_wall_ms;
+}
+
+// Harvest the in-flight batch: collect() applies its folded findings to
+// the nodes (one tick after submission), then the settled state is GC'd
+// and fully-harvested epochs retire their root-dedup digests.
+void World::harvest() {
+  if (!engine_.has_pending()) return;
+  const double t0 = now_ms();
+  const obs::TraceSpan span("scenario.harvest", "scenario");
+  consume(engine_.collect(/*rethrow_errors=*/false));
+  for (const SettledEntry& entry : inflight_) {
+    for (core::PvrNode* member : hoods_[entry.hood].members) {
+      (void)member->gc_finalized(entry.id);
+    }
+    const auto left = epoch_rounds_left_.find({entry.hood, entry.id.epoch});
+    if (left != epoch_rounds_left_.end() && --left->second == 0) {
+      // The settle horizon bounds gossip chains AND the adversary's replay
+      // lag, so with every round of this (hood, epoch) harvested, no
+      // message referencing the epoch's roots can still arrive — a late
+      // replay after this retirement would miss the dedup and re-create
+      // round state, which the fingerprint-parity gates would catch (same
+      // empirical enforcement as the horizon itself).
+      const bgp::AsNumber prover = plan_->hoods[entry.hood].prover;
+      for (core::PvrNode* member : hoods_[entry.hood].members) {
+        (void)member->gc_epoch_roots(prover, entry.id.epoch);
+      }
+      epoch_rounds_left_.erase(left);
+    }
+  }
+  inflight_.clear();
+  verify_blocked_ms_ += now_ms() - t0;
+}
+
+// Gather every settled round and seal them as the next batch: submit all
+// verifier rounds, then begin_drain hands the batch to the workers WITHOUT
+// blocking (the next tick harvests it). Entries are immutable after
+// sealing — the engine verifies over the shared_ptr RoundState snapshots
+// defer_finalize_checks took at submit time, so the simulator mutating
+// live node state in between cannot race the checks.
+void World::submit_settled(bool flush_all) {
+  const net::SimTime now = transport_->now();
+  batch_.clear();
+  while (!pending_.empty() &&
+         (flush_all || pending_.front().settled_at <= now)) {
+    batch_.push_back(pending_.front());
+    pending_.pop_front();
+  }
+  if (batch_.empty()) return;
+  const double t0 = now_ms();
+  const obs::TraceSpan flush_span("scenario.drain_flush", "scenario");
+  obs::TraceWriter& tracer = obs::TraceWriter::global();
+  for (const SettledEntry& entry : batch_) {
+    submit_round(entry.hood, entry.id);
+    // Settle latency in SIM time, recorded at SUBMISSION: the round's
+    // window closed at settled_at - settle_horizon and this tick is when
+    // its verification was sealed. Identical at any worker count (the
+    // drain schedule is simulated); the harvest landing one tick later
+    // must not widen the gated quantiles.
+    const net::SimTime close_at = entry.settled_at - settle_horizon_;
+    const auto latency = static_cast<std::uint64_t>(now - close_at);
+    settle_hist_.record(latency);
+    PVR_OBS_RECORD(scenario_settle_us, latency);
+    if (tracer.active()) {
+      tracer.sim_span("round.settle", entry.hood,
+                      static_cast<std::uint64_t>(close_at),
+                      static_cast<std::uint64_t>(now));
+    }
+  }
+  engine_.begin_drain();
+  inflight_.swap(batch_);
+  verify_blocked_ms_ += now_ms() - t0;
+}
+
+std::vector<net::TraceProverMeta> World::prover_counters() const {
+  std::vector<net::TraceProverMeta> provers;
+  for (std::size_t h = 0; h < hoods_.size(); ++h) {
+    const core::PvrNode* prover = hoods_[h].prover;
+    if (prover == nullptr) continue;
+    provers.push_back(
+        net::TraceProverMeta{.node = plan_->hoods[h].prover,
+                             .rounds_started = prover->rounds_started(),
+                             .windows_fired = prover->windows_fired()});
+  }
+  return provers;
+}
+
+void World::fill_report(const net::SimStats& stats,
+                        const std::vector<net::TraceProverMeta>& provers,
+                        ScenarioReport& report) const {
+  assemble_report(*spec_, *plan_, workers_,
+                  [this](std::size_t h, std::size_t v)
+                      -> const std::vector<core::Evidence>& {
+                    return hoods_[h].verifiers[v]->evidence();
+                  },
+                  provers, stats, report);
+  report.online = transport_ != nullptr;
+  report.verify_failures = verify_failures_;
+  report.drain_batches = drain_batches_;
+  report.harvest_pending_at_end = harvest_pending_at_end_;
+  report.settle_horizon_us = settle_horizon_;
+  report.p50_settle_us = settle_hist_.quantile(0.5);
+  report.p99_settle_us = settle_hist_.quantile(0.99);
+  report.verify_ms = verify_blocked_ms_ + overlapped_ms_;
+  report.pipeline_overlap_ratio =
+      fold_window_ms_ > 0 ? overlapped_ms_ / fold_window_ms_ : 0.0;
+  for (const auto& [asn, node] : nodes_) {
+    report.peak_open_rounds =
+        std::max(report.peak_open_rounds,
+                 static_cast<std::uint64_t>(node->peak_open_rounds()));
+    report.peak_root_digests =
+        std::max(report.peak_root_digests,
+                 static_cast<std::uint64_t>(node->peak_seen_root_digests()));
+    report.final_root_epochs =
+        std::max(report.final_root_epochs,
+                 static_cast<std::uint64_t>(node->seen_root_epochs()));
+  }
 }
 
 }  // namespace pvr::scenario

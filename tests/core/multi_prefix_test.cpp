@@ -123,28 +123,6 @@ TEST(MultiPrefixTest, TwoPrefixesSameEpochThroughEngine) {
       world.node(world.recipient).accepted_route(run.id_b()).has_value());
 }
 
-// The legacy (per-prefix signed bundle) wire mode must isolate concurrent
-// prefixes just as well — the fix is in the state keying, not the wire.
-TEST(MultiPrefixTest, TwoPrefixesSameEpochLegacyWireMode) {
-  TwoPrefixRun run =
-      run_two_prefixes({.seed = 23, .aggregate_wire_bundles = false});
-  Figure1World& world = *run.handles.world;
-
-  std::vector<bgp::AsNumber> verifiers = world.providers;
-  verifiers.push_back(world.recipient);
-  for (const bgp::AsNumber verifier : verifiers) {
-    world.node(verifier).finalize_round(run.id_a());
-    world.node(verifier).finalize_round(run.id_b());
-    EXPECT_TRUE(world.node(verifier).evidence().empty()) << verifier;
-  }
-  const auto accepted_a = world.node(world.recipient).accepted_route(run.id_a());
-  const auto accepted_b = world.node(world.recipient).accepted_route(run.id_b());
-  ASSERT_TRUE(accepted_a.has_value());
-  ASSERT_TRUE(accepted_b.has_value());
-  EXPECT_EQ(accepted_a->path.length(), 3u);
-  EXPECT_EQ(accepted_b->path.length(), 4u);
-}
-
 // Two provers (two Figure-1 neighborhoods, distinct ASNs) running the same
 // epoch over the same prefix, drained through ONE engine batch: rounds are
 // keyed and sharded by the full (prover, prefix, epoch) identity, so

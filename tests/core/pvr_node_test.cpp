@@ -112,6 +112,13 @@ struct MisbehaviorCase {
   bool provable;  // should the auditor accept the evidence?
 };
 
+// gtest's fallback printer dumps the raw bytes of the struct, which include
+// the load address of `name`; that address changes with every build, and so
+// would the listed test names. Print the case name instead.
+void PrintTo(const MisbehaviorCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class PvrDetectionTest : public ::testing::TestWithParam<MisbehaviorCase> {};
 
 TEST_P(PvrDetectionTest, MisbehaviorDetectedOverTheWire) {

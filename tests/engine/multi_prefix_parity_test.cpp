@@ -147,38 +147,6 @@ TEST(MultiPrefixParityTest, SplitChecksFoldToSequentialFindings) {
   }
 }
 
-// Salting only moves tasks between shards; an engine with salting OFF must
-// produce the same bytes as the default salted engine.
-TEST(MultiPrefixParityTest, UnsaltedEngineMatchesSaltedEngine) {
-  const ProtocolId id_b{.prover = 100,
-                        .prefix = bgp::Ipv4Prefix::parse("198.51.100.0/24"),
-                        .epoch = 1};
-  Figure1Handles salted = run_two_prefix_equivocation_world();
-  Figure1Handles unsalted = run_two_prefix_equivocation_world();
-  ASSERT_EQ(salted.world->prover, 100u);
-
-  std::vector<bgp::AsNumber> verifiers = salted.world->providers;
-  verifiers.push_back(salted.world->recipient);
-  VerificationEngine salted_engine({.workers = 8}, &salted.keys->directory);
-  VerificationEngine unsalted_engine({.workers = 8, .salt_shards = false},
-                                     &unsalted.keys->directory);
-  for (const bgp::AsNumber verifier : verifiers) {
-    for (const ProtocolId& id : {salted.round_id(1), id_b}) {
-      EXPECT_TRUE(salted_engine.submit_node_round(salted.world->node(verifier), id));
-      EXPECT_TRUE(
-          unsalted_engine.submit_node_round(unsalted.world->node(verifier), id));
-    }
-  }
-  (void)salted_engine.drain();
-  (void)unsalted_engine.drain();
-  for (const bgp::AsNumber verifier : verifiers) {
-    EXPECT_EQ(evidence_fingerprint(salted.world->node(verifier).evidence()),
-              evidence_fingerprint(unsalted.world->node(verifier).evidence()))
-        << "verifier " << verifier;
-  }
-  EXPECT_EQ(salted_engine.sink().total(), unsalted_engine.sink().total());
-}
-
 // Chunked pair enumeration: a round with a huge observed-bundle set has
 // O(pairs) equivocation checks; defer_finalize_checks must bound the task
 // count at ceil(pairs / finalize_chunk_pairs) per kind while the fold
@@ -263,9 +231,9 @@ TEST(MultiPrefixParityTest, ChunkedPairChecksBoundTasksAndFoldIdentically) {
             expected);
 }
 
-// The two prefixes of one (prover, epoch) hash to different shards only if
-// the prefix participates in shard assignment; same-prefix rounds must
-// still serialize. Guards the keying the parity above relies on.
+// The two prefixes of one (prover, epoch) hash to different shard keys
+// only if the prefix participates in the key, and the epoch must not.
+// Guards the (prover, prefix) key the salted assignment mixes with.
 TEST(MultiPrefixParityTest, ShardAssignmentUsesPrefix) {
   RoundScheduler scheduler({.workers = 1, .shards = 64});
   const ProtocolId id_a{.prover = 7,
@@ -276,11 +244,11 @@ TEST(MultiPrefixParityTest, ShardAssignmentUsesPrefix) {
   const ProtocolId id_b{.prover = 7,
                         .prefix = bgp::Ipv4Prefix::parse("198.51.100.0/24"),
                         .epoch = 1};
-  EXPECT_EQ(scheduler.shard_of(id_a), scheduler.shard_of(id_a_later));
+  EXPECT_EQ(scheduler.shard_of(id_a, 0), scheduler.shard_of(id_a_later, 0));
   // Not guaranteed for arbitrary prefixes, but these two differ under the
   // current hash — a regression to epoch-only or prover-only sharding
   // would collapse them.
-  EXPECT_NE(scheduler.shard_of(id_a), scheduler.shard_of(id_b));
+  EXPECT_NE(scheduler.shard_of(id_a, 0), scheduler.shard_of(id_b, 0));
 }
 
 }  // namespace

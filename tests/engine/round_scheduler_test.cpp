@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 #include <numeric>
 #include <set>
 #include <string>
@@ -48,10 +46,8 @@ namespace {
   return trace;
 }
 
-[[nodiscard]] std::string run_workload(std::size_t workers,
-                                       bool salt_shards = true) {
-  RoundScheduler scheduler(
-      {.workers = workers, .shards = 16, .salt_shards = salt_shards});
+[[nodiscard]] std::string run_workload(std::size_t workers) {
+  RoundScheduler scheduler({.workers = workers, .shards = 16});
   for (std::uint64_t epoch = 1; epoch <= 5; ++epoch) {
     for (std::uint32_t prefix = 0; prefix < 40; ++prefix) {
       scheduler.submit(round_id(prefix, epoch), [prefix, epoch] {
@@ -84,38 +80,27 @@ TEST(RoundSchedulerTest, DeterministicAcrossWorkerCounts) {
   EXPECT_EQ(run_workload(8), reference);
 }
 
-// Salting changes WHERE tasks run, never what drain() returns: the drained
-// sequence is byte-identical across salting modes and worker counts.
+// Salting changes WHERE tasks run, never what drain() returns. Many
+// submissions that share one ProtocolId (the n+1 checks of a round) are
+// the case salting spreads across shards; the drained sequence must still
+// be byte-identical across worker counts.
 TEST(RoundSchedulerTest, DeterministicAcrossSaltingModes) {
-  const std::string reference = run_workload(1, /*salt_shards=*/false);
-  EXPECT_EQ(run_workload(1, /*salt_shards=*/true), reference);
-  EXPECT_EQ(run_workload(8, /*salt_shards=*/false), reference);
-  EXPECT_EQ(run_workload(8, /*salt_shards=*/true), reference);
-}
-
-// The legacy guarantee survives behind salt_shards = false: closures that
-// share per-(prover, prefix) state still serialize in submission order.
-TEST(RoundSchedulerTest, SamePrefixRoundsRunSerially) {
-  RoundScheduler scheduler({.workers = 8, .shards = 4, .salt_shards = false});
-  std::mutex order_mutex;
-  std::map<std::uint32_t, std::vector<std::uint64_t>> executed;
-  for (std::uint64_t epoch = 1; epoch <= 20; ++epoch) {
-    for (std::uint32_t prefix = 0; prefix < 6; ++prefix) {
-      scheduler.submit(round_id(prefix, epoch), [&, prefix, epoch] {
-        {
-          const std::lock_guard<std::mutex> lock(order_mutex);
-          executed[prefix].push_back(epoch);
+  const auto run_hot_rounds = [](std::size_t workers) {
+    RoundScheduler scheduler({.workers = workers, .shards = 16});
+    for (std::uint64_t epoch = 1; epoch <= 3; ++epoch) {
+      for (std::uint32_t prefix = 0; prefix < 4; ++prefix) {
+        for (std::uint32_t check = 0; check < 10; ++check) {
+          scheduler.submit(round_id(prefix, epoch), [prefix, epoch, check] {
+            return findings_for(prefix * 100 + check, epoch);
+          });
         }
-        return core::RoundFindings{};
-      });
+      }
     }
-  }
-  (void)scheduler.drain();
-  for (const auto& [prefix, epochs] : executed) {
-    EXPECT_TRUE(std::is_sorted(epochs.begin(), epochs.end()))
-        << "prefix " << prefix << " executed out of submission order";
-    EXPECT_EQ(epochs.size(), 20u);
-  }
+    return outcome_trace(scheduler.drain());
+  };
+  const std::string reference = run_hot_rounds(1);
+  EXPECT_EQ(run_hot_rounds(2), reference);
+  EXPECT_EQ(run_hot_rounds(8), reference);
 }
 
 TEST(RoundSchedulerTest, ShardsAreReasonablyBalanced) {
@@ -141,16 +126,17 @@ TEST(RoundSchedulerTest, SameProtocolIdHashesToSameShard) {
   RoundScheduler scheduler({.workers = 1, .shards = 32});
   const core::ProtocolId a = round_id(7, 1);
   const core::ProtocolId b = round_id(7, 99);  // same prefix, other epoch
-  EXPECT_EQ(scheduler.shard_of(a), scheduler.shard_of(b));
+  for (std::size_t ticket = 0; ticket < 8; ++ticket) {
+    EXPECT_EQ(scheduler.shard_of(a, ticket), scheduler.shard_of(b, ticket));
+  }
 }
 
-// Salted mode: submissions of ONE (prover, prefix) — e.g. the n+1 checks
+// Submissions of ONE (prover, prefix) — e.g. the n+1 checks
 // of a single round — must spread over the shards instead of pinning one,
 // or a hot prefix serializes on a single worker (the speedup_8v1 = 0.97
 // regression this PR exists to fix).
 TEST(RoundSchedulerTest, SaltedSubmissionsOfOneRoundSpreadAcrossShards) {
   RoundScheduler scheduler({.workers = 2, .shards = 16});
-  ASSERT_TRUE(scheduler.salted());
   const core::ProtocolId hot = round_id(7, 1);
   for (std::size_t i = 0; i < 160; ++i) {
     scheduler.submit(hot, [] { return core::RoundFindings{}; });

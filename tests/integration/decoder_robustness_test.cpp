@@ -9,7 +9,6 @@
 #include "core/graph_commitment.h"
 #include "core/min_protocol.h"
 #include "crypto/drbg.h"
-#include "net/gossip.h"
 
 namespace pvr {
 namespace {
@@ -145,12 +144,6 @@ TEST(DecoderRobustness, SbgpAttestation) {
       .prefix = sample_route().prefix, .signer = 1, .to = 2, .suffix = {1}};
   expect_robust([](const auto& b) { (void)baseline::Attestation::decode(b); },
                 attestation.encode(), rng);
-}
-
-TEST(DecoderRobustness, GossipAnnouncement) {
-  crypto::Drbg rng(9, "fuzz-gossip");
-  expect_robust([](const auto& b) { (void)net::decode_gossip(b); },
-                net::encode_gossip("topic", {1, 2, 3}), rng);
 }
 
 // The verifier entry points must likewise survive adversarial envelopes:

@@ -14,7 +14,6 @@
 #include "core/evidence.h"
 #include "core/pvr_speaker.h"
 #include "engine/verification_engine.h"
-#include "net/gossip.h"
 
 namespace pvr::core {
 namespace {

@@ -1,9 +1,9 @@
 // Online window-close verification pipeline (DESIGN.md §10): the same
 // ScenarioSpec verified ONLINE — rounds submitted to the long-lived engine
 // as their windows settle, drained every drain_interval_us of simulated
-// time, settled state GC'd — must produce a report fingerprint
-// byte-identical to the OFFLINE run at every drain interval and worker
-// count, and per-node memory must be bounded by concurrently-open windows
+// time, settled state GC'd — must produce a report fingerprint and
+// evidence digest byte-identical to the OFFLINE run at every drain interval
+// and worker count, and per-node memory must be bounded by concurrently-open windows
 // instead of trace length.
 #include <gtest/gtest.h>
 
@@ -60,6 +60,9 @@ TEST_P(OnlineParityTest, FingerprintMatchesOfflineAtEveryDrainScheduleAndWorkerC
       EXPECT_EQ(online.fingerprint(), offline.fingerprint())
           << adversary << " diverged at drain interval " << windows
           << " windows, " << workers << " workers";
+      EXPECT_EQ(online.evidence_digest, offline.evidence_digest)
+          << adversary << " applied evidence in another order at drain "
+          << "interval " << windows << " windows, " << workers << " workers";
       EXPECT_EQ(online.verify_failures, 0u);
       EXPECT_EQ(online.detection_rate, 1.0);
       EXPECT_EQ(online.false_evidence, 0u);

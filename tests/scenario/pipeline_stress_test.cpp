@@ -2,10 +2,10 @@
 // §12 — and the epoch-keyed seen-root GC that rides on its harvest step:
 //
 //   1. seeded-random drain cadences against bursty traffic: the pipelined
-//      schedule must reproduce BOTH the offline fingerprint and the
-//      synchronous schedule's evidence digest (the digest pins application
-//      ORDER, so batch N+1's findings landing before batch N's would show
-//      up even when the counts agree);
+//      schedule must reproduce BOTH the offline fingerprint and the offline
+//      evidence digest (the digest pins application ORDER, so batch N+1's
+//      findings landing before batch N's would show up even when the
+//      counts agree);
 //   2. a drain cadence fine enough that the trace ends with a sealed batch
 //      still in flight: the tail barrier must harvest it and preserve
 //      parity (harvest_pending_at_end is the forced state);
@@ -47,7 +47,7 @@ namespace {
 
 // Randomized (seeded) drain cadences: at every cadence, the pipelined
 // two-slot schedule must match the offline fingerprint byte-for-byte AND
-// apply findings in exactly the order the synchronous schedule does.
+// apply findings in exactly the order the offline run does.
 TEST(PipelineStressTest, RandomDrainCadencesPreserveOrderUnderBurstyTraffic) {
   const ScenarioReport offline = run_scenario(bursty_spec(91));
   ASSERT_EQ(offline.detection_rate, 1.0);
@@ -60,26 +60,19 @@ TEST(PipelineStressTest, RandomDrainCadencesPreserveOrderUnderBurstyTraffic) {
     // 1..16 collection windows per drain tick, seeded so the sweep is
     // reproducible but not hand-picked around the batching boundaries.
     const net::SimTime windows = 1 + rng.uniform(16);
-    ScenarioSpec pipelined = bursty_spec(91);
-    pipelined.online = true;
-    pipelined.drain_interval_us = pipelined.collect_window * windows;
-    ScenarioSpec synchronous = pipelined;
-    synchronous.pipelined = false;
+    ScenarioSpec spec = bursty_spec(91);
+    spec.online = true;
+    spec.drain_interval_us = spec.collect_window * windows;
 
-    const ScenarioReport piped = run_scenario(pipelined);
-    const ScenarioReport sync = run_scenario(synchronous);
+    const ScenarioReport piped = run_scenario(spec);
     const std::string label =
         "drain interval " + std::to_string(windows) + " windows";
 
     EXPECT_EQ(piped.fingerprint(), offline.fingerprint()) << label;
-    EXPECT_EQ(sync.fingerprint(), offline.fingerprint()) << label;
     EXPECT_EQ(piped.verify_failures, 0u) << label;
-    EXPECT_EQ(sync.verify_failures, 0u) << label;
-    // Same drain schedule -> same batches; the evidence digest then pins
-    // that the two-slot buffer applied batch N fully before batch N+1.
-    EXPECT_EQ(piped.drain_batches, sync.drain_batches) << label;
-    ASSERT_FALSE(piped.evidence_digest.empty()) << label;
-    EXPECT_EQ(piped.evidence_digest, sync.evidence_digest) << label;
+    // The evidence digest pins that the two-slot buffer applied batch N
+    // fully before batch N+1, in the order the offline drain applies them.
+    EXPECT_EQ(piped.evidence_digest, offline.evidence_digest) << label;
   }
 }
 
@@ -108,11 +101,10 @@ TEST(PipelineStressTest, TailBarrierFlushesTheInFlightBatchAtTraceEnd) {
   EXPECT_EQ(online.verify_failures, 0u);
   EXPECT_GT(online.drain_batches, 2u);
 
-  // Offline and synchronous runs never end with an in-flight batch.
+  EXPECT_EQ(online.evidence_digest, offline.evidence_digest);
+
+  // An offline run never ends with an in-flight batch.
   EXPECT_FALSE(offline.harvest_pending_at_end);
-  ScenarioSpec synchronous = spec;
-  synchronous.pipelined = false;
-  EXPECT_FALSE(run_scenario(synchronous).harvest_pending_at_end);
 }
 
 // Epoch-keyed seen-root GC: rotating epochs over a long trace must keep
