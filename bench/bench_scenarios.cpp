@@ -26,9 +26,11 @@
 //      overlap ratio must be > 0 everywhere, and on multi-core hosts
 //      wall_ms must undercut sim_ms + verify_ms.
 //
-// One JSON line per scenario plus a scenarios_gate verdict row and one
-// scenarios_online row (the formats check_bench_regression.py gates on),
-// plus a summary line. Exits nonzero when any gate fails.
+// One JSON line per scenario plus a scenarios_gate verdict row, one
+// scenarios_online row (check_bench_regression.py holds its p99_settle_us
+// against the committed baseline) and one scenarios_mp row, plus a summary
+// line. Exits nonzero when any gate above fails: this binary is the only
+// owner of those checks.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -205,7 +207,7 @@ int main(int argc, char** argv) {
 
     std::printf("%s\n", report.to_json_line().c_str());
     // The JSON row above carries the measured run; determinism and parity
-    // verdicts ride in a trailing compact row the regression gate reads.
+    // verdicts ride in a trailing compact row.
     std::printf("{\"bench\":\"scenarios_gate\",\"scenario\":\"%s\","
                 "\"seed\":%llu,\"deterministic\":%s,\"online_parity\":%s,"
                 "\"gates_ok\":%s}\n",
@@ -246,8 +248,7 @@ int main(int argc, char** argv) {
     // pipeline_overlap_ratio > 0 is the overlap proof that holds on ANY
     // host (the fold window was in flight while the simulator advanced);
     // wall_ms < sim_ms + verify_ms is the true-parallelism inequality and
-    // only gated when the host actually has multiple hardware threads
-    // (here and in check_bench_regression.py rule 8).
+    // only gated when the host actually has multiple hardware threads.
     const bool overlap_ok =
         report.pipeline_overlap_ratio > 0.0 &&
         (report.hw_threads <= 1 ||

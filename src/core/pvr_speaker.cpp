@@ -12,6 +12,11 @@ namespace pvr::core {
 
 namespace {
 
+// Max equivocation-pair checks defer_finalize_checks folds into one engine
+// task. A round with B observed bundles has B(B-1)/2 pair checks, and one
+// task per pair would explode the engine task count.
+constexpr std::size_t kFinalizeChunkPairs = 32;
+
 // Gossip payloads carry a 1-byte relay hop count ahead of the signed
 // envelope so the flood is bounded by PvrConfig::gossip_hop_budget.
 [[nodiscard]] std::vector<std::uint8_t> wrap_hops(
@@ -644,20 +649,6 @@ void PvrNode::finalize_round(const ProtocolId& id) {
   apply_round_findings(id, check_round(config_, round));
 }
 
-std::optional<DeferredRound> PvrNode::defer_finalize(const ProtocolId& id) {
-  RoundState& round = round_state(id);
-  if (round.finalized) return std::nullopt;
-  round.finalized = true;
-
-  // Snapshot by value: the closure must stay valid and thread-safe even if
-  // the node keeps receiving messages for other rounds meanwhile.
-  return DeferredRound{
-      .id = id,
-      .work = [config = &config_, snapshot = round]() {
-        return check_round(*config, snapshot);
-      }};
-}
-
 std::optional<DeferredRoundChecks> PvrNode::defer_finalize_checks(
     const ProtocolId& id) {
   RoundState& round = round_state(id);
@@ -666,21 +657,19 @@ std::optional<DeferredRoundChecks> PvrNode::defer_finalize_checks(
 
   // One immutable snapshot shared by every check closure: the parts only
   // ever read it, so they can run on any workers concurrently. Pair checks
-  // are grouped into chunks of at most finalize_chunk_pairs (never mixing
-  // kinds, so enumeration order survives): a round with B observed bundles
-  // has B(B-1)/2 pair checks, and one task per pair would explode the
-  // engine task count. Each chunk folds its parts in enumeration order, so
-  // the engine's per-round reduction is byte-identical at any chunk size.
+  // are grouped into chunks of at most kFinalizeChunkPairs (never mixing
+  // kinds, so enumeration order survives), and each chunk folds its parts
+  // in enumeration order, so the engine's per-round reduction is
+  // byte-identical to check_round.
   const auto snapshot = std::make_shared<const RoundState>(round);
   const std::vector<RoundCheckPart> parts = enumerate_round_checks(*snapshot);
-  const std::size_t chunk = std::max<std::size_t>(1, config_.finalize_chunk_pairs);
   DeferredRoundChecks deferred{.id = id, .checks = {}};
   std::size_t begin = 0;
   while (begin < parts.size()) {
     std::size_t end = begin + 1;
     if (parts[begin].kind != RoundCheckPart::Kind::kRole) {
       while (end < parts.size() && parts[end].kind == parts[begin].kind &&
-             end - begin < chunk) {
+             end - begin < kFinalizeChunkPairs) {
         ++end;
       }
     }
@@ -775,7 +764,6 @@ Figure1Handles make_figure1_world(const Figure1Setup& setup) {
         .misbehavior = role == PvrRole::kProver ? setup.misbehavior
                                                 : ProverMisbehavior{},
         .rng_seed = setup.seed,
-        .finalize_chunk_pairs = setup.finalize_chunk_pairs,
     };
     world.sim.add_node(asn, std::make_unique<PvrNode>(std::move(config)));
   };

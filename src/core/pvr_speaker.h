@@ -85,12 +85,6 @@ struct PvrConfig {
   // Max times a gossiped bundle/root is relayed peer-to-peer. Bounds the
   // flood; must be >= the verifier mesh diameter for full convergence.
   std::uint8_t gossip_hop_budget = 8;
-  // Max equivocation-pair checks folded into ONE deferred engine task by
-  // defer_finalize_checks. Rounds with huge observed-bundle/root sets have
-  // O(pairs) checks; chunking bounds the engine task count at
-  // ceil(pairs / chunk) per kind while the per-round fold keeps Evidence
-  // byte-identical for ANY chunk size (1 = legacy one-task-per-pair).
-  std::size_t finalize_chunk_pairs = 32;
 };
 
 // Result of running one round's verifier checks (finalize_round, or its
@@ -99,14 +93,6 @@ struct RoundFindings {
   std::vector<Evidence> evidence;
   std::optional<bgp::Route> accepted;  // recipient-side accepted route
   std::uint64_t signatures_verified = 0;
-};
-
-// A packaged, self-contained verification round. `work` owns a snapshot of
-// the node's round state plus const pointers to the key directory, so it is
-// safe to run on any thread while the simulator is quiescent.
-struct DeferredRound {
-  ProtocolId id;
-  std::function<RoundFindings()> work;
 };
 
 // One round's checks split at check granularity: each closure runs one
@@ -164,20 +150,16 @@ class PvrNode : public net::Node {
   // Verifier-side sequential fallback: runs all checks for round `id` over
   // the messages received so far. Call after the simulator has quiesced.
   // The default path routes through engine::VerificationEngine instead
-  // (defer_finalize below, or engine::finalize_world_round).
+  // (defer_finalize_checks below, or engine::finalize_world_round).
   void finalize_round(const ProtocolId& id);
 
-  // Engine-backed finalize: packages the checks for round `id` into a
-  // closure that can run on a worker thread, and marks the round finalized
-  // so a later finalize_round is a no-op. Returns nullopt if the round is
-  // already finalized. The findings must be handed back to this node via
-  // apply_round_findings once the closure has run.
-  [[nodiscard]] std::optional<DeferredRound> defer_finalize(const ProtocolId& id);
-
-  // Split form of defer_finalize: the same checks as one closure per check
-  // part over a shared snapshot (see DeferredRoundChecks). The engine's
-  // intra-round path folds the partial findings back together in order and
-  // delivers them via apply_round_findings exactly once per round.
+  // Engine-backed finalize: packages the checks for round `id` as one
+  // closure per check part over a shared snapshot (see
+  // DeferredRoundChecks), safe to run on worker threads, and marks the
+  // round finalized so a later finalize_round is a no-op. Returns nullopt
+  // if the round is already finalized. The engine folds the partial
+  // findings back together in order and delivers them via
+  // apply_round_findings exactly once per round.
   [[nodiscard]] std::optional<DeferredRoundChecks> defer_finalize_checks(
       const ProtocolId& id);
 
@@ -295,10 +277,9 @@ class PvrNode : public net::Node {
                                                      const RoundState& round,
                                                      const RoundCheckPart& part);
 
-  // Pure check logic shared by finalize_round and defer_finalize: folds
-  // every RoundCheckPart of the round in enumeration order — the same
-  // reduction the engine performs across workers. Static so deferred
-  // closures cannot touch live node state.
+  // Pure check logic of finalize_round: folds every RoundCheckPart of the
+  // round in enumeration order — the same reduction the engine performs
+  // across workers.
   [[nodiscard]] static RoundFindings check_round(const PvrConfig& config,
                                                  const RoundState& round);
 
@@ -430,7 +411,6 @@ struct Figure1Setup {
   // Offset applied to every ASN, so several neighborhoods (distinct
   // provers) can run in the same epoch without ASN collisions.
   bgp::AsNumber asn_base = 0;
-  std::size_t finalize_chunk_pairs = 32;  // see PvrConfig
 };
 
 struct Figure1Handles {

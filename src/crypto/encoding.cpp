@@ -74,6 +74,13 @@ void ByteReader::require(std::size_t count) const {
   }
 }
 
+void ByteReader::require_entries(std::uint64_t count,
+                                 std::size_t min_entry_bytes) const {
+  if (count > remaining() / min_entry_bytes) {
+    throw std::out_of_range("ByteReader: entry count exceeds input");
+  }
+}
+
 std::uint8_t ByteReader::get_u8() {
   require(1);
   return data_[offset_++];

@@ -56,6 +56,10 @@ class ByteReader {
 
   [[nodiscard]] bool exhausted() const noexcept { return offset_ == data_.size(); }
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - offset_; }
+  // Throws std::out_of_range unless `count` entries of at least
+  // `min_entry_bytes` each fit in the unread input. Decoders call it before
+  // reserving space for a count read off the wire.
+  void require_entries(std::uint64_t count, std::size_t min_entry_bytes) const;
 
  private:
   void require(std::size_t count) const;

@@ -23,7 +23,6 @@ namespace {
 VerificationEngine::VerificationEngine(EngineConfig config,
                                        const core::VerifyContext* ctx)
     : ctx_(ctx),
-      intra_round_checks_(config.intra_round_checks),
       scheduler_(SchedulerConfig{.workers = config.workers,
                                  .shards = config.shards}) {}
 
@@ -42,19 +41,9 @@ bool VerificationEngine::submit_node_round(core::PvrNode& node,
         "VerificationEngine::submit_node_round: a begin_drain batch is in "
         "flight — collect() it before submitting the next batch");
   }
-  if (!intra_round_checks_) {
-    std::optional<core::DeferredRound> deferred = node.defer_finalize(id);
-    if (!deferred.has_value()) return false;
-    const std::size_t ticket =
-        scheduler_.submit(deferred->id, std::move(deferred->work));
-    groups_.push_back(TaskGroup{
-        .node = &node, .id = id, .first_ticket = ticket, .parts = 1});
-    return true;
-  }
-
-  // Intra-round path: one task per check, all over one shared snapshot.
-  // The salted scheduler spreads them across shards, so this round's
-  // checks run concurrently; drain() folds the parts back in order.
+  // One task per check, all over one shared snapshot. The salted scheduler
+  // spreads them across shards, so this round's checks run concurrently;
+  // drain() folds the parts back in order.
   std::optional<core::DeferredRoundChecks> deferred =
       node.defer_finalize_checks(id);
   if (!deferred.has_value()) return false;

@@ -60,9 +60,6 @@ namespace pvr::engine {
 struct EngineConfig {
   std::size_t workers = 0;  // 0 = hardware concurrency
   std::size_t shards = 64;
-  // Split node rounds into one task per check (defer_finalize_checks)
-  // instead of one whole-round closure. false = legacy whole-round tasks.
-  bool intra_round_checks = true;
 };
 
 struct EngineReport {
@@ -168,7 +165,6 @@ class VerificationEngine {
   };
 
   const core::VerifyContext* ctx_;  // not owned
-  bool intra_round_checks_;
   RoundScheduler scheduler_;
   EvidenceSink sink_;
   std::vector<TaskGroup> groups_;  // submission order
@@ -183,9 +179,8 @@ class VerificationEngine {
 
 // Submits every verifier of `world` (providers, then the recipient) for
 // round `id` WITHOUT draining. Returns how many rounds were actually
-// deferred. With the default intra-round config every check of every
-// round lands on its own salted shard; submit several rounds before one
-// drain() to also batch cross-round work.
+// deferred. Every check of every round lands on its own salted shard;
+// submit several rounds before one drain() to also batch cross-round work.
 std::size_t submit_world_round(VerificationEngine& engine,
                                core::Figure1World& world,
                                const core::ProtocolId& id);

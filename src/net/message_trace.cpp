@@ -94,6 +94,8 @@ MessageTrace MessageTrace::decode(std::span<const std::uint8_t> data) {
   trace.seed = reader.get_u64();
   trace.backend = reader.get_string();
   const std::uint64_t entry_count = reader.get_u64();
+  // sequence, at, from, to, and the channel and payload length prefixes.
+  reader.require_entries(entry_count, 8 + 8 + 4 + 4 + 4 + 4);
   trace.entries.reserve(entry_count);
   for (std::uint64_t i = 0; i < entry_count; ++i) {
     TraceEntry entry;
@@ -115,6 +117,7 @@ MessageTrace MessageTrace::decode(std::span<const std::uint8_t> data) {
     trace.stats.per_channel[std::move(channel)] = decode_channel_stats(reader);
   }
   const std::uint64_t prover_count = reader.get_u64();
+  reader.require_entries(prover_count, 4 + 8 + 8);
   trace.provers.reserve(prover_count);
   for (std::uint64_t i = 0; i < prover_count; ++i) {
     TraceProverMeta meta;

@@ -93,6 +93,8 @@ MetricsSnapshot MetricsSnapshot::decode(const std::uint8_t* data,
   }
   MetricsSnapshot out;
   const std::uint32_t n_scalars = reader.get_u32();
+  // Name length prefix, domain byte, value.
+  reader.require_entries(n_scalars, 4 + 1 + 8);
   out.scalars.reserve(n_scalars);
   for (std::uint32_t i = 0; i < n_scalars; ++i) {
     Entry entry;
@@ -102,6 +104,8 @@ MetricsSnapshot MetricsSnapshot::decode(const std::uint8_t* data,
     out.scalars.push_back(std::move(entry));
   }
   const std::uint32_t n_hists = reader.get_u32();
+  // Name length prefix, domain byte, count, sum, bucket count.
+  reader.require_entries(n_hists, 4 + 1 + 8 + 8 + 4);
   out.histograms.reserve(n_hists);
   for (std::uint32_t i = 0; i < n_hists; ++i) {
     HistEntry entry;

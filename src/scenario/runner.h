@@ -50,7 +50,6 @@ struct ScenarioSpec {
   net::SimTime collect_window = 4000;
   net::SimTime batch_deadline = 0;  // > collect_window enables coalescing
   std::uint8_t gossip_hop_budget = 8;
-  std::size_t finalize_chunk_pairs = 32;
   std::size_t workers = 8;
   std::size_t key_bits = 512;
   std::uint32_t max_len = 16;
@@ -66,12 +65,6 @@ struct ScenarioSpec {
   // and any drain interval (DESIGN.md §10).
   bool online = false;
   net::SimTime drain_interval_us = 25'000;
-  // How long after a window closes the runner waits before treating the
-  // window's rounds as settled (no message referencing them can still be
-  // in flight). 0 = derive a conservative bound from the link latency
-  // ceiling, gossip hop budget, neighborhood size, and the adversary's
-  // declared wire slack. Only consulted in online mode.
-  net::SimTime settle_horizon_us = 0;
   // World-level verified-signature cache (core::VerifyContext with
   // cache_verdicts = true, shared by every node and engine worker): a
   // (signing input, signature) pair already verified anywhere in the world
@@ -105,9 +98,8 @@ struct ScenarioReport {
   std::uint64_t false_evidence = 0;   // evidence accusing an honest AS
   std::uint64_t audit_failures = 0;   // provable evidence the Auditor rejected
   // Engine rounds whose verification closure threw (EngineReport::
-  // failed_rounds summed over every drain). The pre-PR-5 runner discarded
-  // drain()'s result entirely, silently swallowing exactly these; the
-  // bench and the CI regression gate now fail on any nonzero value.
+  // failed_rounds summed over every drain); bench_scenarios fails on any
+  // nonzero value.
   std::uint64_t verify_failures = 0;
   // Online-mode memory accounting: the highest open-round count any single
   // node reached (PvrNode::peak_open_rounds, maxed over all nodes), and
@@ -128,9 +120,9 @@ struct ScenarioReport {
   // open epochs instead.
   std::uint64_t peak_root_digests = 0;
   std::uint64_t final_root_epochs = 0;
-  // The settle horizon the online run used (spec override or the derived
-  // default; 0 offline), so harnesses can compute memory bounds from the
-  // same number the runner actually waited out.
+  // The settle horizon the online run derived from the spec's timing and
+  // the adversary's declared wire slack (0 offline), so harnesses can
+  // compute memory bounds from the same number the runner waited out.
   net::SimTime settle_horizon_us = 0;
   // Wire accounting (per channel group).
   std::uint64_t bytes_input = 0;

@@ -337,7 +337,6 @@ World::World(const ScenarioSpec& spec, const WorldPlan& plan,
                              : core::ProverMisbehavior{},
           .rng_seed = spec.seed,
           .gossip_hop_budget = spec.gossip_hop_budget,
-          .finalize_chunk_pairs = spec.finalize_chunk_pairs,
       });
       core::PvrNode* raw = node.get();
       nodes_.emplace(asn, std::move(node));
@@ -390,9 +389,7 @@ void World::arm_online(net::Transport& transport) {
     most_verifiers = std::max(most_verifiers, hood.providers.size() + 1);
   }
   settle_horizon_ =
-      spec_->settle_horizon_us != 0
-          ? spec_->settle_horizon_us
-          : settle_horizon_for(*spec_, *plan_->adversary, most_verifiers);
+      settle_horizon_for(*spec_, *plan_->adversary, most_verifiers);
   for (const RoundArrival& arrival : plan_->arrivals) {
     epoch_rounds_left_[{arrival.neighborhood, arrival.epoch}] += 1;
   }

@@ -224,13 +224,17 @@ TEST(EngineIntegrationTest, DeferFinalizeIsIdempotent) {
 
   // The deferred id carries the full round identity for sharding.
   core::PvrNode& other = world.node(world.providers[1]);
-  const std::optional<core::DeferredRound> deferred =
-      other.defer_finalize(handles.round_id(1));
+  std::optional<core::DeferredRoundChecks> deferred =
+      other.defer_finalize_checks(handles.round_id(1));
   ASSERT_TRUE(deferred.has_value());
   EXPECT_EQ(deferred->id.prover, world.prover);
   EXPECT_EQ(deferred->id.prefix, handles.prefix);
   EXPECT_EQ(deferred->id.epoch, 1u);
-  other.apply_round_findings(handles.round_id(1), deferred->work());
+  core::RoundFindings folded;
+  for (auto& check : deferred->checks) {
+    core::fold_round_findings(folded, check());
+  }
+  other.apply_round_findings(handles.round_id(1), std::move(folded));
   EXPECT_TRUE(other.evidence().empty());
 }
 

@@ -130,9 +130,8 @@ TEST(MultiPrefixParityTest, SplitChecksFoldToSequentialFindings) {
     ASSERT_TRUE(checks.has_value());
     // Equivocation world: at least one pair check plus the role check.
     EXPECT_GE(checks->checks.size(), 2u) << "verifier " << verifier;
-    // A second defer (either form) must refuse: the round is finalized.
+    // A second defer must refuse: the round is finalized.
     EXPECT_FALSE(split_node.defer_finalize_checks(id).has_value());
-    EXPECT_FALSE(split_node.defer_finalize(id).has_value());
 
     core::RoundFindings folded;
     for (auto& check : checks->checks) {
@@ -149,16 +148,15 @@ TEST(MultiPrefixParityTest, SplitChecksFoldToSequentialFindings) {
 
 // Chunked pair enumeration: a round with a huge observed-bundle set has
 // O(pairs) equivocation checks; defer_finalize_checks must bound the task
-// count at ceil(pairs / finalize_chunk_pairs) per kind while the fold
-// stays byte-identical to the sequential path AND to chunk size 1 (the
-// legacy one-task-per-pair split).
+// count at ceil(pairs / 32) per kind while the fold stays byte-identical
+// to the sequential path.
 TEST(MultiPrefixParityTest, ChunkedPairChecksBoundTasksAndFoldIdentically) {
   constexpr std::size_t kVariants = 10;  // + the honest bundle = 11 -> 55 pairs
   constexpr bgp::AsNumber kVerifier = 300;
 
   // Crafts kVariants distinct prover-signed bundles for round `id` and
   // injects them into the verifier as if an equivocating prover had sent
-  // them; identical seeds make the three worlds' states byte-identical.
+  // them; identical seeds make the two worlds' states byte-identical.
   const auto inject_variants = [](Figure1Handles& handles,
                                   const ProtocolId& id) {
     crypto::Drbg rng(99, "chunk-test-variants");
@@ -179,10 +177,9 @@ TEST(MultiPrefixParityTest, ChunkedPairChecksBoundTasksAndFoldIdentically) {
                                    .payload = signed_bundle.encode()});
     }
   };
-  const auto make_world = [&](std::size_t chunk_pairs) {
-    Figure1Setup setup{.seed = 52, .provider_count = 4};
-    setup.finalize_chunk_pairs = chunk_pairs;
-    Figure1Handles handles = core::make_figure1_world(setup);
+  const auto make_world = [&] {
+    Figure1Handles handles =
+        core::make_figure1_world({.seed = 52, .provider_count = 4});
     Figure1World& world = *handles.world;
     world.sim.schedule(0, [&world, &handles] {
       for (std::size_t i = 0; i < world.providers.size(); ++i) {
@@ -197,38 +194,29 @@ TEST(MultiPrefixParityTest, ChunkedPairChecksBoundTasksAndFoldIdentically) {
     return handles;
   };
 
-  Figure1Handles sequential = make_world(32);
-  Figure1Handles chunked = make_world(32);
-  Figure1Handles per_pair = make_world(1);
+  Figure1Handles sequential = make_world();
+  Figure1Handles chunked = make_world();
   const ProtocolId id = sequential.round_id(1);
 
   sequential.world->node(kVerifier).finalize_round(id);
   ASSERT_FALSE(sequential.world->node(kVerifier).evidence().empty());
 
   // 11 observed bundles -> 55 pairs: ceil(55/32) = 2 chunks + the role
-  // check at the default chunk size, 55 + 1 tasks at chunk size 1.
-  const auto run_split = [&](Figure1Handles& handles,
-                             std::size_t expected_tasks) {
-    core::PvrNode& node = handles.world->node(kVerifier);
-    std::optional<core::DeferredRoundChecks> checks =
-        node.defer_finalize_checks(id);
-    ASSERT_TRUE(checks.has_value());
-    EXPECT_EQ(checks->checks.size(), expected_tasks);
-    core::RoundFindings folded;
-    for (auto& check : checks->checks) {
-      core::fold_round_findings(folded, check());
-    }
-    node.apply_round_findings(id, folded);
-  };
-  run_split(chunked, 3);
-  run_split(per_pair, 56);
+  // check.
+  core::PvrNode& node = chunked.world->node(kVerifier);
+  std::optional<core::DeferredRoundChecks> checks =
+      node.defer_finalize_checks(id);
+  ASSERT_TRUE(checks.has_value());
+  EXPECT_EQ(checks->checks.size(), 3u);
+  core::RoundFindings folded;
+  for (auto& check : checks->checks) {
+    core::fold_round_findings(folded, check());
+  }
+  node.apply_round_findings(id, folded);
 
-  const std::string expected =
-      evidence_fingerprint(sequential.world->node(kVerifier).evidence());
-  EXPECT_EQ(evidence_fingerprint(chunked.world->node(kVerifier).evidence()),
-            expected);
-  EXPECT_EQ(evidence_fingerprint(per_pair.world->node(kVerifier).evidence()),
-            expected);
+  EXPECT_EQ(evidence_fingerprint(node.evidence()),
+            evidence_fingerprint(
+                sequential.world->node(kVerifier).evidence()));
 }
 
 // The two prefixes of one (prover, epoch) hash to different shard keys

@@ -9,6 +9,9 @@
 #include "core/graph_commitment.h"
 #include "core/min_protocol.h"
 #include "crypto/drbg.h"
+#include "crypto/encoding.h"
+#include "net/message_trace.h"
+#include "obs/export.h"
 
 namespace pvr {
 namespace {
@@ -144,6 +147,35 @@ TEST(DecoderRobustness, SbgpAttestation) {
       .prefix = sample_route().prefix, .signer = 1, .to = 2, .suffix = {1}};
   expect_robust([](const auto& b) { (void)baseline::Attestation::decode(b); },
                 attestation.encode(), rng);
+}
+
+// A length field that claims more entries than the input could hold must be
+// rejected with std::out_of_range before the decoder reserves space for it:
+// reserve() on such a count throws std::length_error or std::bad_alloc.
+TEST(DecoderRobustness, HugeEntryCountsRejectedBeforeReserve) {
+  // Magic, version, empty scenario, seed, empty backend: 24 bytes, then the
+  // u64 entry count ends the 32-byte trace.
+  const std::vector<std::uint8_t> empty_trace = net::MessageTrace{}.encode();
+  for (const std::uint64_t count : {std::uint64_t{1} << 60,
+                                    std::uint64_t{1} << 32}) {
+    crypto::ByteWriter count_field;
+    count_field.put_u64(count);
+    std::vector<std::uint8_t> trace(empty_trace.begin(),
+                                    empty_trace.begin() + 24);
+    trace.insert(trace.end(), count_field.data().begin(),
+                 count_field.data().end());
+    ASSERT_EQ(trace.size(), 32u);
+    EXPECT_THROW((void)net::MessageTrace::decode(trace), std::out_of_range)
+        << "entry_count " << count;
+  }
+
+  // Wire version, then n_scalars = 2^32 - 1: a 6-byte snapshot.
+  crypto::ByteWriter snapshot;
+  snapshot.put_u16(obs::kSnapshotWireVersion);
+  snapshot.put_u32(0xFFFFFFFFu);
+  ASSERT_EQ(snapshot.data().size(), 6u);
+  EXPECT_THROW((void)obs::MetricsSnapshot::decode(snapshot.data()),
+               std::out_of_range);
 }
 
 // The verifier entry points must likewise survive adversarial envelopes:

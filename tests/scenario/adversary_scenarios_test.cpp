@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "scenario/runner.h"
 
@@ -109,6 +110,12 @@ TEST(ScenarioRunnerTest, AdversaryRegistryIsInSync) {
 }
 
 TEST(ScenarioRunnerTest, NamedScenariosAreWellFormed) {
+  // bench_scenarios sweeps exactly this matrix; a shrinking list would let
+  // its detection and parity gates pass vacuously.
+  EXPECT_EQ(scenario_names(),
+            (std::vector<std::string>{"equivocation_storm",
+                                      "batch_split_evasion",
+                                      "drop_replay_chaos"}));
   for (const std::string& name : scenario_names()) {
     const ScenarioSpec spec = named_scenario(name, 1, 12);
     EXPECT_EQ(spec.name, name);
