@@ -1,20 +1,17 @@
-// Engine throughput: rounds/sec vs. worker count (across rounds and inside
-// one hot round) and aggregation batch size.
+// Engine throughput: rounds/sec vs. worker count and aggregation batch
+// size.
 //
 // Workload: `--rounds=N` precomputed (prover, prefix, epoch) minimum-
 // operator rounds (default 10000: 25 prefixes x 400 epochs, 3 providers,
 // RSA-512 to keep the single-machine run short). Every 7th round injects a
 // Byzantine prover so the Evidence stream is non-trivial; the drained
-// evidence must be byte-identical across worker counts and shard keyings
-// (the engine's determinism contract).
+// evidence must be byte-identical across worker counts (the engine's
+// determinism contract).
 //
-// Four measurements:
+// Three measurements:
 //   1. worker sweep  — full round verification through the engine at
 //      1/2/4/8 workers, rounds spread over 25 prefixes (cross-round
 //      parallelism; thread-level speedup tracks physical cores);
-//   1b. intra sweep  — the same closures submitted under ONE hot
-//      (prover, prefix): salted sharding spreads them over the pool,
-//      yielding speedup_8v1_intra on multi-core hosts;
 //   2. aggregation   — bundle authentications/sec when the prover signs one
 //      Merkle root per epoch instead of one bundle per prefix (algorithmic
 //      speedup, independent of core count);
@@ -150,22 +147,12 @@ struct SweepResult {
   std::string digest;
 };
 
-// Drains every round through one engine. When `hot_key` is set, every
-// submission is keyed by one (prover, prefix) with epoch = index — the
-// hot-prefix case salting exists for (the closures are unchanged, only
-// shard placement differs).
-[[nodiscard]] SweepResult run_sweep(const Workload& w, std::size_t workers,
-                                    bool hot_key) {
-  engine::VerificationEngine engine({.workers = workers}, &w.keys.directory);
+// Drains every round through one engine.
+[[nodiscard]] SweepResult run_sweep(const Workload& w, std::size_t workers) {
+  engine::VerificationEngine engine(workers);
   const double t0 = now_seconds();
-  for (std::size_t r = 0; r < w.rounds.size(); ++r) {
-    const Round& round = w.rounds[r];
-    core::ProtocolId key = round.id;
-    if (hot_key) {
-      key.prefix = w.rounds.front().id.prefix;
-      key.epoch = r;
-    }
-    engine.submit(key, [&w, &round] { return check_round(w, round); });
+  for (const Round& round : w.rounds) {
+    engine.submit(round.id, [&w, &round] { return check_round(w, round); });
   }
   const engine::EngineReport report = engine.drain();
   const double elapsed = now_seconds() - t0;
@@ -205,7 +192,7 @@ int main(int argc, char** argv) {
   double rps_at_8 = 0;
   bool deterministic = true;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    const SweepResult result = run_sweep(w, workers, /*hot_key=*/false);
+    const SweepResult result = run_sweep(w, workers);
     if (workers == 1) {
       digest_at_1 = result.digest;
       rps_at_1 = result.rounds_per_sec;
@@ -228,35 +215,6 @@ int main(int argc, char** argv) {
   std::printf("(thread-level speedup is bounded by physical cores: this host "
               "has %u)\n\n",
               std::thread::hardware_concurrency());
-
-  // --- 1b. Intra-round sweep: every submission under ONE (prover, prefix) ---
-  // Salted shard keys spread the hot key's tasks across the pool. Identical
-  // closures and submission order, so the digest must not move either.
-  std::printf("%-22s %-10s %-12s %-9s\n", "intra (hot prefix)", "workers",
-              "rounds/sec", "speedup");
-  const SweepResult salted_hot_1 = run_sweep(w, 1, /*hot_key=*/true);
-  const SweepResult salted_hot_8 = run_sweep(w, 8, /*hot_key=*/true);
-  const double rps_intra_1 = salted_hot_1.rounds_per_sec;
-  const double rps_intra_8 = salted_hot_8.rounds_per_sec;
-  std::printf("%-22s %-10d %-12.1f %-9.2f\n", "salted", 1, rps_intra_1, 1.0);
-  std::printf("%-22s %-10d %-12.1f %-9.2f\n\n", "salted", 8, rps_intra_8,
-              rps_intra_8 / rps_intra_1);
-  struct IntraRow {
-    const char* variant;
-    int workers;
-    const SweepResult* result;
-  };
-  for (const IntraRow& row :
-       {IntraRow{"salted", 1, &salted_hot_1},
-        IntraRow{"salted", 8, &salted_hot_8}}) {
-    if (row.result->digest != digest_at_1) deterministic = false;
-    std::printf("{\"bench\":\"engine_sweep_intra\",\"seed\":%llu,"
-                "\"variant\":\"%s\",\"workers\":%d,\"rounds_per_sec\":%.1f,"
-                "\"hw_threads\":%u}\n",
-                static_cast<unsigned long long>(args.seed), row.variant,
-                row.workers, row.result->rounds_per_sec,
-                std::thread::hardware_concurrency());
-  }
 
   // --- 2. Merkle-aggregated bundle mode ------------------------------------
   // Naive (batch=1): one signed bundle per (prefix, epoch) -> one RSA verify
@@ -430,15 +388,10 @@ int main(int argc, char** argv) {
   std::printf("{\"bench\":\"engine_throughput\",\"seed\":%llu,\"rounds\":%zu,"
               "\"rounds_per_sec_1w\":%.1f,\"rounds_per_sec_8w\":%.1f,"
               "\"speedup_8v1\":%.2f,"
-              "\"rounds_per_sec_1w_intra\":%.1f,"
-              "\"rounds_per_sec_8w_intra\":%.1f,"
-              "\"speedup_8v1_intra\":%.2f,"
               "\"deterministic\":%s,"
               "\"agg_speedup\":%.2f,\"hw_threads\":%u}\n",
               static_cast<unsigned long long>(args.seed), rounds, rps_at_1,
-              rps_at_8, rps_at_8 / rps_at_1, rps_intra_1,
-              rps_intra_8, rps_intra_8 / rps_intra_1,
-              deterministic ? "true" : "false", agg_aps_best / naive_aps,
+              rps_at_8, rps_at_8 / rps_at_1, deterministic ? "true" : "false", agg_aps_best / naive_aps,
               std::thread::hardware_concurrency());
   pvr::bench::emit_obs_snapshot("engine_throughput");
   // batch_speedup is host-relative, so its floor needs no baseline: the

@@ -129,9 +129,9 @@ struct ScaleRow {
   }
   if (row.provers > 0) row.pvr_mean_ms = row.pvr_total_ms / row.provers;
 
-  // Engine-backed path: the same per-neighborhood checks, sharded across a
+  // Engine-backed path: the same per-neighborhood checks, spread over a
   // worker pool. One submitted round per prover neighborhood.
-  engine::VerificationEngine engine({.workers = 8}, &keys.directory);
+  engine::VerificationEngine engine(8);
   const auto t2 = std::chrono::steady_clock::now();
   for (const ProverRound& round : prover_rounds) {
     engine.submit(round.id, [&round, &keys] {
@@ -198,8 +198,8 @@ struct WireRow {
   world.sim.run();
 
   // Submit every prefix round before one drain so distinct prefixes run on
-  // distinct shards concurrently.
-  engine::VerificationEngine engine({.workers = 8}, &handles.keys->directory);
+  // distinct workers concurrently.
+  engine::VerificationEngine engine(8);
   for (const bgp::Ipv4Prefix& prefix : prefixes) {
     engine::submit_world_round(
         engine, world,

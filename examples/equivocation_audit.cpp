@@ -51,8 +51,8 @@ std::vector<core::Evidence> run_world(bool equivocate) {
   world.sim.run();
 
   // Engine-default finalize: all verifiers' checks run through the
-  // sharded worker pool, findings land back on each node.
-  engine::VerificationEngine engine({.workers = 4}, &handles.keys->directory);
+  // worker pool, findings land back on each node.
+  engine::VerificationEngine engine(4);
   engine::finalize_world_round(engine, world, handles.round_id(1));
 
   std::vector<core::Evidence> all;

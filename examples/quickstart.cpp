@@ -60,7 +60,7 @@ void run_scenario(const char* title, const core::ProverMisbehavior& misbehavior)
 
   // Finalize through the verification engine — the default path for
   // simulator-driven rounds (finalize_round is the sequential fallback).
-  engine::VerificationEngine engine({.workers = 4}, &handles.keys->directory);
+  engine::VerificationEngine engine(4);
   engine::finalize_world_round(engine, world, handles.round_id(1));
 
   std::vector<bgp::AsNumber> verifiers = world.providers;

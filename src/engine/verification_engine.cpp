@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 
-#include "core/verify_context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -20,30 +20,39 @@ namespace {
 
 }  // namespace
 
-VerificationEngine::VerificationEngine(EngineConfig config,
-                                       const core::VerifyContext* ctx)
-    : ctx_(ctx),
-      scheduler_(SchedulerConfig{.workers = config.workers,
-                                 .shards = config.shards}) {}
+VerificationEngine::VerificationEngine(std::size_t workers) {
+  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
+  workers_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
+}
 
-VerificationEngine::VerificationEngine(EngineConfig config,
-                                       const core::KeyDirectory* directory)
-    : VerificationEngine(config, &directory->verify_context()) {}
+VerificationEngine::~VerificationEngine() {
+  // Join in the body, while every member is still alive: the worker that
+  // finishes a sealed batch's last task folds it into done_ on its way
+  // out.
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  work_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
+}
 
-const core::KeyDirectory& VerificationEngine::directory() const noexcept {
-  return ctx_->directory();
+void VerificationEngine::throw_if_pending(const char* where) const {
+  if (pending_) {
+    throw std::logic_error(std::string("VerificationEngine::") + where +
+                           ": a begin_drain batch is in flight — collect() "
+                           "it first");
+  }
 }
 
 bool VerificationEngine::submit_node_round(core::PvrNode& node,
                                            const core::ProtocolId& id) {
-  if (pending_) {
-    throw std::logic_error(
-        "VerificationEngine::submit_node_round: a begin_drain batch is in "
-        "flight — collect() it before submitting the next batch");
-  }
-  // One task per check, all over one shared snapshot. The salted scheduler
-  // spreads them across shards, so this round's checks run concurrently;
-  // drain() folds the parts back in order.
+  throw_if_pending("submit_node_round");
+  // One task per check, all over one shared snapshot, so this round's
+  // checks run concurrently; the fold puts the parts back in order.
   std::optional<core::DeferredRoundChecks> deferred =
       node.defer_finalize_checks(id);
   if (!deferred.has_value()) return false;
@@ -51,85 +60,131 @@ bool VerificationEngine::submit_node_round(core::PvrNode& node,
                   .id = id,
                   .first_ticket = 0,
                   .parts = deferred->checks.size()};
-  for (std::size_t part = 0; part < deferred->checks.size(); ++part) {
-    const std::size_t ticket =
-        scheduler_.submit(id, std::move(deferred->checks[part]));
-    if (part == 0) group.first_ticket = ticket;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    group.first_ticket = tasks_.size();
+    for (auto& check : deferred->checks) tasks_.push_back(std::move(check));
+    results_.resize(tasks_.size());
   }
+  work_cv_.notify_all();
   groups_.push_back(group);
   return true;
 }
 
 std::size_t VerificationEngine::submit(
     const core::ProtocolId& id, std::function<core::RoundFindings()> work) {
-  if (pending_) {
-    throw std::logic_error(
-        "VerificationEngine::submit: a begin_drain batch is in flight — "
-        "collect() it before submitting the next batch");
+  throw_if_pending("submit");
+  std::size_t ticket;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ticket = tasks_.size();
+    tasks_.push_back(std::move(work));
+    results_.emplace_back();
   }
-  const std::size_t ticket = scheduler_.submit(id, std::move(work));
+  work_cv_.notify_one();
   groups_.push_back(TaskGroup{
       .node = nullptr, .id = id, .first_ticket = ticket, .parts = 1});
   return ticket;
 }
 
-void VerificationEngine::begin_drain() {
-  if (pending_) {
-    throw std::logic_error(
-        "VerificationEngine::begin_drain: a batch is already in flight — "
-        "collect() it before sealing the next one");
+void VerificationEngine::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (true) {
+    if (next_ticket_ == tasks_.size()) {
+      // Queued work outlives stopping_: the pool finishes what was
+      // submitted before it exits.
+      if (stopping_) return;
+      work_cv_.wait(lock);
+      continue;
+    }
+    const std::size_t ticket = next_ticket_++;
+    std::function<core::RoundFindings()> work = std::move(tasks_[ticket]);
+    lock.unlock();
+    RoundOutcome outcome;
+    {
+      // The span brackets only the work closure: one lane per worker
+      // thread, so an open trace shows engine occupancy directly.
+      const obs::TraceSpan span("engine.task", "engine");
+      const std::uint64_t start_us = obs::wall_clock_us();
+      try {
+        outcome.findings = work();
+      } catch (...) {
+        outcome.error = std::current_exception();
+      }
+      PVR_OBS_COUNT(engine_tasks, 1);
+      PVR_OBS_RECORD(engine_task_us, obs::wall_clock_us() - start_us);
+    }
+    work = nullptr;  // release the closure's snapshot outside the lock
+    lock.lock();
+    results_[ticket] = std::move(outcome);
+    completed_ += 1;
+    if (sealed_ && completed_ == tasks_.size()) fold_sealed_batch(lock);
   }
+}
+
+void VerificationEngine::fold_sealed_batch(std::unique_lock<std::mutex>& lock) {
+  Batch batch = std::move(*sealed_);
+  sealed_.reset();
+  std::vector<RoundOutcome> raw = std::move(results_);
+  tasks_.clear();
+  results_.clear();
+  next_ticket_ = 0;
+  completed_ = 0;
+  lock.unlock();
+
+  // Runs on whichever worker finished the batch's last task (or on the
+  // submitting thread when the batch had already quiesced). Only touches
+  // the self-contained task outputs — nodes stay with collect().
+  batch.folded.reserve(batch.groups.size());
+  for (const TaskGroup& group : batch.groups) {
+    // Deterministic per-round reducer: fold the group's partial findings
+    // in ticket order — the enumeration order check_round uses — so the
+    // folded round is byte-identical to the sequential path regardless
+    // of which workers ran which parts.
+    RoundOutcome folded{.id = group.id, .findings = {}, .error = nullptr};
+    for (std::size_t part = 0; part < group.parts; ++part) {
+      RoundOutcome& outcome = raw[group.first_ticket + part];
+      if (outcome.error) {
+        if (!folded.error) folded.error = outcome.error;
+        continue;
+      }
+      core::fold_round_findings(folded.findings, std::move(outcome.findings));
+    }
+    if (folded.error) {
+      // A failed round contributes no findings (its node stays finalized
+      // with none) — even the parts that succeeded.
+      folded.findings = core::RoundFindings{};
+    }
+    batch.folded.push_back(std::move(folded));
+  }
+  batch.done_ms = now_ms();
+
+  lock.lock();
+  done_ = std::move(batch);
+  // Notify while still holding the mutex: the waiter in collect() may
+  // destroy this engine the moment it returns, and it cannot reacquire the
+  // mutex (and so cannot return) until this thread has finished touching
+  // done_cv_.
+  done_cv_.notify_all();
+}
+
+void VerificationEngine::begin_drain() {
+  throw_if_pending("begin_drain");
   pending_ = true;
   PVR_OBS_COUNT(engine_drains, 1);
   PVR_OBS_RECORD(scenario_drain_rounds, groups_.size());
   // Group bookkeeping must never survive into the next batch (tickets
   // restart at 0) — the sealed batch owns it from here on.
-  std::vector<TaskGroup> groups = std::move(groups_);
+  Batch batch{.groups = std::move(groups_),
+              .folded = {},
+              .begin_ms = now_ms(),
+              .done_ms = 0};
   groups_.clear();
-  const double begin_ms = now_ms();
-  scheduler_.begin_drain([this, groups = std::move(groups),
-                          begin_ms](std::vector<RoundOutcome> raw) mutable {
-    // Runs on whichever worker finishes the batch's last task (or on the
-    // submitting thread when the batch already quiesced). Only touches the
-    // self-contained task outputs — node and sink stay with collect().
-    CompletedBatch batch;
-    batch.begin_ms = begin_ms;
-    batch.folded.reserve(groups.size());
-    for (const TaskGroup& group : groups) {
-      // Deterministic per-round reducer: fold the group's partial findings
-      // in ticket order — the enumeration order check_round uses — so the
-      // folded round is byte-identical to the sequential path regardless
-      // of which workers ran which parts.
-      RoundOutcome folded{.id = group.id, .findings = {}, .error = nullptr};
-      for (std::size_t part = 0; part < group.parts; ++part) {
-        RoundOutcome& outcome = raw[group.first_ticket + part];
-        if (outcome.error) {
-          if (!folded.error) folded.error = outcome.error;
-          continue;
-        }
-        core::fold_round_findings(folded.findings,
-                                  std::move(outcome.findings));
-      }
-      if (folded.error) {
-        // A failed round contributes no findings (its node stays finalized
-        // with none) — even the parts that succeeded.
-        folded.findings = core::RoundFindings{};
-      }
-      batch.folded.push_back(std::move(folded));
-    }
-    batch.groups = std::move(groups);
-    batch.done_ms = now_ms();
-    {
-      const std::lock_guard<std::mutex> lock(done_mutex_);
-      done_ = std::move(batch);
-      // Notify while still holding the mutex: the waiter in collect()
-      // may destroy this engine the moment it returns, and it cannot
-      // reacquire the mutex (and so cannot return) until this worker has
-      // finished touching done_cv_. Notifying after unlock races the
-      // broadcast against ~VerificationEngine's pthread_cond_destroy.
-      done_cv_.notify_all();
-    }
-  });
+  std::unique_lock<std::mutex> lock(mutex_);
+  sealed_ = std::move(batch);
+  // Already quiesced (or empty): fold here. Otherwise the worker that
+  // finishes the last task does.
+  if (completed_ == tasks_.size()) fold_sealed_batch(lock);
 }
 
 EngineReport VerificationEngine::collect(bool rethrow_errors) {
@@ -139,9 +194,9 @@ EngineReport VerificationEngine::collect(bool rethrow_errors) {
         "first)");
   }
   const double arrive_ms = now_ms();
-  CompletedBatch batch;
+  Batch batch;
   {
-    std::unique_lock<std::mutex> lock(done_mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [this] { return done_.has_value(); });
     batch = std::move(*done_);
     done_.reset();
@@ -161,7 +216,6 @@ EngineReport VerificationEngine::collect(bool rethrow_errors) {
     } else {
       report.violations += folded.findings.evidence.size();
       report.signatures_verified += folded.findings.signatures_verified;
-      sink_.record_all(folded.findings.evidence);  // copy into ordered log
       if (group.node != nullptr) {
         group.node->apply_round_findings(group.id, folded.findings);
       }

@@ -212,7 +212,7 @@ struct HotMetrics {
   Histogram crypto_rsa_verify_us;  // WALL: per-verify exponentiation time
   Histogram crypto_mulmod_us;      // WALL: per-mulmod time (item 3 profile)
   // Engine.
-  Counter engine_tasks;           // scheduler tasks executed
+  Counter engine_tasks;           // engine check tasks executed
   Counter engine_drains;          // batches sealed (begin_drain / drain)
   Counter engine_rounds_folded;   // task groups folded back into rounds
   Histogram engine_task_us;       // WALL: per-task execution time

@@ -135,8 +135,9 @@ struct ScenarioReport {
   // to the drain that verified and GC'd it, aggregated over every round
   // through a log-bucket histogram (quantiles are bucket upper edges).
   // Deterministic at any worker count, but a function of the drain
-  // schedule — like drain_batches, reported and regression-gated (rule 7)
-  // yet excluded from fingerprint(). 0 in offline mode.
+  // schedule — like drain_batches, reported, p99 gated by the
+  // scenarios_online.p99_settle_us RULES row, yet excluded from
+  // fingerprint(). 0 in offline mode.
   std::uint64_t p50_settle_us = 0;
   std::uint64_t p99_settle_us = 0;
   // Crypto profile for this run (global obs counter deltas): RSA verify

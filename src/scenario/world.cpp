@@ -313,7 +313,7 @@ World::World(const ScenarioSpec& spec, const WorldPlan& plan,
       // context exactly, so the fingerprint cannot see it.
       ctx_(&plan.keys.directory, spec.world_sig_cache),
       hoods_(plan.hoods.size()),
-      engine_({.workers = workers}, &ctx_) {
+      engine_(workers) {
   for (std::size_t h = 0; h < plan.hoods.size(); ++h) {
     const Neighborhood& neighborhood = plan.hoods[h];
     const auto add = [&](bgp::AsNumber asn,

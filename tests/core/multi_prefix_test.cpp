@@ -104,8 +104,7 @@ TEST(MultiPrefixTest, TwoPrefixesSameEpochThroughEngine) {
   TwoPrefixRun run = run_two_prefixes({.seed = 22});
   Figure1World& world = *run.handles.world;
 
-  engine::VerificationEngine engine({.workers = 8},
-                                    &run.handles.keys->directory);
+  engine::VerificationEngine engine(8);
   engine::finalize_world_round(engine, world, run.id_a());
   const engine::EngineReport report =
       engine::finalize_world_round(engine, world, run.id_b());
@@ -125,7 +124,7 @@ TEST(MultiPrefixTest, TwoPrefixesSameEpochThroughEngine) {
 
 // Two provers (two Figure-1 neighborhoods, distinct ASNs) running the same
 // epoch over the same prefix, drained through ONE engine batch: rounds are
-// keyed and sharded by the full (prover, prefix, epoch) identity, so
+// keyed by the full (prover, prefix, epoch) identity, so
 // neither neighborhood sees the other's state or findings.
 TEST(MultiPrefixTest, TwoProversSameEpochSamePrefixThroughOneEngine) {
   Figure1Handles first = make_figure1_world({.seed = 24});
@@ -150,7 +149,7 @@ TEST(MultiPrefixTest, TwoProversSameEpochSamePrefixThroughOneEngine) {
   drive(first, {4, 2, 6});
   drive(second, {5, 7, 3});
 
-  engine::VerificationEngine engine({.workers = 8}, &first.keys->directory);
+  engine::VerificationEngine engine(8);
   engine::finalize_world_round(engine, *first.world, first.round_id(1));
   engine::finalize_world_round(engine, *second.world, second.round_id(1));
 

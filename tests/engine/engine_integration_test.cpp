@@ -91,8 +91,7 @@ TEST(EngineIntegrationTest, MatchesSequentialFinalizeUnderEquivocation) {
     sequential.world->node(verifier).finalize_round(sequential.round_id(1));
   }
 
-  VerificationEngine engine({.workers = 8},
-                            &engined.keys->directory);
+  VerificationEngine engine(8);
   for (const bgp::AsNumber verifier : verifiers) {
     EXPECT_TRUE(engine.submit_node_round(engined.world->node(verifier), engined.round_id(1)));
   }
@@ -109,13 +108,22 @@ TEST(EngineIntegrationTest, MatchesSequentialFinalizeUnderEquivocation) {
     EXPECT_FALSE(engined.world->node(verifier).evidence().empty());
   }
 
-  // The sink aggregates everything the nodes saw, with per-class counters.
-  EXPECT_EQ(engine.sink().total(), report.violations);
-  EXPECT_GT(engine.sink().count(ViolationKind::kEquivocation), 0u);
-
-  // Equivocation evidence is third-party provable: the auditor accepts it.
+  // The report counts exactly what the nodes received.
   const core::Auditor auditor(&engined.keys->directory);
-  EXPECT_GT(engine.sink().validate_all(auditor), 0u);
+  std::size_t total = 0;
+  std::size_t equivocations = 0;
+  std::size_t provable = 0;
+  for (const bgp::AsNumber verifier : verifiers) {
+    for (const Evidence& item : engined.world->node(verifier).evidence()) {
+      total += 1;
+      if (item.kind == ViolationKind::kEquivocation) equivocations += 1;
+      if (auditor.validate(item)) provable += 1;
+    }
+  }
+  EXPECT_EQ(total, report.violations);
+  EXPECT_GT(equivocations, 0u);
+  // Equivocation evidence is third-party provable: the auditor accepts it.
+  EXPECT_GT(provable, 0u);
 }
 
 TEST(EngineIntegrationTest, TotalLossYieldsOnlyLivenessFindings) {
@@ -147,13 +155,14 @@ TEST(EngineIntegrationTest, TotalLossYieldsOnlyLivenessFindings) {
     // expected: the prover sent on a severed link
   }
 
-  VerificationEngine engine({.workers = 4}, &handles.keys->directory);
+  VerificationEngine engine(4);
   for (const bgp::AsNumber provider : world.providers) {
     EXPECT_TRUE(engine.submit_node_round(world.node(provider), handles.round_id(1)));
   }
-  (void)engine.drain();
+  const EngineReport report = engine.drain();
 
   const core::Auditor auditor(&handles.keys->directory);
+  std::size_t total = 0;
   for (const bgp::AsNumber provider : world.providers) {
     const auto& evidence = world.node(provider).evidence();
     ASSERT_FALSE(evidence.empty());
@@ -161,16 +170,13 @@ TEST(EngineIntegrationTest, TotalLossYieldsOnlyLivenessFindings) {
       EXPECT_EQ(item.kind, ViolationKind::kMissingReveal);
       EXPECT_FALSE(auditor.validate(item));
     }
+    total += evidence.size();
   }
-  EXPECT_EQ(engine.sink().count(ViolationKind::kMissingReveal),
-            engine.sink().total());
+  EXPECT_EQ(total, report.violations);
 }
 
 TEST(EngineIntegrationTest, FailedRoundDoesNotCorruptNextBatch) {
-  core::AsKeyPairs keys;
-  crypto::Drbg key_rng(5, "engine-error-test");
-  keys = core::generate_keys({1}, key_rng, 512);
-  VerificationEngine engine({.workers = 2}, &keys.directory);
+  VerificationEngine engine(2);
 
   const core::ProtocolId id{.prover = 1,
                             .prefix = bgp::Ipv4Prefix::parse("10.0.0.0/24"),
@@ -197,7 +203,9 @@ TEST(EngineIntegrationTest, FailedRoundDoesNotCorruptNextBatch) {
   const EngineReport report = engine.drain();
   EXPECT_EQ(report.rounds, 1u);
   EXPECT_EQ(report.violations, 1u);
-  EXPECT_EQ(engine.sink().count(core::ViolationKind::kBadOpening), 1u);
+  ASSERT_EQ(report.outcomes[0].findings.evidence.size(), 1u);
+  EXPECT_EQ(report.outcomes[0].findings.evidence[0].kind,
+            core::ViolationKind::kBadOpening);
 }
 
 TEST(EngineIntegrationTest, DeferFinalizeIsIdempotent) {
@@ -214,7 +222,7 @@ TEST(EngineIntegrationTest, DeferFinalizeIsIdempotent) {
   world.sim.run();
 
   core::PvrNode& provider = world.node(world.providers[0]);
-  VerificationEngine engine({.workers = 2}, &handles.keys->directory);
+  VerificationEngine engine(2);
   EXPECT_TRUE(engine.submit_node_round(provider, handles.round_id(1)));
   // Second deferred submit and a direct finalize are both no-ops now.
   EXPECT_FALSE(engine.submit_node_round(provider, handles.round_id(1)));
@@ -222,7 +230,7 @@ TEST(EngineIntegrationTest, DeferFinalizeIsIdempotent) {
   (void)engine.drain();
   EXPECT_TRUE(provider.evidence().empty());  // honest round, one evaluation
 
-  // The deferred id carries the full round identity for sharding.
+  // The deferred id carries the full round identity for delivery.
   core::PvrNode& other = world.node(world.providers[1]);
   std::optional<core::DeferredRoundChecks> deferred =
       other.defer_finalize_checks(handles.round_id(1));

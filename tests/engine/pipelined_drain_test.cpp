@@ -2,17 +2,17 @@
 // worker pool folds it in the background; collect applies the findings on
 // the calling thread. These tests pin the protocol's contract (DESIGN.md
 // §12): submission-ordered delivery across batches, one-batch-in-flight
-// guards, exception isolation, empty batches, and byte-parity with the
-// blocking drain() composition.
+// guards, exception isolation, empty batches, byte-parity with the
+// blocking drain() composition, and teardown with a batch still running.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/keys.h"
 #include "engine/verification_engine.h"
 
 namespace pvr::engine {
@@ -40,25 +40,24 @@ namespace {
   return findings;
 }
 
-[[nodiscard]] std::string evidence_trace(
-    const std::vector<core::Evidence>& log) {
+// The report's evidence, concatenated over its outcomes in order.
+[[nodiscard]] std::string evidence_trace(const EngineReport& report) {
   std::string trace;
-  for (const core::Evidence& item : log) trace += item.detail + "|";
+  for (const RoundOutcome& outcome : report.outcomes) {
+    for (const core::Evidence& item : outcome.findings.evidence) {
+      trace += item.detail + "|";
+    }
+  }
   return trace;
 }
 
-// Each directory-less engine test drives free-standing rounds only.
-[[nodiscard]] VerificationEngine make_engine(std::size_t workers) {
-  static const core::KeyDirectory kEmptyDirectory;
-  return VerificationEngine({.workers = workers}, &kEmptyDirectory);
-}
-
-// The sink log after several begin_drain/collect batches must equal the
-// GLOBAL submission order — batch boundaries shift work across threads but
-// never reorder delivery.
+// The evidence of several begin_drain/collect batches, concatenated, must
+// equal the GLOBAL submission order — batch boundaries shift work across
+// threads but never reorder delivery.
 TEST(PipelinedDrainTest, SinkOrderSpansBatchesInSubmissionOrder) {
-  VerificationEngine engine = make_engine(8);
+  VerificationEngine engine(8);
   std::string expected;
+  std::string delivered;
   for (std::uint64_t batch = 1; batch <= 5; ++batch) {
     for (std::uint32_t prefix = 0; prefix < 17; ++prefix) {
       engine.submit(round_id(prefix, batch), [prefix, batch] {
@@ -72,15 +71,17 @@ TEST(PipelinedDrainTest, SinkOrderSpansBatchesInSubmissionOrder) {
     const EngineReport report = engine.collect();
     EXPECT_EQ(report.rounds, 17u);
     EXPECT_EQ(report.failed_rounds, 0u);
+    delivered += evidence_trace(report);
   }
-  EXPECT_EQ(evidence_trace(engine.sink().snapshot()), expected);
+  EXPECT_EQ(delivered, expected);
 }
 
 // Byte-parity: the same workload through begin_drain/collect and through
-// the blocking drain() must produce identical sink logs.
+// the blocking drain() must produce identical evidence sequences.
 TEST(PipelinedDrainTest, MatchesBlockingDrainByteForByte) {
   const auto run = [](bool pipelined) {
-    VerificationEngine engine = make_engine(4);
+    VerificationEngine engine(4);
+    std::string delivered;
     for (std::uint64_t batch = 1; batch <= 3; ++batch) {
       for (std::uint32_t prefix = 0; prefix < 23; ++prefix) {
         engine.submit(round_id(prefix, batch), [prefix, batch] {
@@ -89,18 +90,18 @@ TEST(PipelinedDrainTest, MatchesBlockingDrainByteForByte) {
       }
       if (pipelined) {
         engine.begin_drain();
-        (void)engine.collect();
+        delivered += evidence_trace(engine.collect());
       } else {
-        (void)engine.drain();
+        delivered += evidence_trace(engine.drain());
       }
     }
-    return evidence_trace(engine.sink().snapshot());
+    return delivered;
   };
   EXPECT_EQ(run(true), run(false));
 }
 
 TEST(PipelinedDrainTest, EmptyBatchCollectsEmptyReport) {
-  VerificationEngine engine = make_engine(2);
+  VerificationEngine engine(2);
   engine.begin_drain();
   EXPECT_TRUE(engine.has_pending());
   const EngineReport report = engine.collect();
@@ -110,7 +111,7 @@ TEST(PipelinedDrainTest, EmptyBatchCollectsEmptyReport) {
 }
 
 TEST(PipelinedDrainTest, HasPendingTracksTheInFlightBatch) {
-  VerificationEngine engine = make_engine(2);
+  VerificationEngine engine(2);
   EXPECT_FALSE(engine.has_pending());
   engine.submit(round_id(0, 1), [] { return findings_for(0, 1); });
   EXPECT_FALSE(engine.has_pending());
@@ -124,7 +125,7 @@ TEST(PipelinedDrainTest, HasPendingTracksTheInFlightBatch) {
 // drain() all refuse while a batch is pending, and collect refuses when
 // none is.
 TEST(PipelinedDrainTest, GuardsAgainstOverlappingBatches) {
-  VerificationEngine engine = make_engine(2);
+  VerificationEngine engine(2);
   EXPECT_THROW((void)engine.collect(), std::logic_error);
   engine.submit(round_id(0, 1), [] { return findings_for(0, 1); });
   engine.begin_drain();
@@ -144,7 +145,7 @@ TEST(PipelinedDrainTest, GuardsAgainstOverlappingBatches) {
 // delivered, and collect(false) reports the failure as a count instead of
 // unwinding.
 TEST(PipelinedDrainTest, ExceptionIsolationAcrossTheAsyncBoundary) {
-  VerificationEngine engine = make_engine(4);
+  VerificationEngine engine(4);
   engine.submit(round_id(0, 1), [] { return findings_for(0, 1); });
   engine.submit(round_id(1, 1), []() -> core::RoundFindings {
     throw std::runtime_error("round 1 exploded");
@@ -154,26 +155,26 @@ TEST(PipelinedDrainTest, ExceptionIsolationAcrossTheAsyncBoundary) {
   const EngineReport report = engine.collect(/*rethrow_errors=*/false);
   EXPECT_EQ(report.rounds, 3u);
   EXPECT_EQ(report.failed_rounds, 1u);
-  EXPECT_EQ(evidence_trace(engine.sink().snapshot()),
-            "round 0/1|round 2/1|");
+  EXPECT_EQ(evidence_trace(report), "round 0/1|round 2/1|");
 
-  // With rethrow_errors (the default) the first error surfaces — but only
-  // AFTER the successful rounds' findings were recorded.
+  // With rethrow_errors (the default) the first error surfaces, and the
+  // engine is left clean for the next batch.
   engine.submit(round_id(3, 2), [] { return findings_for(3, 2); });
   engine.submit(round_id(4, 2), []() -> core::RoundFindings {
     throw std::runtime_error("round 4 exploded");
   });
   engine.begin_drain();
   EXPECT_THROW((void)engine.collect(), std::runtime_error);
-  EXPECT_EQ(evidence_trace(engine.sink().snapshot()),
-            "round 0/1|round 2/1|round 3/2|");
+  EXPECT_FALSE(engine.has_pending());
+  engine.submit(round_id(5, 3), [] { return findings_for(5, 3); });
+  EXPECT_EQ(evidence_trace(engine.drain()), "round 5/3|");
 }
 
 // The overlap accounting the scenario runner aggregates: work folded while
 // the caller was away shows up as overlapped_ms > 0, and the fold window
 // (verify_wall_ms) covers at least the task's own run time.
 TEST(PipelinedDrainTest, OverlapAccountingSeesWorkDoneWhileAway) {
-  VerificationEngine engine = make_engine(1);
+  VerificationEngine engine(1);
   engine.submit(round_id(0, 1), [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
     return findings_for(0, 1);
@@ -186,6 +187,26 @@ TEST(PipelinedDrainTest, OverlapAccountingSeesWorkDoneWhileAway) {
   EXPECT_GT(report.verify_wall_ms, 0.0);
   EXPECT_GT(report.overlapped_ms, 0.0);
   EXPECT_LE(report.overlapped_ms, report.verify_wall_ms + 0.001);
+}
+
+// An engine that goes out of scope with a sealed batch still running (a
+// World unwinding mid-simulation) must let the last worker finish the task
+// and fold the batch before any member it writes is destroyed. Under
+// AddressSanitizer a fold into an already-destroyed completed-batch slot
+// shows up as leaked outcome vectors.
+TEST(PipelinedDrainTest, DestroyedWithBatchInFlightFinishesTheBatch) {
+  std::atomic<bool> ran{false};
+  {
+    VerificationEngine engine(1);
+    engine.submit(round_id(0, 1), [&ran] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ran = true;
+      return findings_for(0, 1);
+    });
+    engine.begin_drain();
+    EXPECT_TRUE(engine.has_pending());
+  }
+  EXPECT_TRUE(ran);
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ TEST(LossyNetworkTest, TotalLossYieldsOnlyLivenessFindings) {
     // expected: prover tried to send on a severed link
   }
 
-  engine::VerificationEngine engine({.workers = 4}, &handles.keys->directory);
+  engine::VerificationEngine engine(4);
   engine::finalize_world_round(engine, world, handles.round_id(1));
 
   const Auditor auditor(&handles.keys->directory);
@@ -109,7 +109,7 @@ TEST(LossyNetworkTest, GossipStillCatchesEquivocationWithPartialMesh) {
   });
   world.sim.run();
 
-  engine::VerificationEngine engine({.workers = 4}, &handles.keys->directory);
+  engine::VerificationEngine engine(4);
   engine::finalize_world_round(engine, world, handles.round_id(1));
 
   std::size_t detectors = 0;
@@ -140,7 +140,7 @@ TEST(LossyNetworkTest, HonestRoundSurvivesDuplicateDelivery) {
   });
   world.sim.run();
 
-  engine::VerificationEngine engine({.workers = 4}, &handles.keys->directory);
+  engine::VerificationEngine engine(4);
   engine::finalize_world_round(engine, world, handles.round_id(1));
 
   std::vector<bgp::AsNumber> verifiers = world.providers;
