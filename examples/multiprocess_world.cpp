@@ -21,7 +21,7 @@
 // --trace-out arms Chrome tracing in every process and stitches the shards
 // into BASE.json; --obs-out appends the machine-readable parity row plus
 // one obs_snapshot row per rank and the polled stats timeline to PATH
-// (the socket-smoke CI artifacts).
+// (the multiprocess-smoke CI artifacts).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -134,8 +134,8 @@ int main(int argc, char** argv) {
     std::printf("  merged trace: %s\n", distributed.merged_trace_path.c_str());
   }
 
-  // Machine-readable artifact rows (socket-smoke CI): the parity gate row,
-  // one obs_snapshot row per rank, and a per-rank poll summary.
+  // Machine-readable artifact rows (multiprocess-smoke CI): the parity gate
+  // row, one obs_snapshot row per rank, and a per-rank poll summary.
   if (!obs_out.empty()) {
     std::FILE* out = std::fopen(obs_out.c_str(), "w");
     if (out == nullptr) {

@@ -1,6 +1,6 @@
 // PVR protocol endpoints. Nodes program against the abstract net::Transport
-// (net/transport.h) — the deterministic simulator and the socket backend
-// both drive the same code.
+// (net/transport.h) — the simulator, trace replay and the multiprocess
+// lockstep plane all drive the same code.
 //
 // One PvrNode per AS in the Figure-1 scenario: the prover A, the providers
 // N1..Nk, and the recipient B. The harness drives rounds:

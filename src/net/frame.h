@@ -1,23 +1,24 @@
-// Wire framing for the socket transport and the multiprocess control plane.
+// Wire framing for the multiprocess lockstep plane: the conductor's control
+// connections and the node processes' peer links (scenario/multiprocess.cpp).
 //
 // Every frame on a PVR TCP connection is
 //
 //     [u32 BE total_length][u8 type][body: total_length - 1 bytes]
 //
-// For kMessage frames the body is the canonical message-body encoding whose
-// length is EXACTLY Message::wire_size(): 4B from + 4B to (the 8B
-// addressing), u16 channel length + channel bytes, u32 payload length, then
-// the payload split into 64 KiB chunks — the first chunk bare, every
-// further chunk prefixed by a 6-byte header (u32 offset + u16 length), the
-// same chunking model the simulator's byte accounting has always charged
-// (kWireChunkPayload/kWireChunkHeader). Byte totals are therefore
-// fingerprint-comparable across the sim and socket backends by
-// construction, not by convention.
+// A peer link's kFrameMessage body is a u64 cookie followed by the
+// canonical message-body encoding, whose length is EXACTLY
+// Message::wire_size(): 4B from + 4B to (the 8B addressing), u16 channel
+// length + channel bytes, u32 payload length, then the payload split into
+// 64 KiB chunks — the first chunk bare, every further chunk prefixed by a
+// 6-byte header (u32 offset + u16 length), the same chunking model the
+// simulator's byte accounting has always charged
+// (kWireChunkPayload/kWireChunkHeader). The same encoding carries the
+// trace shards each node process ships back in its result frame.
 //
 // FrameConn owns the per-connection buffering: a nonblocking fd, an
-// outgoing queue flushed as the socket accepts bytes, and an incoming
-// reassembly buffer that yields complete frames in order. It is
-// single-threaded — the owning event loop is the only caller.
+// outgoing queue written out by flush_all(), and an incoming reassembly
+// buffer that yields complete frames in order. It is single-threaded —
+// the owning process's grant loop is the only caller.
 #pragma once
 
 #include <cstdint>
@@ -30,18 +31,14 @@
 
 namespace pvr::net {
 
-// Frame types. Transport data and the multiprocess conductor's control
-// verbs share one numbering so a connection can carry both.
-inline constexpr std::uint8_t kFrameHello = 1;    // body: u32 node id
-inline constexpr std::uint8_t kFrameMessage = 2;  // body: message encoding
-// Observability sidecar (DESIGN.md §14): a u64 trace-correlation cookie
-// for the kFrameMessage that immediately follows on the same connection.
-// Sent only while tracing is armed; never counted in SimStats byte
-// accounting (only kFrameMessage bodies are wire_size() bytes), so its
-// presence cannot perturb fingerprint parity.
-inline constexpr std::uint8_t kFrameObs = 3;
-// Live introspection: body [u8 kind: 0 request | 1 reply][reply: encoded
-// obs::StatsSample]. Answered by the host's obs::StatsServer.
+// Frame types. Peer data and the conductor's control verbs share one
+// numbering so a connection can carry both.
+// Hello body: u32 process index, plus a u16 data port toward the conductor.
+inline constexpr std::uint8_t kFrameHello = 1;
+inline constexpr std::uint8_t kFrameMessage = 2;  // body: u64 cookie + message
+// Live introspection (DESIGN.md §14): the conductor's request has an empty
+// body; the node process replies with a bare encoded obs::StatsSample
+// from its obs::StatsServer.
 inline constexpr std::uint8_t kFrameStats = 4;
 // Multiprocess lockstep control plane (scenario/multiprocess.cpp).
 inline constexpr std::uint8_t kFramePeers = 16;
@@ -79,13 +76,8 @@ class FrameConn {
   // Queues one frame for transmission (does not write to the socket).
   void append(std::uint8_t type, std::span<const std::uint8_t> body);
 
-  // Writes as much queued output as the socket currently accepts.
-  // Returns false when the connection is dead (peer reset / closed).
-  bool flush();
-
   // Blocks (poll on POLLOUT) until every queued byte is written or the
-  // connection dies. The multiprocess control plane uses this; the
-  // SocketTransport event loop only ever calls flush().
+  // connection dies.
   bool flush_all();
 
   // Reads every byte currently available and invokes `on_frame` for each
@@ -103,6 +95,10 @@ class FrameConn {
   void close();
 
  private:
+  // Writes as much queued output as the socket currently accepts.
+  // Returns false when the connection is dead (peer reset / closed).
+  bool flush();
+
   int fd_ = -1;
   std::vector<std::uint8_t> out_;
   std::size_t out_pos_ = 0;

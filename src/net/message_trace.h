@@ -1,5 +1,5 @@
 // Ordered delivery trace of one transport run — the determinism bridge
-// between the wall-clock socket backend and the deterministic simulator.
+// between a recorded run (simulated or multiprocess) and offline replay.
 //
 // A trace records every DELIVERED message (dropped messages never appear),
 // in a single global delivery order, plus the run's wire accounting and the

@@ -25,6 +25,8 @@
 
 namespace pvr::net {
 
+class MessageTrace;  // net/message_trace.h
+
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed);
@@ -61,9 +63,9 @@ class Simulator {
   // receives the canonical SimTransport, never the Simulator itself.
   void set_interceptor(Interceptor interceptor);
 
-  // Attaches a delivery trace recorder (Transport::set_trace's backend
-  // implementation). Every delivered message is appended in delivery
-  // order. nullptr detaches.
+  // Attaches a delivery trace recorder: every delivered message is
+  // appended in delivery order. The pointer is borrowed and must outlive
+  // the attachment; nullptr detaches.
   void set_trace(MessageTrace* trace) noexcept { trace_ = trace; }
 
   // Runs `fn` at absolute simulated time `at` (>= now).

@@ -34,6 +34,4 @@ void SimTransport::schedule_periodic(SimTime interval, std::function<void()> fn)
 
 const SimStats& SimTransport::stats() const { return sim_->stats(); }
 
-void SimTransport::set_trace(MessageTrace* trace) { sim_->set_trace(trace); }
-
 }  // namespace pvr::net

@@ -4,29 +4,31 @@
 // written directly against the concrete discrete-event `net::Simulator`.
 // `net::Transport` lifts the surface they actually used — send(), link
 // queries, the clock, one-shot/periodic scheduling, the wire interceptor,
-// and byte accounting — into a virtual interface with two backends:
+// and byte accounting — into a virtual interface with three backends, one
+// per deployment of a world (DESIGN.md §13):
 //
 //   * `net::SimTransport` — a thin adapter over a `Simulator`. Zero behavior
 //     change: `Simulator::transport()` returns the canonical instance and
-//     every delivery callback now receives it, so the whole existing test
-//     suite runs through this backend.
-//   * `net::SocketTransport` (net/socket_transport.h) — real TCP loopback
-//     sockets, length-framed with the same `Message::wire_size()` model.
+//     every delivery callback receives it (the simulated run).
+//   * `ReplayTransport` (scenario/replay.cpp) — a clock with the send side
+//     sunk, re-verifying a recorded `net::MessageTrace` offline.
+//   * `LockstepTransport` (scenario/multiprocess.cpp) — a node process's
+//     plane in the multiprocess deployment, executing conductor grants.
 //
-// What callers may assume, on ANY backend (the conformance suite in
-// tests/net/transport_conformance_test.cpp holds both backends to this):
+// What callers may assume of the plane that carries messages (the
+// simulator's; the lockstep backend mirrors each send into the conductor's
+// simulator, and tests/net/transport_conformance_test.cpp holds it to this):
 //
 //   * Per peer-pair FIFO: two messages sent A→B on the same transport are
 //     delivered in send order (absent interceptor delays and drops).
-//   * send() to a pair without a link/connection throws std::logic_error.
+//   * send() to a pair without a link throws std::logic_error.
 //   * The interceptor runs once per send, before any loss, and its drop
 //     decision is counted in stats().messages_dropped.
 //   * now() is monotone and handlers observe the time their event fired.
 //
-// What callers may NOT assume: cross-pair ordering, global determinism
-// (only the simulator backend is deterministic; the socket backend is
-// wall-clock driven and makes runs reproducible by RECORDING a
-// `net::MessageTrace` that replays through a SimTransport — DESIGN.md §13).
+// What callers may NOT assume: cross-pair ordering. Determinism comes from
+// the one Simulator event queue each deployment runs (the replay clock and
+// the multiprocess conductor are Simulators too), not from the interface.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +88,7 @@ struct InterceptDecision {
 using Interceptor = std::function<InterceptDecision(Transport&, const Message&)>;
 
 // Base class for protocol endpoints. Handlers run inside the backend's
-// event loop (Simulator::run or SocketTransport::poll).
+// event loop (Simulator::run, or a conductor grant in a node process).
 class Node {
  public:
   virtual ~Node() = default;
@@ -131,8 +133,6 @@ struct SimStats {
   }
 };
 
-class MessageTrace;  // net/message_trace.h
-
 // The abstract message plane. One instance serves every node the backend
 // hosts; Message::from/to address endpoints. World construction (node
 // registration, link wiring) stays backend-specific — this interface is
@@ -140,8 +140,6 @@ class MessageTrace;  // net/message_trace.h
 class Transport {
  public:
   virtual ~Transport() = default;
-
-  [[nodiscard]] virtual std::string_view backend_name() const noexcept = 0;
 
   // Sends over an existing link; throws std::logic_error if none exists.
   virtual void send(Message message) = 0;
@@ -154,8 +152,7 @@ class Transport {
   // active; scenario adversaries compose their behaviors inside one hook.
   virtual void set_interceptor(Interceptor interceptor) = 0;
 
-  // The clock: simulated µs on the simulator backend, wall µs since start
-  // on the socket backend.
+  // The clock: simulated µs (a node process sees the granted event time).
   [[nodiscard]] virtual SimTime now() const = 0;
 
   // Runs `fn` at absolute transport time `at` (>= now()).
@@ -164,18 +161,13 @@ class Transport {
 
   // Runs `fn` every `interval` µs, first at now + interval. Termination
   // semantics are backend-specific (the simulator stops re-arming once no
-  // real work remains; the socket backend ticks until stop()).
+  // real work remains; the lockstep backend refuses periodic tasks).
   virtual void schedule_periodic(SimTime interval, std::function<void()> fn) = 0;
 
   // Wire accounting, same counting rules on every backend: bytes are
   // Message::wire_size() regardless of physical overhead, so byte totals
   // are comparable (and fingerprint-identical) across backends.
   [[nodiscard]] virtual const SimStats& stats() const = 0;
-
-  // Attaches (or detaches, with nullptr) a delivery trace recorder: every
-  // delivered message is appended in delivery order. The pointer is
-  // borrowed and must outlive the attachment.
-  virtual void set_trace(MessageTrace* trace) = 0;
 };
 
 class Simulator;  // net/simulator.h
@@ -188,9 +180,6 @@ class SimTransport final : public Transport {
  public:
   explicit SimTransport(Simulator& sim) noexcept : sim_(&sim) {}
 
-  [[nodiscard]] std::string_view backend_name() const noexcept override {
-    return "sim";
-  }
   void send(Message message) override;
   [[nodiscard]] bool connected(NodeId a, NodeId b) const override;
   [[nodiscard]] std::vector<NodeId> neighbors_of(NodeId id) const override;
@@ -199,7 +188,6 @@ class SimTransport final : public Transport {
   void schedule(SimTime at, std::function<void()> fn) override;
   void schedule_periodic(SimTime interval, std::function<void()> fn) override;
   [[nodiscard]] const SimStats& stats() const override;
-  void set_trace(MessageTrace* trace) override;
 
   [[nodiscard]] Simulator& simulator() noexcept { return *sim_; }
 

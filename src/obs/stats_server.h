@@ -1,9 +1,9 @@
 // Live introspection for distributed deployments (DESIGN.md §14).
 //
 // A StatsServer is a passive sampler a transport host installs: when a
-// one-frame `kFrameStats` request arrives (SocketTransport control plane,
-// or the conductor's per-grant poll in the lockstep deployment), the host
-// calls sample() and ships the encoded StatsSample back. The sample is a
+// one-frame `kFrameStats` request arrives (the conductor's per-grant poll
+// in the lockstep deployment), the host calls sample() and ships the
+// encoded StatsSample back. The sample is a
 // point-in-time view — the process's metrics delta since the server was
 // armed, its transport byte accounting, and the protocol gauges (open
 // rounds / peak) — so a conductor polling every grant cycle accumulates a

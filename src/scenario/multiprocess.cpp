@@ -106,10 +106,6 @@ class LockstepTransport final : public net::Transport {
     return fn;
   }
 
-  [[nodiscard]] std::string_view backend_name() const noexcept override {
-    return "lockstep";
-  }
-
   void send(net::Message message) override {
     if (!links_.contains(norm_pair(message.from, message.to))) {
       throw std::logic_error("LockstepTransport::send: no link between nodes");
@@ -187,7 +183,6 @@ class LockstepTransport final : public net::Transport {
     throw std::logic_error("LockstepTransport: periodic tasks unsupported");
   }
   [[nodiscard]] const net::SimStats& stats() const override { return stats_; }
-  void set_trace(net::MessageTrace* trace) override { (void)trace; }
 
  private:
   const WorldPlan* plan_;
@@ -294,9 +289,8 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
     return owner_of(plan, asn, processes) == process_index;
   });
 
-  // Relayed real messages from peer processes, keyed by cookie. Entries are
-  // kept after delivery so an interceptor-replayed placeholder can be
-  // granted a second time.
+  // Relayed real messages from peer processes, keyed by cookie until the
+  // conductor grants their delivery (each cookie is granted exactly once).
   std::map<std::uint64_t, net::Message> relayed;
   const auto drain_peer = [&](net::FrameConn& conn) {
     const bool alive = conn.read_frames(
@@ -330,12 +324,12 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(60);
     while (std::chrono::steady_clock::now() < deadline) {
-      {
-        const auto local = transport.local_buffer().find(cookie);
-        if (local != transport.local_buffer().end()) return local->second;
+      if (auto local = transport.local_buffer().extract(cookie)) {
+        return std::move(local.mapped());
       }
-      const auto remote = relayed.find(cookie);
-      if (remote != relayed.end()) return remote->second;
+      if (auto remote = relayed.extract(cookie)) {
+        return std::move(remote.mapped());
+      }
       std::vector<pollfd> fds;
       for (const auto& [index, conn] : peers) {
         fds.push_back(pollfd{.fd = conn->fd(), .events = POLLIN,
@@ -526,9 +520,10 @@ class Conductor {
       throw std::invalid_argument("conductor: need at least one process");
     }
     if (plan_.adversary->max_replay_lag() > 0) {
-      // Replay re-injects a captured placeholder; the cookie re-grant path
-      // handles it, but it is not exercised by the gated demo — refuse
-      // rather than silently claim parity for it.
+      // The conductor's interceptor sees zero-filled placeholder payloads,
+      // so a strategy that reads payload bytes (replay captures gossip
+      // envelopes by content) cannot reproduce the simulated run — refuse
+      // rather than claim parity for it.
       throw std::invalid_argument(
           "conductor: replaying adversaries are not supported multiprocess");
     }
@@ -696,7 +691,7 @@ void Conductor::grant_and_apply(std::size_t child,
       throw std::runtime_error("conductor: malformed action");
     }
   }
-  if (options_.poll_stats) poll_child_stats(child);
+  poll_child_stats(child);
 }
 
 void Conductor::poll_child_stats(std::size_t child) {

@@ -54,11 +54,10 @@ struct MultiprocessOptions {
   // Distributed observability (DESIGN.md §14). `trace_base` != "" arms
   // Chrome tracing in the conductor and every child ("<base>.conductor
   // .json" / "<base>.<pid>.json") and stitches the shards into
-  // "<base>.json" after the run. `poll_stats` makes the conductor send a
-  // kFrameStats probe to the granted child after every grant cycle,
-  // accumulating the per-process time series below.
+  // "<base>.json" after the run. Whether tracing or not, the conductor
+  // sends a kFrameStats probe to the granted child after every grant
+  // cycle, accumulating the per-process stats_timeline below.
   std::string trace_base;
-  bool poll_stats = true;
 };
 
 struct MultiprocessResult {
@@ -73,7 +72,7 @@ struct MultiprocessResult {
   obs::MetricsSnapshot merged_obs;
   std::vector<obs::MetricsSnapshot> child_obs;  // per-rank deltas
 
-  // One row per kFrameStats poll (every grant cycle when poll_stats).
+  // One row per kFrameStats poll (one per grant cycle).
   struct StatsPoint {
     std::uint32_t rank = 0;
     std::uint64_t at_us = 0;  // lockstep (sim) time of the poll

@@ -23,9 +23,6 @@ class ReplayTransport final : public net::Transport {
  public:
   explicit ReplayTransport(net::Simulator& clock) noexcept : clock_(&clock) {}
 
-  [[nodiscard]] std::string_view backend_name() const noexcept override {
-    return "replay";
-  }
   void send(net::Message message) override { (void)message; }
   [[nodiscard]] bool connected(net::NodeId a, net::NodeId b) const override {
     (void)a;
@@ -49,7 +46,6 @@ class ReplayTransport final : public net::Transport {
     clock_->schedule_periodic(interval, std::move(fn));
   }
   [[nodiscard]] const net::SimStats& stats() const override { return stats_; }
-  void set_trace(net::MessageTrace* trace) override { (void)trace; }
 
  private:
   net::Simulator* clock_;  // not owned

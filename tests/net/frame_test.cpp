@@ -1,8 +1,7 @@
-// Socket-backend internals: the canonical message-body codec (chunking at
+// Lockstep-plane framing: the canonical message-body codec (chunking at
 // the 64 KiB boundary, malformed-input rejection), FrameConn reassembly
-// across partial reads, the disconnect-mid-message contract (a torn
-// trailing frame is discarded, never delivered), and the wall-clock timer
-// wheel.
+// across partial reads, and the disconnect-mid-message contract (a torn
+// trailing frame is discarded, never delivered).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "net/frame.h"
-#include "net/socket_transport.h"
 
 namespace pvr::net {
 namespace {
@@ -127,52 +125,6 @@ TEST(FrameConnTest, DisconnectMidMessageDiscardsTornFrame) {
       });
   EXPECT_FALSE(alive) << "closed peer must report the connection dead";
   EXPECT_EQ(delivered, 1u) << "the torn trailing frame must be discarded";
-}
-
-TEST(SocketTransportTest, TimersFireInOrderAndPeriodicsRepeatUntilStop) {
-  SocketTransport transport;
-  std::vector<int> fired;
-  const SimTime base = transport.now();
-  transport.schedule(base + 4000, [&] { fired.push_back(2); });
-  transport.schedule(base + 1000, [&] { fired.push_back(1); });
-  std::size_t ticks = 0;
-  transport.schedule_periodic(2000, [&] {
-    ticks += 1;
-    if (ticks >= 3) transport.stop();
-  });
-  transport.run_for(2'000'000);
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[0], 1);
-  EXPECT_EQ(fired[1], 2);
-  EXPECT_EQ(ticks, 3u) << "periodic must repeat until stop()";
-}
-
-TEST(SocketTransportTest, HelloHandshakePopulatesRoutesAndNeighbors) {
-  struct Sink final : Node {
-    void on_message(Transport&, const Message&) override {}
-  };
-  Sink a_node;
-  Sink b_node;
-  SocketTransport a;
-  SocketTransport b;
-  a.add_node(1, &a_node);
-  b.add_node(2, &b_node);
-  const std::uint16_t port = b.listen(0);
-  a.connect_to(port);
-  for (int i = 0; i < 2000 && !(a.connected(1, 2) && b.connected(1, 2)); ++i) {
-    a.poll_once(1);
-    b.poll_once(1);
-  }
-  ASSERT_TRUE(a.connected(1, 2));
-  ASSERT_TRUE(b.connected(1, 2));
-  EXPECT_EQ(a.neighbors_of(1), std::vector<NodeId>{2});
-  EXPECT_EQ(b.neighbors_of(2), std::vector<NodeId>{1});
-
-  // Abrupt local drop: the peer learns on its next read.
-  a.drop_peer(2);
-  EXPECT_FALSE(a.connected(1, 2));
-  for (int i = 0; i < 2000 && b.connected(1, 2); ++i) b.poll_once(1);
-  EXPECT_FALSE(b.connected(1, 2));
 }
 
 }  // namespace

@@ -1,25 +1,18 @@
-// Backend conformance: every behavioral guarantee transport.h documents,
-// held against BOTH backends — the deterministic simulator adapter and the
-// real-TCP loopback SocketTransport. Each test runs once per backend
-// through a small pair-world harness (two nodes, one link) so protocol
-// code's assumptions (per-pair FIFO, framing fidelity incl. >64 KiB
-// chunked payloads, no-link errors, interceptor drop/delay semantics,
-// stats counting rules, trace recording) are checked where they are
-// actually enforced.
+// Transport conformance: every behavioral guarantee transport.h documents,
+// held against the simulator's SimTransport on a two-node world (one
+// link) — per-pair FIFO, payload fidelity incl. >64 KiB chunked payloads,
+// interceptor drop/delay semantics, stats counting rules, disconnect, and
+// trace recording. Protocol code reaches the plane only through
+// sim.transport(), so that is what each test sends on.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "net/message_trace.h"
 #include "net/simulator.h"
-#include "net/socket_transport.h"
 
 namespace pvr::net {
 namespace {
@@ -35,94 +28,25 @@ struct Recorder final : Node {
   }
 };
 
-// One two-node world, backend-agnostic. at(id) is the Transport the node's
-// sends are issued on (the same instance for the simulator, one per
-// process-side for sockets).
-class PairWorld {
- public:
-  virtual ~PairWorld() = default;
-  virtual Transport& at(NodeId id) = 0;
-  virtual Recorder& recorder(NodeId id) = 0;
-  // Pumps the backend until `done` returns true or the backend gives up.
-  virtual bool pump_until(const std::function<bool()>& done) = 0;
-  // Severs the A—B link/connection on both sides.
-  virtual void disconnect_pair() = 0;
-};
-
-class SimPairWorld final : public PairWorld {
- public:
-  SimPairWorld() : sim_(7) {
-    auto a = std::make_unique<Recorder>();
+// Two recorders joined by one 100 µs link.
+class TransportConformanceTest : public ::testing::Test {
+ protected:
+  TransportConformanceTest() : sim_(7) {
     auto b = std::make_unique<Recorder>();
-    a_ = a.get();
     b_ = b.get();
-    sim_.add_node(kA, std::move(a));
+    sim_.add_node(kA, std::make_unique<Recorder>());
     sim_.add_node(kB, std::move(b));
     sim_.connect(kA, kB, LinkConfig{.latency = 100});
   }
-  Transport& at(NodeId id) override {
-    (void)id;
-    return sim_.transport();
-  }
-  Recorder& recorder(NodeId id) override { return id == kA ? *a_ : *b_; }
-  bool pump_until(const std::function<bool()>& done) override {
-    sim_.run();
-    return done();
-  }
-  void disconnect_pair() override { sim_.disconnect(kA, kB); }
 
- private:
+  [[nodiscard]] Transport& transport() { return sim_.transport(); }
+  [[nodiscard]] const std::vector<Message>& received_at_b() const {
+    return b_->received;
+  }
+
   Simulator sim_;
-  Recorder* a_ = nullptr;
   Recorder* b_ = nullptr;
 };
-
-class SocketPairWorld final : public PairWorld {
- public:
-  SocketPairWorld() {
-    ta_.add_node(kA, &ra_);
-    tb_.add_node(kB, &rb_);
-    const std::uint16_t port = tb_.listen(0);
-    ta_.connect_to(port);
-    if (!pump_until([this] {
-          return ta_.connected(kA, kB) && tb_.connected(kA, kB);
-        })) {
-      throw std::runtime_error("socket pair world: handshake timed out");
-    }
-  }
-  Transport& at(NodeId id) override {
-    return id == kA ? static_cast<Transport&>(ta_)
-                    : static_cast<Transport&>(tb_);
-  }
-  Recorder& recorder(NodeId id) override { return id == kA ? ra_ : rb_; }
-  bool pump_until(const std::function<bool()>& done) override {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (done()) return true;
-      ta_.poll_once(1);
-      tb_.poll_once(1);
-    }
-    return done();
-  }
-  void disconnect_pair() override {
-    ta_.drop_peer(kB);
-    // The peer observes the close on its next read.
-    (void)pump_until([this] { return !tb_.connected(kA, kB); });
-  }
-
- private:
-  SocketTransport ta_;
-  SocketTransport tb_;
-  Recorder ra_;
-  Recorder rb_;
-};
-
-[[nodiscard]] std::unique_ptr<PairWorld> make_world(
-    const std::string& backend) {
-  if (backend == "sim") return std::make_unique<SimPairWorld>();
-  return std::make_unique<SocketPairWorld>();
-}
 
 [[nodiscard]] std::vector<std::uint8_t> patterned_payload(std::size_t size,
                                                           std::uint8_t tag) {
@@ -133,11 +57,7 @@ class SocketPairWorld final : public PairWorld {
   return payload;
 }
 
-class TransportConformanceTest : public ::testing::TestWithParam<const char*> {
-};
-
-TEST_P(TransportConformanceTest, FramingRoundTripsEverySizeClassInOrder) {
-  const auto world = make_world(GetParam());
+TEST_F(TransportConformanceTest, FramingRoundTripsEverySizeClassInOrder) {
   // Empty, tiny, exactly one chunk, one byte either side of the chunk
   // boundary, and a 3-chunk payload larger than any aggregation window.
   const std::vector<std::size_t> sizes = {0,          1,         1000,
@@ -151,12 +71,11 @@ TEST_P(TransportConformanceTest, FramingRoundTripsEverySizeClassInOrder) {
                     .payload = patterned_payload(sizes[i],
                                                  static_cast<std::uint8_t>(i))};
     expected_bytes += message.wire_size();
-    world->at(kA).send(std::move(message));
+    transport().send(std::move(message));
   }
-  ASSERT_TRUE(world->pump_until([&] {
-    return world->recorder(kB).received.size() == sizes.size();
-  }));
-  const std::vector<Message>& received = world->recorder(kB).received;
+  sim_.run();
+  const std::vector<Message>& received = received_at_b();
+  ASSERT_EQ(received.size(), sizes.size());
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     EXPECT_EQ(received[i].from, kA);
     EXPECT_EQ(received[i].channel, "t.payload");
@@ -164,44 +83,40 @@ TEST_P(TransportConformanceTest, FramingRoundTripsEverySizeClassInOrder) {
               patterned_payload(sizes[i], static_cast<std::uint8_t>(i)))
         << "payload size " << sizes[i] << " corrupted in transit";
   }
-  // Byte accounting uses wire_size() on every backend, so totals are
-  // cross-backend comparable.
-  EXPECT_EQ(world->at(kA).stats().bytes_sent, expected_bytes);
-  EXPECT_EQ(world->at(kA).stats().messages_sent, sizes.size());
-  EXPECT_EQ(world->at(kB).stats().messages_delivered, sizes.size());
+  // Byte accounting uses wire_size(), the length of the lockstep plane's
+  // framed message body (net/frame.h).
+  EXPECT_EQ(transport().stats().bytes_sent, expected_bytes);
+  EXPECT_EQ(transport().stats().messages_sent, sizes.size());
+  EXPECT_EQ(transport().stats().messages_delivered, sizes.size());
 }
 
-TEST_P(TransportConformanceTest, PerPairFifoHoldsAcrossChannels) {
-  const auto world = make_world(GetParam());
+TEST_F(TransportConformanceTest, PerPairFifoHoldsAcrossChannels) {
   constexpr std::size_t kCount = 64;
   for (std::size_t i = 0; i < kCount; ++i) {
-    world->at(kA).send(Message{
+    transport().send(Message{
         .from = kA,
         .to = kB,
         .channel = i % 2 == 0 ? "t.even" : "t.odd",
         .payload = {static_cast<std::uint8_t>(i)}});
   }
-  ASSERT_TRUE(world->pump_until(
-      [&] { return world->recorder(kB).received.size() == kCount; }));
+  sim_.run();
+  ASSERT_EQ(received_at_b().size(), kCount);
   for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(world->recorder(kB).received[i].payload[0],
-              static_cast<std::uint8_t>(i))
+    EXPECT_EQ(received_at_b()[i].payload[0], static_cast<std::uint8_t>(i))
         << "messages reordered within the A->B pair";
   }
 }
 
-TEST_P(TransportConformanceTest, SendWithoutLinkThrowsLogicError) {
-  const auto world = make_world(GetParam());
-  EXPECT_THROW(world->at(kA).send(Message{.from = kA,
-                                          .to = 99,
-                                          .channel = "t.void",
-                                          .payload = {1}}),
+TEST_F(TransportConformanceTest, SendWithoutLinkThrowsLogicError) {
+  EXPECT_THROW(transport().send(Message{.from = kA,
+                                        .to = 99,
+                                        .channel = "t.void",
+                                        .payload = {1}}),
                std::logic_error);
 }
 
-TEST_P(TransportConformanceTest, InterceptorDropAndDelaySemantics) {
-  const auto world = make_world(GetParam());
-  world->at(kA).set_interceptor(
+TEST_F(TransportConformanceTest, InterceptorDropAndDelaySemantics) {
+  transport().set_interceptor(
       [](Transport& transport, const Message& message) {
         (void)transport;
         InterceptDecision decision;
@@ -209,55 +124,52 @@ TEST_P(TransportConformanceTest, InterceptorDropAndDelaySemantics) {
         if (message.channel == "t.delay") decision.extra_delay = 20'000;
         return decision;
       });
-  world->at(kA).send(
+  transport().send(
       Message{.from = kA, .to = kB, .channel = "t.drop", .payload = {1}});
-  world->at(kA).send(
+  transport().send(
       Message{.from = kA, .to = kB, .channel = "t.delay", .payload = {2}});
-  world->at(kA).send(
+  transport().send(
       Message{.from = kA, .to = kB, .channel = "t.plain", .payload = {3}});
-  ASSERT_TRUE(world->pump_until(
-      [&] { return world->recorder(kB).received.size() == 2; }));
-  world->at(kA).set_interceptor(nullptr);
+  sim_.run();
+  transport().set_interceptor(nullptr);
 
   // The dropped message was counted (sent AND dropped) and never arrived;
   // the delayed one arrived after the undelayed one.
-  EXPECT_EQ(world->at(kA).stats().messages_sent, 3u);
-  EXPECT_EQ(world->at(kA).stats().messages_dropped, 1u);
-  ASSERT_EQ(world->recorder(kB).received.size(), 2u);
-  EXPECT_EQ(world->recorder(kB).received[0].channel, "t.plain");
-  EXPECT_EQ(world->recorder(kB).received[1].channel, "t.delay");
+  EXPECT_EQ(transport().stats().messages_sent, 3u);
+  EXPECT_EQ(transport().stats().messages_dropped, 1u);
+  ASSERT_EQ(received_at_b().size(), 2u);
+  EXPECT_EQ(received_at_b()[0].channel, "t.plain");
+  EXPECT_EQ(received_at_b()[1].channel, "t.delay");
 }
 
-TEST_P(TransportConformanceTest, DisconnectSeversLinkAndFailsFurtherSends) {
-  const auto world = make_world(GetParam());
-  world->at(kA).send(
+TEST_F(TransportConformanceTest, DisconnectSeversLinkAndFailsFurtherSends) {
+  transport().send(
       Message{.from = kA, .to = kB, .channel = "t.pre", .payload = {1}});
-  ASSERT_TRUE(world->pump_until(
-      [&] { return world->recorder(kB).received.size() == 1; }));
+  sim_.run();
+  ASSERT_EQ(received_at_b().size(), 1u);
 
-  world->disconnect_pair();
-  EXPECT_FALSE(world->at(kA).connected(kA, kB));
-  EXPECT_FALSE(world->at(kB).connected(kA, kB));
-  EXPECT_THROW(world->at(kA).send(Message{.from = kA,
-                                          .to = kB,
-                                          .channel = "t.post",
-                                          .payload = {2}}),
+  sim_.disconnect(kA, kB);
+  EXPECT_FALSE(transport().connected(kA, kB));
+  EXPECT_FALSE(transport().connected(kB, kA));
+  EXPECT_THROW(transport().send(Message{.from = kA,
+                                        .to = kB,
+                                        .channel = "t.post",
+                                        .payload = {2}}),
                std::logic_error);
 }
 
-TEST_P(TransportConformanceTest, TraceRecordsDeliveriesInOrder) {
-  const auto world = make_world(GetParam());
+TEST_F(TransportConformanceTest, TraceRecordsDeliveriesInOrder) {
   MessageTrace trace;
-  world->at(kB).set_trace(&trace);
+  sim_.set_trace(&trace);
   for (std::uint8_t i = 0; i < 3; ++i) {
-    world->at(kA).send(Message{.from = kA,
-                               .to = kB,
-                               .channel = "t.trace",
-                               .payload = {i}});
+    transport().send(Message{.from = kA,
+                             .to = kB,
+                             .channel = "t.trace",
+                             .payload = {i}});
   }
-  ASSERT_TRUE(world->pump_until(
-      [&] { return world->recorder(kB).received.size() == 3; }));
-  world->at(kB).set_trace(nullptr);
+  sim_.run();
+  sim_.set_trace(nullptr);
+  ASSERT_EQ(received_at_b().size(), 3u);
 
   ASSERT_EQ(trace.entries.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -270,12 +182,6 @@ TEST_P(TransportConformanceTest, TraceRecordsDeliveriesInOrder) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, TransportConformanceTest,
-                         ::testing::Values("sim", "socket"),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
 
 }  // namespace
 }  // namespace pvr::net

@@ -3,7 +3,7 @@
 // (b) replay through scenario::replay_trace to a byte-identical report
 // fingerprint at EVERY engine worker count, and (c) survive a full
 // serialize → deserialize round trip of the trace. This is the bridge that
-// makes the wall-clock socket backend auditable: any backend that can
+// makes the multiprocess deployment auditable: any backend that can
 // produce a MessageTrace can be re-verified deterministically.
 #include <gtest/gtest.h>
 
