@@ -2,9 +2,10 @@
 //
 // A Byzantine prover shows different commitment bundles to different
 // neighbors. Each bundle is locally self-consistent, so no single verifier
-// can tell — but the neighbors gossip the signed bundles (§3.2), the
-// conflict surfaces, and the resulting Evidence object convinces a
-// third-party auditor using nothing but the prover's own signatures.
+// can tell — but the neighbors gossip the prover's signed window roots
+// (§3.2), the conflict surfaces, and the resulting Evidence object
+// convinces a third-party auditor using nothing but the prover's own
+// signatures.
 // The example then shows the Accuracy half: the same accusation against an
 // honest prover fails validation.
 #include <cstdio>

@@ -13,9 +13,10 @@
 //     "pvr.bundle.agg" channel): leaves are the prover's per-prefix
 //     *signed* bundle envelopes, so all per-round evidence keeps working
 //     unchanged, while verifiers gossip only the small signed root
-//     ("pvr.gossip.root") instead of every full bundle. Two signed roots
-//     for the same (prover, epoch, batch) window are third-party-provable
-//     equivocation (check_root_equivocation).
+//     ("pvr.gossip.root"), never a bundle. Two signed roots for the same
+//     (prover, epoch, batch) window, or two whose signed prefix lists
+//     share a round, are third-party-provable equivocation
+//     (check_root_equivocation) — the only proof path verifiers need.
 //
 // Wire formats are specified in DESIGN.md §"Engine".
 #pragma once

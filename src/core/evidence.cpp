@@ -119,8 +119,8 @@ bool Auditor::validate(const Evidence& evidence) const {
       const SignedMessage* first = verified(0, evidence.accused);
       const SignedMessage* second = verified(1, evidence.accused);
       if (first == nullptr || second == nullptr) return false;
-      // Two signed CommitmentBundles for one round (the pair an escalated
-      // round spreads).
+      // Two signed CommitmentBundles for one round (a prover that handed
+      // one verifier both).
       const auto a = try_decode<CommitmentBundle>(*first);
       const auto b = try_decode<CommitmentBundle>(*second);
       if (a && b) {

@@ -28,22 +28,6 @@ ProtocolId ProtocolId::decode(crypto::ByteReader& reader) {
   return id;
 }
 
-std::size_t ProtocolIdHash::operator()(const ProtocolId& id) const noexcept {
-  // splitmix64 over the packed fields: cheap, well-distributed, and stable
-  // across runs (no per-process seeding), which keeps shard assignment
-  // reproducible.
-  const auto mix = [](std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  };
-  std::uint64_t h = mix(static_cast<std::uint64_t>(id.prover) << 32 |
-                        id.prefix.address());
-  h = mix(h ^ (static_cast<std::uint64_t>(id.prefix.length()) << 56 | id.epoch));
-  return static_cast<std::size_t>(h);
-}
-
 // ---- Wire payloads ----
 
 std::vector<std::uint8_t> InputAnnouncement::encode() const {

@@ -57,12 +57,6 @@ struct ProtocolId {
   [[nodiscard]] static ProtocolId decode(crypto::ByteReader& reader);
 };
 
-// Hash for unordered containers keyed by ProtocolId (and the engine's
-// shard assignment, which hashes the (prover, prefix) projection).
-struct ProtocolIdHash {
-  [[nodiscard]] std::size_t operator()(const ProtocolId& id) const noexcept;
-};
-
 // ---- Wire payloads (each travels inside a SignedMessage) ----
 
 struct InputAnnouncement {
@@ -189,8 +183,8 @@ struct ProverResult {
     const SignedMessage& signed_bundle, const SignedMessage* recipient_reveal,
     const SignedMessage* export_statement);
 
-// Gossip-side check: two signed bundles for the same round with different
-// contents prove equivocation.
+// Two signed bundles for the same round with different contents prove
+// equivocation.
 [[nodiscard]] std::optional<Evidence> check_equivocation(
     const VerifyContext& ctx, bgp::AsNumber reporter,
     const SignedMessage& first, const SignedMessage& second);

@@ -48,8 +48,8 @@ struct UnwrappedGossip {
 
 // Appends `envelope` to `store` unless an identical payload is already
 // present. Returns true when the envelope is new.
-[[nodiscard]] bool remember_distinct(std::vector<SignedMessage>& store,
-                                     const SignedMessage& envelope) {
+bool remember_distinct(std::vector<SignedMessage>& store,
+                       const SignedMessage& envelope) {
   const bool is_new =
       std::none_of(store.begin(), store.end(), [&](const SignedMessage& seen) {
         return seen.payload == envelope.payload;
@@ -70,16 +70,8 @@ PvrNode::PvrNode(PvrConfig config)
 
 PvrNode::RoundState& PvrNode::round_state(const ProtocolId& id) {
   const auto [it, inserted] = rounds_.try_emplace(id);
-  if (inserted) {
-    round_index_.emplace(id, &it->second);
-    peak_open_rounds_ = std::max(peak_open_rounds_, rounds_.size());
-  }
+  if (inserted) peak_open_rounds_ = std::max(peak_open_rounds_, rounds_.size());
   return it->second;
-}
-
-PvrNode::RoundState* PvrNode::find_round(const ProtocolId& id) {
-  const auto it = round_index_.find(id);
-  return it == round_index_.end() ? nullptr : it->second;
 }
 
 void PvrNode::send(net::Transport& sim, bgp::AsNumber to, const char* channel,
@@ -276,49 +268,6 @@ void PvrNode::run_prover_batch(net::Transport& sim, std::uint64_t epoch,
   if (on_window_closed_) on_window_closed_(epoch, prefixes);
 }
 
-void PvrNode::observe_bundle(net::Transport& sim, const SignedMessage& bundle,
-                             bgp::AsNumber origin, std::uint8_t hops) {
-  CommitmentBundle decoded;
-  try {
-    decoded = CommitmentBundle::decode(bundle.payload);
-  } catch (const std::out_of_range&) {
-    return;  // malformed; the round verifier will flag it if it was for us
-  }
-  // Only this neighborhood's prover's rounds concern us; storing or
-  // relaying foreign-prover bundles would let any peer grow round state
-  // and multiply mesh traffic without bound.
-  if (decoded.id.prover != config_.prover) return;
-  if (const RoundState* existing = find_round(decoded.id)) {
-    const auto& seen = existing->observed_bundles;
-    if (std::any_of(seen.begin(), seen.end(), [&](const SignedMessage& s) {
-          return s.payload == bundle.payload;
-        })) {
-      return;
-    }
-  }
-  // A forged bundle (claimed signer, garbage signature) must never claim
-  // the first-seen slot — that would unaccountably poison verification of
-  // the honest bundle arriving later — nor be relayed onward.
-  if (!config_.verify_context().verify(bundle)) return;
-  RoundState& round = round_state(decoded.id);
-  round.observed_bundles.push_back(bundle);
-  if (!round.bundle.has_value()) round.bundle = bundle;
-  // A round that already witnessed a root conflict but had no bundles to
-  // spread can escalate now that one exists.
-  escalate_round(sim, origin, round);
-  // Gossip the (signed) bundle to the other verifiers so everyone converges
-  // on the same view (§3.2: "A's neighbors can gossip about c") — but never
-  // back to whoever just sent it to us, and only within the hop budget.
-  if (hops >= config_.gossip_hop_budget) return;
-  for (const bgp::AsNumber peer : gossip_peers()) {
-    if (peer == origin) continue;
-    if (sim.connected(config_.asn, peer)) {
-      send(sim, peer, kGossipChannel,
-           wrap_hops(static_cast<std::uint8_t>(hops + 1), bundle.encode()));
-    }
-  }
-}
-
 void PvrNode::observe_root(net::Transport& sim, const SignedMessage& signed_root,
                            bgp::AsNumber origin, std::uint8_t hops) {
   AggregatedBundle root;
@@ -335,11 +284,11 @@ void PvrNode::observe_root(net::Transport& sim, const SignedMessage& signed_root
   // mesh of V verifiers delivers each root O(V) times). The first copy of
   // a payload still has to prove itself — a forged root (claimed signer,
   // garbage signature) is dropped before it can enter the dedup set,
-  // pollute round state, trigger escalation, or get relayed onward. The
-  // lookup must not create the per-epoch map entry either: seen_roots_ is
-  // pruned only by gc_epoch_roots, which retires the epochs of settled
-  // rounds, so an entry for an attacker-chosen epoch would grow memory on
-  // unverified traffic and never be retired.
+  // pollute round state, or get relayed onward. The lookup must not create
+  // the per-epoch map entry either: seen_roots_ is pruned only by
+  // gc_epoch_roots, which retires the epochs of settled rounds, so an entry
+  // for an attacker-chosen epoch would grow memory on unverified traffic
+  // and never be retired.
   const RootKey key{root.prover, root.epoch};
   const crypto::Digest digest = crypto::sha256(std::span(signed_root.payload));
   const auto seen_it = seen_roots_.find(key);
@@ -353,7 +302,7 @@ void PvrNode::observe_root(net::Transport& sim, const SignedMessage& signed_root
     peak_seen_root_digests_ =
         std::max(peak_seen_root_digests_, seen_root_digests_);
   }
-  attach_root(sim, signed_root, root, origin);
+  attach_root(signed_root, root);
   if (hops < config_.gossip_hop_budget) {
     for (const bgp::AsNumber peer : gossip_peers()) {
       if (peer == origin) continue;
@@ -366,8 +315,8 @@ void PvrNode::observe_root(net::Transport& sim, const SignedMessage& signed_root
   }
 }
 
-void PvrNode::attach_root(net::Transport& sim, const SignedMessage& signed_root,
-                          const AggregatedBundle& root, bgp::AsNumber origin) {
+void PvrNode::attach_root(const SignedMessage& signed_root,
+                          const AggregatedBundle& root) {
   // Attach to the round of every prefix this window claims. The signed
   // prefix list names those rounds exactly, so each is one map lookup —
   // with thousands of simultaneously open rounds per node this must never
@@ -380,27 +329,7 @@ void PvrNode::attach_root(net::Transport& sim, const SignedMessage& signed_root,
   for (const bgp::Ipv4Prefix& prefix : root.prefixes) {
     const ProtocolId id{
         .prover = root.prover, .prefix = prefix, .epoch = root.epoch};
-    RoundState& round = round_state(id);
-    if (remember_distinct(round.observed_roots, signed_root)) {
-      escalate_round(sim, origin, round);
-    }
-  }
-}
-
-void PvrNode::escalate_round(net::Transport& sim, bgp::AsNumber origin,
-                             RoundState& round) {
-  if (round.escalated || round.observed_roots.size() < 2 ||
-      round.observed_bundles.empty()) {
-    return;
-  }
-  round.escalated = true;
-  for (const SignedMessage& bundle : round.observed_bundles) {
-    for (const bgp::AsNumber peer : gossip_peers()) {
-      if (peer == origin) continue;
-      if (sim.connected(config_.asn, peer)) {
-        send(sim, peer, kGossipChannel, wrap_hops(0, bundle.encode()));
-      }
-    }
+    remember_distinct(round_state(id).observed_roots, signed_root);
   }
 }
 
@@ -433,11 +362,6 @@ void PvrNode::open_aggregated(net::Transport& sim,
         !round.bundle.has_value()) {
       round.bundle = opening.bundle;
     }
-    // Roots gossiped before this message arrived were already attached on
-    // arrival (attach_root creates round state), and observe_root below
-    // escalates only on a NEW root — so if the conflict was already known,
-    // the round just opened still needs its bundles spread.
-    escalate_round(sim, origin, round);
   }
   observe_root(sim, message.signed_root, origin, 0);
 }
@@ -461,21 +385,6 @@ void PvrNode::on_message(net::Transport& sim, const net::Message& message) {
       if (announcement.id.prover != config_.asn) return;
       collected_inputs_[announcement.id][message.from] = envelope;
     } catch (const std::out_of_range&) {
-    }
-    return;
-  }
-
-  if (message.channel == kBundleChannel) {
-    try {
-      observe_bundle(sim, SignedMessage::decode(message.payload), message.from,
-                     0);
-    } catch (const std::out_of_range&) {
-    }
-    return;
-  }
-  if (message.channel == kGossipChannel) {
-    if (const auto gossip = unwrap_hops(message.payload)) {
-      observe_bundle(sim, gossip->envelope, message.from, gossip->hops);
     }
     return;
   }
@@ -565,7 +474,7 @@ RoundFindings PvrNode::run_round_check(const PvrConfig& config,
   RoundFindings findings;
 
   if (part.kind == RoundCheckPart::Kind::kBundlePair) {
-    // Equivocation check over one pair of gossip-delivered bundles.
+    // Equivocation check over one pair of bundles the prover sent us.
     findings.signatures_verified += 2;
     if (auto conflict = check_equivocation(config.verify_context(), config.asn,
                                            round.observed_bundles[part.i],
@@ -701,15 +610,8 @@ bool PvrNode::gc_finalized(const ProtocolId& id) {
   collected_inputs_.erase(id);
   const auto it = rounds_.find(id);
   if (it == rounds_.end()) return false;
-  const RoundState& round = it->second;
-  // Retention: unfinalized rounds still owe their checks, and a witnessed
-  // root conflict that has not yet escalated keeps its proof material — a
-  // bundle arriving later must still find the conflicting roots so the
-  // full-bundle spread can go out. Both states are transient in practice
-  // (conflicted rounds escalate as soon as they hold any bundle).
-  if (!round.finalized) return false;
-  if (round.observed_roots.size() >= 2 && !round.escalated) return false;
-  round_index_.erase(id);
+  // Retention: unfinalized rounds still owe their checks.
+  if (!it->second.finalized) return false;
   rounds_.erase(it);
   PVR_OBS_COUNT(node_rounds_gced, 1);
   return true;

@@ -12,8 +12,8 @@
 //      ONE Merkle-aggregated bundle message per neighbor (pvr.bundle.agg:
 //      the signed root plus per-prefix openings) plus reveals / export,
 //   3. verifiers gossip the small signed roots among themselves
-//      ("pvr.gossip.root") instead of full bundles; two signed roots for
-//      one window are provable equivocation,
+//      ("pvr.gossip.root"); two signed roots that claim one round are
+//      provable equivocation,
 //   4. after the simulator quiesces, the rounds are finalized — by default
 //      through engine::VerificationEngine (see finalize_world_round), with
 //      sequential finalize_round() as the fallback path.
@@ -31,7 +31,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -43,12 +42,10 @@
 namespace pvr::core {
 
 inline constexpr const char* kInputChannel = "pvr.input";
-inline constexpr const char* kBundleChannel = "pvr.bundle";
 inline constexpr const char* kBundleAggChannel = "pvr.bundle.agg";
 inline constexpr const char* kRevealProviderChannel = "pvr.reveal.n";
 inline constexpr const char* kRevealRecipientChannel = "pvr.reveal.b";
 inline constexpr const char* kExportChannel = "pvr.export";
-inline constexpr const char* kGossipChannel = "pvr.gossip";
 inline constexpr const char* kGossipRootChannel = "pvr.gossip.root";
 
 enum class PvrRole : std::uint8_t { kProver, kProvider, kRecipient };
@@ -82,7 +79,7 @@ struct PvrConfig {
   net::SimTime batch_deadline = 0;
   ProverMisbehavior misbehavior;            // prover only
   std::uint64_t rng_seed = 1;
-  // Max times a gossiped bundle/root is relayed peer-to-peer. Bounds the
+  // Max times a gossiped signed root is relayed peer-to-peer. Bounds the
   // flood; must be >= the verifier mesh diameter for full convergence.
   std::uint8_t gossip_hop_budget = 8;
 };
@@ -171,12 +168,8 @@ class PvrNode : public net::Node {
   // Online-mode GC: releases the per-round state of a round the CALLER
   // knows is settled (no message referencing it can still arrive — the
   // scenario runner waits out a conservative propagation horizon after the
-  // window closes). Retention rules — nothing is pruned when the round
-  //   - was never finalized (its checks still need the state), or
-  //   - still carries an unescalated root conflict with bundles to spread
-  //     (a witnessed conflict whose proof material must survive until the
-  //     escalation gossip has gone out).
-  // Prunes the RoundState, the round's slot in the root index, and (on the
+  // window closes). A round that was never finalized is retained (its
+  // checks still need the state). Prunes the RoundState and (on the
   // prover) the collected inputs. Deliverables — evidence_, accepted_ —
   // and the tiny re-commit / root-dedup guards are never touched, so a
   // duplicate or replayed message arriving for a pruned round is still
@@ -246,14 +239,12 @@ class PvrNode : public net::Node {
     std::optional<SignedMessage> recipient_reveal;
     std::optional<SignedMessage> export_statement;
     std::optional<InputAnnouncement> own_input;      // what we provided
-    // All distinct signed bundles observed (directly or via gossip).
+    // All distinct signed bundles the prover sent us (two prove
+    // equivocation).
     std::vector<SignedMessage> observed_bundles;
     // Aggregated wire mode: every distinct signed root observed whose
     // window claims this round's prefix. Two entries prove equivocation.
     std::vector<SignedMessage> observed_roots;
-    // Whether this round's bundles were already re-gossiped in full after
-    // a root conflict surfaced (see escalate_round).
-    bool escalated = false;
     bool finalized = false;
   };
 
@@ -285,11 +276,6 @@ class PvrNode : public net::Node {
 
   void send(net::Transport& sim, bgp::AsNumber to, const char* channel,
             std::vector<std::uint8_t> payload);
-  // Records a signed per-prefix bundle received on pvr.bundle or
-  // pvr.gossip and relays it on pvr.gossip (skipping `origin`) while `hops`
-  // is under the budget.
-  void observe_bundle(net::Transport& sim, const SignedMessage& bundle,
-                      bgp::AsNumber origin, std::uint8_t hops);
   // Records a signed aggregation root and relays it on pvr.gossip.root.
   void observe_root(net::Transport& sim, const SignedMessage& signed_root,
                     bgp::AsNumber origin, std::uint8_t hops);
@@ -300,21 +286,8 @@ class PvrNode : public net::Node {
   // claims, creating round state as needed (the claimed rounds are exactly
   // the rounds this neighborhood's prover ran, so creation is bounded by
   // the prover's own signing rate and GC'd like any other round state).
-  void attach_root(net::Transport& sim, const SignedMessage& signed_root,
-                   const AggregatedBundle& root, bgp::AsNumber origin);
-  // Root gossip carries no bundle contents, so once a round has TWO
-  // distinct signed roots claiming it (same window signed twice, or the
-  // batch-split evasion where each victim group gets its own window), this
-  // node falls back to gossiping its full signed bundles for that round —
-  // every verifier then obtains the conflicting per-round bundles and the
-  // per-round equivocation check regains its legacy power. Honest rounds
-  // have exactly one covering root and never escalate. Escalation is
-  // checked per TOUCHED round (the rounds the triggering root or bundle
-  // just attached to), never by scanning every open round — with thousands
-  // of simultaneously open rounds per node the scan would be O(n) per
-  // gossiped root.
-  void escalate_round(net::Transport& sim, bgp::AsNumber origin,
-                      RoundState& round);
+  void attach_root(const SignedMessage& signed_root,
+                   const AggregatedBundle& root);
   void run_prover_batch(net::Transport& sim, std::uint64_t epoch,
                         const std::vector<bgp::Ipv4Prefix>& prefixes);
   [[nodiscard]] std::vector<bgp::AsNumber> gossip_peers() const;
@@ -330,23 +303,15 @@ class PvrNode : public net::Node {
   void schedule_window_fire(net::Transport& sim, std::uint64_t epoch,
                             std::shared_ptr<CollectionWindow> window);
 
-  // All round-state creation funnels through here so the hash index stays
-  // in sync with rounds_ (map nodes are pointer-stable).
+  // All round-state creation funnels through here so peak_open_rounds_
+  // tracks every insertion.
   [[nodiscard]] RoundState& round_state(const ProtocolId& id);
-  // O(1) lookup of an OPEN round; nullptr when the round does not exist
-  // (never creates state — the root-attachment hot path must not).
-  [[nodiscard]] RoundState* find_round(const ProtocolId& id);
 
   PvrConfig config_;
   crypto::Drbg rng_;
   // All per-round state, keyed by the full round identity. An ordered map
-  // keeps deterministic iteration for replay; map nodes are pointer-stable
-  // so round_index_ below can hold raw pointers into it.
+  // keeps deterministic iteration for replay.
   std::map<ProtocolId, RoundState> rounds_;
-  // Hash index over rounds_: root attachment resolves each prefix a window
-  // claims with one O(1) lookup instead of scanning every open round (the
-  // pre-index linear scan was O(open rounds) per gossiped root).
-  std::unordered_map<ProtocolId, RoundState*, ProtocolIdHash> round_index_;
   // Prover-side: inputs collected per round.
   std::map<ProtocolId, std::map<bgp::AsNumber, std::optional<SignedMessage>>>
       collected_inputs_;

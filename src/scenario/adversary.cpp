@@ -12,13 +12,6 @@ namespace pvr::scenario {
 
 namespace {
 
-// Matches kGossipChannel and everything under it (kGossipRootChannel) by
-// prefix, so a channel rename in pvr_speaker.h breaks this at the source
-// instead of silently turning the wire chaos into a no-op.
-[[nodiscard]] bool is_gossip_channel(const std::string& channel) {
-  return channel.rfind(core::kGossipChannel, 0) == 0;
-}
-
 // Replayed copies of a captured root are re-injected at
 // kReplayStepUs * (1 + i) after the capture (i-th replay of that message),
 // so a strategy replaying up to R copies per message has a replay lag of
@@ -56,7 +49,7 @@ struct WireChaosState {
     std::shared_ptr<WireChaosState> state) {
   return [state](net::Transport& sim,
                  const net::Message& message) -> net::InterceptDecision {
-    if (!is_gossip_channel(message.channel)) return {};
+    if (message.channel != core::kGossipRootChannel) return {};
     if (state->muted.contains(message.from)) return {.drop = true};
     const auto pair = message.from < message.to
                           ? std::pair{message.from, message.to}
@@ -65,9 +58,7 @@ struct WireChaosState {
         state->rng.coin(state->drop_fraction)) {
       return {.drop = true};
     }
-    if (state->replay_budget > 0 &&
-        message.channel == core::kGossipRootChannel &&
-        message.payload.size() > 1) {
+    if (state->replay_budget > 0 && message.payload.size() > 1) {
       std::vector<std::uint8_t> envelope(message.payload.begin() + 1,
                                          message.payload.end());
       if (state->captured.insert(std::move(envelope)).second) {

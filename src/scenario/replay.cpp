@@ -16,9 +16,9 @@ namespace {
 // node-less Simulator), with the send side sunk. Every message a replayed
 // node emits was already recorded as a delivery in the trace, so re-sending
 // would double-deliver; connected() == false and empty neighbors_of()
-// additionally keep the gossip relays and escalation fan-outs quiet (their
-// local state transitions — escalation flags, dedup — still happen exactly
-// as in the recorded run, where the sends DID go out and were recorded).
+// additionally keep the root-gossip relays quiet (their local state
+// transitions — root dedup, attachment — still happen exactly as in the
+// recorded run, where the sends DID go out and were recorded).
 class ReplayTransport final : public net::Transport {
  public:
   explicit ReplayTransport(net::Simulator& clock) noexcept : clock_(&clock) {}

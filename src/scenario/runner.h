@@ -68,8 +68,8 @@ struct ScenarioSpec {
   // World-level verified-signature cache (core::VerifyContext with
   // cache_verdicts = true, shared by every node and engine worker): a
   // (signing input, signature) pair already verified anywhere in the world
-  // skips the RSA exponentiation on re-verification — gossip re-delivers
-  // the same signed bundles to many verifiers. Verdicts, and therefore the
+  // skips the RSA exponentiation on re-verification — the same signed
+  // roots reach every verifier of a hood. Verdicts, and therefore the
   // report fingerprint and evidence_digest, are byte-identical with the
   // cache off (the parity test's matrix); only wall time and the kSched
   // exponentiation counters change.
@@ -126,8 +126,8 @@ struct ScenarioReport {
   net::SimTime settle_horizon_us = 0;
   // Wire accounting (per channel group).
   std::uint64_t bytes_input = 0;
-  std::uint64_t bytes_bundle = 0;        // pvr.bundle + pvr.bundle.agg
-  std::uint64_t bytes_gossip = 0;        // pvr.gossip + pvr.gossip.root
+  std::uint64_t bytes_bundle = 0;        // pvr.bundle.agg
+  std::uint64_t bytes_gossip = 0;        // pvr.gossip.root
   std::uint64_t bytes_reveal_export = 0;
   std::uint64_t bytes_total = 0;         // all pvr.* channels
   std::uint64_t gossip_messages = 0;

@@ -93,22 +93,20 @@ bgp::Route provider_route(const bgp::Ipv4Prefix& prefix,
 // Conservative bound on how long after its window closes a round can still
 // be referenced by an in-flight message. After the prover's fan-out (one
 // hop), the signed root floods the verifier mesh (the hop budget bounds
-// each chain), the adversary may re-inject one captured copy after its
-// replay lag (which floods again from a reset hop count), and every root
-// arrival can trigger at most one escalation per verifier, each spreading
-// bundles for another budget-bounded chain. Every hop costs at most the
-// runner's latency ceiling plus the adversary's per-message delay bound.
-// Soundness is enforced empirically: an understated horizon snapshots a
-// round before its last message and breaks the online==offline fingerprint
-// parity the tests and bench gate on.
+// each chain), and the adversary may re-inject one captured copy after its
+// replay lag, which floods again from a reset hop count: two cascades.
+// Every hop costs at most the runner's latency ceiling plus the
+// adversary's per-message delay bound. Soundness is enforced empirically:
+// an understated horizon snapshots a round before its last message and
+// breaks the online==offline fingerprint parity the tests and bench gate
+// on.
 net::SimTime settle_horizon_for(const ScenarioSpec& spec,
-                                const AdversaryStrategy& adversary,
-                                std::size_t max_verifiers) {
+                                const AdversaryStrategy& adversary) {
   const net::SimTime per_hop = kMaxScenarioLatency + adversary.max_extra_delay();
   const net::SimTime chain =
       static_cast<net::SimTime>(spec.gossip_hop_budget) + 1;
-  const net::SimTime cascades = static_cast<net::SimTime>(max_verifiers) + 2;
-  return per_hop * (chain * cascades + 1) + adversary.max_replay_lag();
+  constexpr net::SimTime kCascades = 2;
+  return per_hop * (chain * kCascades + 1) + adversary.max_replay_lag();
 }
 
 [[nodiscard]] double now_ms() {
@@ -232,11 +230,10 @@ void assemble_report(const ScenarioSpec& spec, const WorldPlan& plan,
   }
   report.coalesced = report.windows_fired < report.rounds_started;
 
-  // Byte accounting. kBundleChannel is a prefix of kBundleAggChannel and
-  // kGossipChannel of kGossipRootChannel, so each group covers both.
+  // Byte accounting.
   report.bytes_input = stats.channel_group(core::kInputChannel).bytes_sent;
-  report.bytes_bundle = stats.channel_group(core::kBundleChannel).bytes_sent;
-  const net::ChannelStats gossip = stats.channel_group(core::kGossipChannel);
+  report.bytes_bundle = stats.channel_group(core::kBundleAggChannel).bytes_sent;
+  const net::ChannelStats gossip = stats.channel_group(core::kGossipRootChannel);
   report.bytes_gossip = gossip.bytes_sent;
   report.gossip_messages = gossip.messages_sent;
   report.bytes_reveal_export = stats.channel_group("pvr.reveal").bytes_sent +
@@ -384,12 +381,7 @@ void World::arm_online(net::Transport& transport) {
         "World::arm_online: online mode needs a nonzero drain_interval_us");
   }
   transport_ = &transport;
-  std::size_t most_verifiers = 0;
-  for (const Neighborhood& hood : plan_->hoods) {
-    most_verifiers = std::max(most_verifiers, hood.providers.size() + 1);
-  }
-  settle_horizon_ =
-      settle_horizon_for(*spec_, *plan_->adversary, most_verifiers);
+  settle_horizon_ = settle_horizon_for(*spec_, *plan_->adversary);
   for (const RoundArrival& arrival : plan_->arrivals) {
     epoch_rounds_left_[{arrival.neighborhood, arrival.epoch}] += 1;
   }

@@ -203,9 +203,8 @@ TEST(MultiPrefixTest, EquivocationAcrossTwoPrefixWindowIsProvable) {
 
 // An honest epoch with TWO aggregation windows (the second prefix started
 // after the first window closed) legitimately carries two different signed
-// roots; that must neither produce evidence nor trigger the full-bundle
-// escalation fallback.
-TEST(MultiPrefixTest, HonestTwoWindowEpochDoesNotEscalate) {
+// roots with disjoint prefix lists; that must not produce evidence.
+TEST(MultiPrefixTest, HonestTwoWindowEpochYieldsNoEvidence) {
   Figure1Handles handles = make_figure1_world({.seed = 29});
   Figure1World& world = *handles.world;
   const bgp::Ipv4Prefix prefix_b = bgp::Ipv4Prefix::parse("198.51.100.0/24");
@@ -243,18 +242,14 @@ TEST(MultiPrefixTest, HonestTwoWindowEpochDoesNotEscalate) {
   }
   EXPECT_TRUE(world.node(world.recipient).accepted_route(id_a).has_value());
   EXPECT_TRUE(world.node(world.recipient).accepted_route(id_b).has_value());
-  // No full-bundle gossip happened: the escalation fallback stayed cold.
-  // (Exact channel name — "pvr.gossip.root" is a different channel.)
-  const auto it = world.sim.stats().per_channel.find(kGossipChannel);
-  EXPECT_TRUE(it == world.sim.stats().per_channel.end() ||
-              it->second.messages_sent == 0);
 }
 
 // A prover that equivocates by splitting its victims across DIFFERENT
-// batch numbers never signs two roots for one window, so the root-level
-// conflict check alone cannot fire. The node must escalate to full-bundle
-// gossip once two distinct roots exist for the epoch, restoring per-round
-// provable equivocation for every verifier.
+// batch numbers never signs two roots for one window. Both signed prefix
+// lists still claim the round, so once root gossip hands every verifier
+// both roots, each holds provable per-round equivocation evidence from the
+// two signed roots alone — even the verifiers that only ever received one
+// of the bundles.
 TEST(MultiPrefixTest, BatchSplitEquivocationEscalatesToProvableEvidence) {
   Figure1Handles handles =
       make_figure1_world({.seed = 27, .provider_count = 4});
@@ -312,28 +307,35 @@ TEST(MultiPrefixTest, BatchSplitEquivocationEscalatesToProvableEvidence) {
   }
 }
 
-// A forged bundle (claimed prover signer, garbage signature) injected
-// before the real one must neither claim the first-seen bundle slot nor
-// produce evidence: the honest round's route is still accepted.
+// A forged aggregation message (claimed prover signer, garbage root and
+// bundle signatures) injected before the real one must neither claim the
+// first-seen bundle slot nor produce evidence: the honest round's route is
+// still accepted.
 TEST(MultiPrefixTest, ForgedBundleCannotPoisonHonestRound) {
   Figure1Handles handles = make_figure1_world({.seed = 31});
   Figure1World& world = *handles.world;
   const ProtocolId id = handles.round_id(1);
+  const auto& prover_key = handles.keys->private_keys.at(world.prover).priv;
 
-  CommitmentBundle forged_bundle;
-  forged_bundle.id = id;
-  forged_bundle.op = OperatorKind::kMinimum;
-  forged_bundle.max_len = 16;
-  SignedMessage forged{.signer = world.prover,
-                       .payload = forged_bundle.encode(),
-                       .signature = {0xde, 0xad, 0xbe, 0xef}};
+  // A well-formed bundle for the round, wrapped in a well-formed window,
+  // with both signatures replaced by garbage.
+  const std::map<bgp::AsNumber, std::optional<SignedMessage>> no_inputs;
+  crypto::Drbg rng(74, "forged-agg");
+  SignedMessage forged = run_prover(id, OperatorKind::kMinimum, no_inputs, 16,
+                                    prover_key, rng, {})
+                             .signed_bundle;
+  forged.signature = {0xde, 0xad, 0xbe, 0xef};
+  const std::vector<SignedMessage> forged_bundles = {forged};
+  AggregatedBundleMessage forged_agg = aggregate_signed_bundles(
+      world.prover, 1, /*batch=*/0, forged_bundles, prover_key);
+  forged_agg.signed_root.signature = {0xde, 0xad, 0xbe, 0xef};
 
-  world.sim.schedule(0, [&world, &handles, &forged] {
+  world.sim.schedule(0, [&world, &handles, &forged_agg] {
     // The forgery races ahead of the honest protocol flow.
-    world.sim.send(net::Message{.from = world.providers[0],
+    world.sim.send(net::Message{.from = world.prover,
                                 .to = world.recipient,
-                                .channel = kBundleChannel,
-                                .payload = forged.encode()});
+                                .channel = kBundleAggChannel,
+                                .payload = forged_agg.encode()});
     const std::vector<std::size_t> lengths = {4, 2, 6};
     for (std::size_t i = 0; i < world.providers.size(); ++i) {
       world.node(world.providers[i])

@@ -1,8 +1,8 @@
-// Regression coverage for indexed root attachment: a node with thousands
-// of simultaneously open rounds must attach a late-gossiped aggregation
-// root to exactly the rounds its signed window claims (one map lookup per
-// claimed prefix — the pre-index code scanned every open round per root),
-// and a round that did not exist when its roots arrived must still prove
+// Regression coverage for root attachment: a node with thousands of
+// simultaneously open rounds must attach a late-gossiped aggregation root
+// to exactly the rounds its signed window claims (one ordered-map lookup
+// per claimed prefix, never a scan of every open round per root), and a
+// round that did not exist when its roots arrived must still prove
 // the conflict at finalize (attach_root creates the round state on
 // arrival; the old finalize-time decode scan over every seen root is
 // gone — it was O(windows) per round, unusable on long online traces).

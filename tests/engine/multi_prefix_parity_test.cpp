@@ -153,17 +153,19 @@ TEST(MultiPrefixParityTest, SplitChecksFoldToSequentialFindings) {
   }
 }
 
-// Chunked pair enumeration: a round with a huge observed-bundle set has
-// O(pairs) equivocation checks; defer_finalize_checks must bound the task
-// count at ceil(pairs / 32) per kind while the fold stays byte-identical
-// to the sequential path.
+// Chunked pair enumeration: a round with huge observed-bundle and
+// observed-root sets has O(pairs) equivocation checks; defer_finalize_checks
+// must bound the task count at ceil(pairs / 32) per kind while the fold
+// stays byte-identical to the sequential path.
 TEST(MultiPrefixParityTest, ChunkedPairChecksBoundTasksAndFoldIdentically) {
-  constexpr std::size_t kVariants = 10;  // + the honest bundle = 11 -> 55 pairs
+  // + the honest window = 11 bundles and 11 roots -> 55 pairs of each.
+  constexpr std::size_t kVariants = 10;
   constexpr bgp::AsNumber kVerifier = 300;
 
-  // Crafts kVariants distinct prover-signed bundles for round `id` and
-  // injects them into the verifier as if an equivocating prover had sent
-  // them; identical seeds make the two worlds' states byte-identical.
+  // Crafts kVariants distinct prover-signed bundles for round `id`, each
+  // under its own signed window root, and injects them into the verifier
+  // on pvr.bundle.agg as if an equivocating prover had sent them; identical
+  // seeds make the two worlds' states byte-identical.
   const auto inject_variants = [](Figure1Handles& handles,
                                   const ProtocolId& id) {
     crypto::Drbg rng(99, "chunk-test-variants");
@@ -174,14 +176,16 @@ TEST(MultiPrefixParityTest, ChunkedPairChecksBoundTasksAndFoldIdentically) {
       for (std::size_t b = 0; b < 4; ++b) {
         bundle.bits.push_back(crypto::commit_bit(true, rng).first);
       }
-      const core::SignedMessage signed_bundle = core::sign_message(
-          id.prover, handles.keys->private_keys.at(id.prover).priv,
-          bundle.encode());
+      const auto& prover_key = handles.keys->private_keys.at(id.prover).priv;
+      const std::vector<core::SignedMessage> signed_bundles = {
+          core::sign_message(id.prover, prover_key, bundle.encode())};
+      const core::AggregatedBundleMessage agg = core::aggregate_signed_bundles(
+          id.prover, id.epoch, /*batch=*/0, signed_bundles, prover_key);
       node.on_message(handles.world->sim.transport(),
                       net::Message{.from = id.prover,
                                    .to = kVerifier,
-                                   .channel = core::kBundleChannel,
-                                   .payload = signed_bundle.encode()});
+                                   .channel = core::kBundleAggChannel,
+                                   .payload = agg.encode()});
     }
   };
   const auto make_world = [&] {
@@ -208,13 +212,13 @@ TEST(MultiPrefixParityTest, ChunkedPairChecksBoundTasksAndFoldIdentically) {
   sequential.world->node(kVerifier).finalize_round(id);
   ASSERT_FALSE(sequential.world->node(kVerifier).evidence().empty());
 
-  // 11 observed bundles -> 55 pairs: ceil(55/32) = 2 chunks + the role
-  // check.
+  // 11 observed bundles and 11 observed roots -> 55 pairs each:
+  // ceil(55/32) = 2 chunks per kind + the role check.
   core::PvrNode& node = chunked.world->node(kVerifier);
   std::optional<core::DeferredRoundChecks> checks =
       node.defer_finalize_checks(id);
   ASSERT_TRUE(checks.has_value());
-  EXPECT_EQ(checks->checks.size(), 3u);
+  EXPECT_EQ(checks->checks.size(), 5u);
   core::RoundFindings folded;
   for (auto& check : checks->checks) {
     core::fold_round_findings(folded, check());

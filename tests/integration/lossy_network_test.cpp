@@ -121,12 +121,12 @@ TEST(LossyNetworkTest, GossipStillCatchesEquivocationWithPartialMesh) {
       detectors += 1;
     }
   }
-  // The line topology relays both bundles to every verifier.
+  // The line topology relays both signed roots to every verifier.
   EXPECT_EQ(detectors, verifiers.size());
 }
 
 TEST(LossyNetworkTest, HonestRoundSurvivesDuplicateDelivery) {
-  // Gossip naturally causes each verifier to see the same bundle many
+  // Gossip naturally causes each verifier to see the same signed root many
   // times; duplicates must not trigger false equivocation findings.
   Figure1Handles handles = make_figure1_world({.seed = 33, .provider_count = 5});
   Figure1World& world = *handles.world;

@@ -51,9 +51,9 @@ namespace {
 //   run_scenario(golden_spec()).fingerprint()
 constexpr char kGoldenFingerprint[] =
     "obs_golden|equivocator|seed=21|ases=400|hoods=2|nodes=12|started=16|"
-    "windows=9|coalesced=1|attacked=8|detected=8|evidence=96|false=0|"
-    "audit_fail=0|in=12064|bundle=64435|gossip=204630|reveal=29640|"
-    "total=310769|gossip_msgs=490";
+    "windows=9|coalesced=1|attacked=8|detected=8|evidence=56|false=0|"
+    "audit_fail=0|in=12064|bundle=64435|gossip=47910|reveal=29640|"
+    "total=154049|gossip_msgs=250";
 
 TEST(ObsDeterminismTest, SimMetricsIdenticalAcrossWorkerCounts) {
   std::string fingerprint_at_1;

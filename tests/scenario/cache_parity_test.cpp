@@ -58,8 +58,8 @@ TEST(CacheParityTest, FingerprintAndEvidenceIdenticalCacheOnVsOff) {
           << "online=" << online << " workers=" << workers;
       EXPECT_EQ(on.verify_failures, 0u);
       if (obs::kCompiledIn) {
-        // Gossip re-delivers the same signed bundles to every verifier in
-        // the mesh, so the cache must actually fire...
+        // Every verifier in the mesh verifies the same signed roots, so
+        // the cache must actually fire...
         EXPECT_GT(on.world_cache_hits, 0u)
             << "online=" << online << " workers=" << workers;
         // ...and every hit is an exponentiation the cache-off run paid:

@@ -9,7 +9,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "scenario/adversary.h"
 #include "scenario/runner.h"
 
 namespace pvr::scenario {
@@ -39,7 +42,7 @@ namespace {
 // Drain intervals in collection-window units: every window (1), a drain
 // lagging several windows (7), and one so coarse most of the trace settles
 // between two drains (64). The fingerprint must not notice.
-class OnlineParityTest : public ::testing::TestWithParam<const char*> {};
+class OnlineParityTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(OnlineParityTest, FingerprintMatchesOfflineAtEveryDrainScheduleAndWorkerCount) {
   const std::string adversary = GetParam();
@@ -68,26 +71,27 @@ TEST_P(OnlineParityTest, FingerprintMatchesOfflineAtEveryDrainScheduleAndWorkerC
       EXPECT_EQ(online.false_evidence, 0u);
       EXPECT_TRUE(online.online);
       EXPECT_GE(online.drain_batches, 1u);
-      if (windows == 1 && adversary != "delay_replay") {
+      if (windows == 1) {
         // A per-window drain cadence must actually interleave with the
         // simulation, not degenerate into one big tail flush.
-        // delay_replay is exempt: its declared wire slack puts the settle
-        // horizon (~436 ms of sim time) beyond this trace's span, so a
-        // single tail flush is the CORRECT schedule there — what it
-        // contributes to this test is the horizon-stress parity check.
         EXPECT_GT(online.drain_batches, 2u) << adversary;
       }
     }
   }
 }
 
-// delay_replay is the settle-horizon stress: gossip delayed up to its
-// declared per-message bound and stale roots re-injected a replay lag
-// later. An understated horizon would snapshot rounds too early and break
-// parity exactly here.
+// Every registered strategy: the wire-chaos ones (dropped, muted, delayed
+// and replayed root gossip) are the settle-horizon stress. An understated
+// horizon would snapshot rounds before their last root arrived and break
+// parity exactly there.
 INSTANTIATE_TEST_SUITE_P(Adversaries, OnlineParityTest,
-                         ::testing::Values("equivocator", "batch_split",
-                                           "delay_replay", "honest"));
+                         ::testing::ValuesIn([] {
+                           std::vector<std::string> names;
+                           for (const std::string_view name : adversary_names()) {
+                             names.emplace_back(name);
+                           }
+                           return names;
+                         }()));
 
 TEST(OnlinePipelineTest, RejectsZeroDrainInterval) {
   ScenarioSpec spec = parity_spec("honest", 1);

@@ -81,11 +81,13 @@ TEST(PipelineStressTest, RandomDrainCadencesPreserveOrderUnderBurstyTraffic) {
 // tick to harvest — the tail barrier must collect it (and the rounds whose
 // settle horizon outlived the trace) without breaking parity.
 TEST(PipelineStressTest, TailBarrierFlushesTheInFlightBatchAtTraceEnd) {
-  // Dense Poisson arrivals keep windows settling all the way to the last
-  // simulated event (bursty gaps would let the trace quiesce first), so
-  // the final per-window drain tick always finds rounds to seal.
+  // Uniform 2 ms arrivals keep windows closing at a fixed cadence all the
+  // way to the last simulated event, so the final per-window drain tick
+  // seals a batch by construction. (Random arrivals can end on a gap
+  // longer than the settle horizon, and then the final tick finds nothing
+  // settled.)
   ScenarioSpec base = bursty_spec(92);
-  base.traffic.process = ArrivalProcess::kPoisson;
+  base.traffic.process = ArrivalProcess::kUniform;
   base.traffic.mean_interarrival_us = 2000;
   const ScenarioReport offline = run_scenario(base);
 
