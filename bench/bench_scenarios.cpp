@@ -33,7 +33,6 @@
 // owner of those checks.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,20 +81,8 @@ int main(int argc, char** argv) {
   using namespace pvr::bench;
 
   // Node-process re-exec path for the multiprocess leg below (the
-  // conductor spawns THIS binary with --node; same verb contract as
-  // example_multiprocess_world). The trailing slot is the per-process
-  // trace base, "-" when tracing is off.
-  if (argc >= 8 && std::strcmp(argv[1], "--node") == 0) {
-    std::string node_trace_base;
-    if (argc >= 9 && std::strcmp(argv[8], "-") != 0) node_trace_base = argv[8];
-    return scenario::run_node_process(
-        argv[2], std::strtoull(argv[3], nullptr, 10),
-        std::strtoull(argv[4], nullptr, 10),
-        std::strtoull(argv[5], nullptr, 10),
-        std::strtoull(argv[6], nullptr, 10),
-        static_cast<std::uint16_t>(std::strtoul(argv[7], nullptr, 10)),
-        node_trace_base);
-  }
+  // conductor spawns THIS binary with --node).
+  if (const auto code = scenario::node_process_main(argc, argv)) return *code;
 
   // --online-rounds=N sizes the long online trace independently of the
   // offline sweep, so CI can run a focused online smoke leg;

@@ -5,10 +5,12 @@
 // proves the distributed run IS the simulated run:
 //
 //   1. the distributed report fingerprint equals a pure run_scenario() of
-//      the same spec, byte for byte,
-//   2. the merged message trace the conductor collected replays through
-//      scenario::replay_trace (SimTransport machinery) to the same
-//      fingerprint at workers 1, 2, and 8,
+//      the same spec, byte for byte, and the conductor's delivery trace
+//      equals that run's recorded trace entry by entry (sequence, time,
+//      encoded message),
+//   2. the conductor's trace replays through scenario::replay_trace
+//      (SimTransport machinery) to the same fingerprint at workers 1, 2,
+//      and 8,
 //   3. the attack is fully detected with zero false evidence,
 //   4. the conductor's merged metrics shards (its own delta + every
 //      child's) reproduce the single-process run's SIM-domain metrics
@@ -28,6 +30,8 @@
 #include <cstring>
 #include <string>
 
+#include "net/frame.h"
+#include "net/message_trace.h"
 #include "obs/metrics.h"
 #include "scenario/multiprocess.h"
 #include "scenario/replay.h"
@@ -36,22 +40,8 @@
 int main(int argc, char** argv) {
   using namespace pvr;
 
-  // Node-process re-exec path (spawned by the conductor, not by hand):
-  //   --node <scenario> <seed> <rounds> <index> <processes> <control_port>
-  //          <trace_base|->
-  // The trailing slot carries the per-process trace base ("-" = tracing
-  // off; execl argv cannot carry an empty string).
-  if (argc >= 8 && std::strcmp(argv[1], "--node") == 0) {
-    std::string trace_base;
-    if (argc >= 9 && std::strcmp(argv[8], "-") != 0) trace_base = argv[8];
-    return scenario::run_node_process(
-        argv[2], std::strtoull(argv[3], nullptr, 10),
-        std::strtoull(argv[4], nullptr, 10),
-        std::strtoull(argv[5], nullptr, 10),
-        std::strtoull(argv[6], nullptr, 10),
-        static_cast<std::uint16_t>(std::strtoul(argv[7], nullptr, 10)),
-        trace_base);
-  }
+  // Node-process re-exec path (spawned by the conductor, not by hand).
+  if (const auto code = scenario::node_process_main(argc, argv)) return *code;
 
   scenario::MultiprocessOptions options;
   options.self_exe = argv[0];
@@ -103,7 +93,9 @@ int main(int argc, char** argv) {
   // Parity leg 1: the monolithic simulator run of the same spec.
   const scenario::ScenarioSpec spec = scenario::named_scenario(
       options.scenario, options.seed, options.rounds);
-  const scenario::ScenarioReport simulated = scenario::run_scenario(spec);
+  net::MessageTrace recorded;
+  const scenario::ScenarioReport simulated =
+      scenario::run_scenario(spec, &recorded);
   if (simulated.fingerprint() != distributed.report.fingerprint()) {
     std::printf("FAIL: distributed fingerprint diverges from the "
                 "simulator run\n  sim: %s\n  dist: %s\n",
@@ -111,7 +103,23 @@ int main(int argc, char** argv) {
                 distributed.report.fingerprint().c_str());
     return 1;
   }
-  std::printf("  fingerprint parity: distributed == simulated\n");
+  const auto same_entry = [](const net::TraceEntry& a,
+                             const net::TraceEntry& b) {
+    return a.sequence == b.sequence && a.at == b.at &&
+           net::encode_message_body(a.message) ==
+               net::encode_message_body(b.message);
+  };
+  if (!std::equal(distributed.trace.entries.begin(),
+                  distributed.trace.entries.end(), recorded.entries.begin(),
+                  recorded.entries.end(), same_entry)) {
+    std::printf("FAIL: conductor trace diverges from the simulator run's "
+                "(%zu vs %zu entries)\n",
+                distributed.trace.entries.size(), recorded.entries.size());
+    return 1;
+  }
+  std::printf("  fingerprint parity: distributed == simulated; %zu trace "
+              "entries identical\n",
+              recorded.entries.size());
 
   // Parity leg 4 (DESIGN.md §14): the merged metrics shards — conductor
   // delta + every child's — must carry the exact SIM-domain section the

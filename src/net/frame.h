@@ -1,19 +1,19 @@
 // Wire framing for the multiprocess lockstep plane: the conductor's control
-// connections and the node processes' peer links (scenario/multiprocess.cpp).
+// connection to each node process (scenario/multiprocess.cpp).
 //
 // Every frame on a PVR TCP connection is
 //
 //     [u32 BE total_length][u8 type][body: total_length - 1 bytes]
 //
-// A peer link's kFrameMessage body is a u64 cookie followed by the
-// canonical message-body encoding, whose length is EXACTLY
-// Message::wire_size(): 4B from + 4B to (the 8B addressing), u16 channel
-// length + channel bytes, u32 payload length, then the payload split into
-// 64 KiB chunks — the first chunk bare, every further chunk prefixed by a
-// 6-byte header (u32 offset + u16 length), the same chunking model the
-// simulator's byte accounting has always charged
-// (kWireChunkPayload/kWireChunkHeader). The same encoding carries the
-// trace shards each node process ships back in its result frame.
+// Messages ride inside the control verbs (a child's kFrameDone reply
+// carries each send, the conductor's delivery grant carries the message to
+// its owner) in the canonical message-body encoding, whose length is
+// EXACTLY Message::wire_size(): 4B from + 4B to (the 8B addressing), u16
+// channel length + channel bytes, u32 payload length, then the payload
+// split into 64 KiB chunks — the first chunk bare, every further chunk
+// prefixed by a 6-byte header (u32 offset + u16 length), the same chunking
+// model the simulator's byte accounting has always charged
+// (kWireChunkPayload/kWireChunkHeader).
 //
 // FrameConn owns the per-connection buffering: a nonblocking fd, an
 // outgoing queue written out by flush_all(), and an incoming reassembly
@@ -31,18 +31,13 @@
 
 namespace pvr::net {
 
-// Frame types. Peer data and the conductor's control verbs share one
-// numbering so a connection can carry both.
-// Hello body: u32 process index, plus a u16 data port toward the conductor.
-inline constexpr std::uint8_t kFrameHello = 1;
-inline constexpr std::uint8_t kFrameMessage = 2;  // body: u64 cookie + message
+// Frame types.
+inline constexpr std::uint8_t kFrameHello = 1;  // body: u32 process index
 // Live introspection (DESIGN.md §14): the conductor's request has an empty
 // body; the node process replies with a bare encoded obs::StatsSample
 // from its obs::StatsServer.
 inline constexpr std::uint8_t kFrameStats = 4;
 // Multiprocess lockstep control plane (scenario/multiprocess.cpp).
-inline constexpr std::uint8_t kFramePeers = 16;
-inline constexpr std::uint8_t kFrameReady = 17;
 inline constexpr std::uint8_t kFrameGrant = 18;
 inline constexpr std::uint8_t kFrameDone = 19;
 inline constexpr std::uint8_t kFrameFinish = 20;
@@ -67,12 +62,6 @@ class FrameConn {
   FrameConn(const FrameConn&) = delete;
   FrameConn& operator=(const FrameConn&) = delete;
 
-  [[nodiscard]] int fd() const noexcept { return fd_; }
-  [[nodiscard]] bool open() const noexcept { return fd_ >= 0; }
-  [[nodiscard]] bool has_pending_out() const noexcept {
-    return out_pos_ < out_.size();
-  }
-
   // Queues one frame for transmission (does not write to the socket).
   void append(std::uint8_t type, std::span<const std::uint8_t> body);
 
@@ -95,6 +84,9 @@ class FrameConn {
   void close();
 
  private:
+  [[nodiscard]] bool has_pending_out() const noexcept {
+    return out_pos_ < out_.size();
+  }
   // Writes as much queued output as the socket currently accepts.
   // Returns false when the connection is dead (peer reset / closed).
   bool flush();

@@ -1,6 +1,5 @@
 #include "net/message_trace.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "crypto/encoding.h"
@@ -38,13 +37,6 @@ void MessageTrace::record_delivery(SimTime at, const Message& message) {
 void MessageTrace::append(TraceEntry entry) {
   if (entry.sequence >= next_sequence_) next_sequence_ = entry.sequence + 1;
   entries.push_back(std::move(entry));
-}
-
-void MessageTrace::sort_by_sequence() {
-  std::sort(entries.begin(), entries.end(),
-            [](const TraceEntry& a, const TraceEntry& b) {
-              return a.sequence < b.sequence;
-            });
 }
 
 std::vector<std::uint8_t> MessageTrace::encode() const {

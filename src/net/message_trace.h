@@ -11,8 +11,7 @@
 // ScenarioReport::fingerprint() matches the recorded run (DESIGN.md §13).
 //
 // The format is a versioned canonical byte encoding (crypto::ByteWriter),
-// so traces round-trip across processes — the multiprocess conductor merges
-// the per-process traces its node processes ship back.
+// so traces round-trip across processes and files.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +24,8 @@
 namespace pvr::net {
 
 struct TraceEntry {
-  // Global delivery order. Assigned by the recording transport (one
-  // counter across all destinations); merged multiprocess traces keep the
-  // conductor-issued sequence, so sorting by it reconstructs the global
-  // order from per-process shards.
+  // Global delivery order, assigned by the recording transport (one
+  // counter across all destinations).
   std::uint64_t sequence = 0;
   SimTime at = 0;  // delivery time on the recording transport's clock
   Message message;
@@ -47,12 +44,9 @@ class MessageTrace {
   // Appends a delivery with the next global sequence number.
   void record_delivery(SimTime at, const Message& message);
 
-  // Appends a pre-sequenced entry (multiprocess shards carry
-  // conductor-issued sequences). Keeps next_sequence() ahead of it.
+  // Appends a pre-sequenced entry (decode). Keeps next_sequence() ahead
+  // of it.
   void append(TraceEntry entry);
-
-  // Sorts entries into global sequence order (after merging shards).
-  void sort_by_sequence();
 
   [[nodiscard]] std::uint64_t next_sequence() const noexcept {
     return next_sequence_;

@@ -53,9 +53,10 @@ struct Message {
   NodeId to = 0;
   std::string channel;  // protocol multiplexing key, e.g. "bgp.update"
   std::vector<std::uint8_t> payload;
-  // In-memory correlation tag for transport internals (the multiprocess
-  // conductor keys its placeholder events by it). Never serialized, never
-  // part of wire_size(); 0 everywhere else.
+  // In-memory trace-flow id: a multiprocess node process tags each send
+  // with it, so the Chrome trace's cross-process flow arrow joins the send,
+  // the conductor's relay and the delivery (DESIGN.md §14). Never part of
+  // the message encoding or wire_size(); 0 everywhere else.
   std::uint64_t cookie = 0;
 
   [[nodiscard]] std::size_t wire_size() const noexcept {

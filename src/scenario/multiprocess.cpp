@@ -9,6 +9,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -25,6 +27,7 @@
 #include "obs/export.h"
 #include "obs/stats_server.h"
 #include "obs/trace.h"
+#include "scenario/world.h"
 
 namespace pvr::scenario {
 
@@ -41,39 +44,33 @@ constexpr std::uint8_t kActionSchedule = 1;
   return a < b ? std::pair{a, b} : std::pair{b, a};
 }
 
+// Which node process owns `asn`: its index in the sorted participant list,
+// round-robin over `processes`. A pure function of the plan, so every
+// process computes the same map.
+[[nodiscard]] std::size_t owner_of(const WorldPlan& plan, bgp::AsNumber asn,
+                                   std::size_t processes) {
+  const auto it = std::lower_bound(plan.participants.begin(),
+                                   plan.participants.end(), asn);
+  if (it == plan.participants.end() || *it != asn) {
+    throw std::invalid_argument("owner_of: unknown participant");
+  }
+  return static_cast<std::size_t>(it - plan.participants.begin()) % processes;
+}
+
 // ---------------------------------------------------------------------------
 // Child side: the lockstep transport and grant server.
 // ---------------------------------------------------------------------------
 
-struct SendAction {
-  std::uint64_t cookie = 0;
-  net::NodeId from = 0;
-  net::NodeId to = 0;
-  std::string channel;
-  std::uint32_t payload_size = 0;
-};
-
-struct ScheduleAction {
-  net::SimTime at = 0;
-  std::uint64_t timer_id = 0;
-};
-
-struct Action {
-  bool is_send = false;
-  SendAction send;
-  ScheduleAction schedule;
-};
-
 // The node-process message plane. Executes ONLY inside a conductor grant:
-// now() is the granted event time, send() relays real bytes to the owning
-// peer process (or buffers locally) and RECORDS the send so the conductor
-// can mirror it as a placeholder, schedule() parks the closure until the
-// conductor grants the timer.
+// now() is the granted event time, and send() and schedule() append the
+// handler's actions, in order, to the done reply. A sent message travels
+// in that reply to the conductor, whose simulator carries it and grants its
+// delivery to the owning process; a scheduled closure waits here until the
+// conductor grants its timer.
 class LockstepTransport final : public net::Transport {
  public:
-  LockstepTransport(const WorldPlan& plan, std::size_t process_index,
-                    std::size_t processes)
-      : plan_(&plan), process_index_(process_index), processes_(processes) {
+  LockstepTransport(const WorldPlan& plan, std::size_t process_index)
+      : process_index_(process_index) {
     for (const PlannedLink& link : plan.links) {
       links_.insert(norm_pair(link.a, link.b));
       adjacency_[link.a].push_back(link.b);
@@ -81,20 +78,13 @@ class LockstepTransport final : public net::Transport {
     }
   }
 
-  // Peer relay hookup (owned by the grant server loop).
-  std::function<void(std::size_t owner, std::uint64_t cookie,
-                     const net::Message& message)>
-      relay;
-
   void begin_grant(net::SimTime at) {
     now_ = at;
-    actions_.clear();
+    done_ = crypto::ByteWriter{};
   }
-  [[nodiscard]] const std::vector<Action>& actions() const noexcept {
-    return actions_;
-  }
-  [[nodiscard]] std::map<std::uint64_t, net::Message>& local_buffer() noexcept {
-    return buffer_;
+  // The done reply's body: every action since begin_grant, in order.
+  [[nodiscard]] const std::vector<std::uint8_t>& done() const noexcept {
+    return done_.data();
   }
   [[nodiscard]] std::function<void()> take_timer(std::uint64_t id) {
     const auto it = timers_.find(id);
@@ -121,29 +111,17 @@ class LockstepTransport final : public net::Transport {
     net::ChannelStats& channel_stats = stats_.per_channel[message.channel];
     channel_stats.messages_sent += 1;
     channel_stats.bytes_sent += message.wire_size();
-    // The send half of the cross-process flow arrow: the cookie already
-    // travels to the owning process (it keys the relay), so the delivery
-    // end can emit the matching 'f' in its own trace shard.
+    // The send half of the cross-process flow arrow: the cookie rides with
+    // the message through the conductor, so the delivery end can emit the
+    // matching 'f' in its own trace shard.
     obs::TraceWriter& tracer = obs::TraceWriter::global();
     if (tracer.active()) {
       tracer.flow('s', "msg.flow", "flow", obs::Track::kSim, message.from,
                   now_, cookie);
     }
-    actions_.push_back(Action{
-        .is_send = true,
-        .send = SendAction{
-            .cookie = cookie,
-            .from = message.from,
-            .to = message.to,
-            .channel = message.channel,
-            .payload_size = static_cast<std::uint32_t>(message.payload.size())},
-        .schedule = {}});
-    const std::size_t owner = owner_of(*plan_, message.to, processes_);
-    if (owner == process_index_) {
-      buffer_.emplace(cookie, std::move(message));
-    } else {
-      relay(owner, cookie, message);
-    }
+    done_.put_u8(kActionSend);
+    done_.put_u64(cookie);
+    done_.put_bytes(net::encode_message_body(message));
   }
 
   // Called when a granted delivery lands on a local node, completing the
@@ -171,10 +149,9 @@ class LockstepTransport final : public net::Transport {
   void schedule(net::SimTime at, std::function<void()> fn) override {
     const std::uint64_t id = next_timer_++;
     timers_.emplace(id, std::move(fn));
-    actions_.push_back(Action{
-        .is_send = false,
-        .send = {},
-        .schedule = ScheduleAction{.at = at, .timer_id = id}});
+    done_.put_u8(kActionSchedule);
+    done_.put_u64(at);
+    done_.put_u64(id);
   }
   void schedule_periodic(net::SimTime interval,
                          std::function<void()> fn) override {
@@ -185,34 +162,23 @@ class LockstepTransport final : public net::Transport {
   [[nodiscard]] const net::SimStats& stats() const override { return stats_; }
 
  private:
-  const WorldPlan* plan_;
   std::size_t process_index_;
-  std::size_t processes_;
   std::set<std::pair<net::NodeId, net::NodeId>> links_;
   std::map<net::NodeId, std::vector<net::NodeId>> adjacency_;
   net::SimTime now_ = 0;
-  std::vector<Action> actions_;
+  crypto::ByteWriter done_;
   std::map<std::uint64_t, std::function<void()>> timers_;
   std::uint64_t next_timer_ = 1;
   std::uint64_t next_cookie_ = 1;
-  std::map<std::uint64_t, net::Message> buffer_;  // cookies owned locally
   // This process's shard of the traffic (kFrameStats polls report it); the
   // conductor's simulator keeps the authoritative report accounting.
   net::SimStats stats_;
 };
 
-}  // namespace
-
-std::size_t owner_of(const WorldPlan& plan, bgp::AsNumber asn,
-                     std::size_t processes) {
-  const auto it = std::lower_bound(plan.participants.begin(),
-                                   plan.participants.end(), asn);
-  if (it == plan.participants.end() || *it != asn) {
-    throw std::invalid_argument("owner_of: unknown participant");
-  }
-  return static_cast<std::size_t>(it - plan.participants.begin()) % processes;
-}
-
+// Serves lockstep grants until the finish verb, then ships results.
+// Returns the process exit code. A non-empty `trace_base` arms
+// per-process Chrome tracing into "<trace_base>.<pid>.json" (the shard
+// path travels back in the result frame for the conductor's merge).
 int run_node_process(const std::string& scenario, std::uint64_t seed,
                      std::size_t rounds, std::size_t process_index,
                      std::size_t processes, std::uint16_t control_port,
@@ -225,123 +191,22 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
   const ScenarioSpec spec = named_scenario(scenario, seed, rounds);
   const WorldPlan plan = plan_world(spec);
 
-  // Data plane: listen for higher-index peers, dial lower-index ones.
-  std::uint16_t data_port = 0;
-  const int data_listen = net::listen_loopback(data_port);
-
+  // The process's only socket: its control connection to the conductor.
   net::FrameConn control(net::connect_loopback(control_port));
   {
     crypto::ByteWriter hello;
     hello.put_u32(static_cast<std::uint32_t>(process_index));
-    hello.put_u16(data_port);
     control.append(net::kFrameHello, hello.data());
     if (!control.flush_all()) return 2;
   }
 
-  std::uint8_t type = 0;
-  std::vector<std::uint8_t> body;
-  if (!control.read_one_frame(type, body) || type != net::kFramePeers) {
-    return 2;
-  }
-  std::map<std::size_t, std::uint16_t> peer_ports;
-  {
-    crypto::ByteReader reader(body);
-    const std::uint32_t count = reader.get_u32();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::size_t index = reader.get_u32();
-      peer_ports[index] = reader.get_u16();
-    }
-  }
-
-  std::map<std::size_t, std::unique_ptr<net::FrameConn>> peers;
-  for (const auto& [index, port] : peer_ports) {
-    if (index >= process_index) continue;
-    auto conn = std::make_unique<net::FrameConn>(net::connect_loopback(port));
-    crypto::ByteWriter hello;
-    hello.put_u32(static_cast<std::uint32_t>(process_index));
-    conn->append(net::kFrameHello, hello.data());
-    if (!conn->flush_all()) return 2;
-    peers.emplace(index, std::move(conn));
-  }
-  while (peers.size() + 1 < processes) {
-    pollfd pfd{.fd = data_listen, .events = POLLIN, .revents = 0};
-    if (::poll(&pfd, 1, 10'000) < 0 && errno != EINTR) return 2;
-    const int fd = net::accept_connection(data_listen);
-    if (fd < 0) continue;
-    auto conn = std::make_unique<net::FrameConn>(fd);
-    std::uint8_t peer_type = 0;
-    std::vector<std::uint8_t> peer_body;
-    if (!conn->read_one_frame(peer_type, peer_body) ||
-        peer_type != net::kFrameHello) {
-      return 2;
-    }
-    crypto::ByteReader reader(peer_body);
-    peers.emplace(reader.get_u32(), std::move(conn));
-  }
-  control.append(net::kFrameReady, {});
-  if (!control.flush_all()) return 2;
-
   // Local shard of the world: every participant this process owns, with a
   // shard-local verify context (verdicts are identical to the simulated
   // run's; the shared precompute amortizes within the shard).
-  LockstepTransport transport(plan, process_index, processes);
+  LockstepTransport transport(plan, process_index);
   World world(spec, plan, spec.workers, [&](bgp::AsNumber asn) {
     return owner_of(plan, asn, processes) == process_index;
   });
-
-  // Relayed real messages from peer processes, keyed by cookie until the
-  // conductor grants their delivery (each cookie is granted exactly once).
-  std::map<std::uint64_t, net::Message> relayed;
-  const auto drain_peer = [&](net::FrameConn& conn) {
-    const bool alive = conn.read_frames(
-        [&](std::uint8_t frame_type, std::span<const std::uint8_t> data) {
-          if (frame_type != net::kFrameMessage) {
-            throw std::runtime_error("lockstep: unexpected peer frame");
-          }
-          crypto::ByteReader reader(data);
-          const std::uint64_t cookie = reader.get_u64();
-          net::Message message = net::decode_message_body(
-              std::span<const std::uint8_t>(data).subspan(8));
-          relayed.emplace(cookie, std::move(message));
-        });
-    if (!alive) throw std::runtime_error("lockstep: peer connection lost");
-  };
-  const auto drain_peers = [&] {
-    for (auto& [index, conn] : peers) drain_peer(*conn);
-  };
-
-  transport.relay = [&](std::size_t owner, std::uint64_t cookie,
-                        const net::Message& message) {
-    crypto::ByteWriter writer;
-    writer.put_u64(cookie);
-    const std::vector<std::uint8_t> encoded =
-        net::encode_message_body(message);
-    writer.put_raw(encoded);
-    peers.at(owner)->append(net::kFrameMessage, writer.data());
-  };
-
-  const auto await_message = [&](std::uint64_t cookie) -> net::Message {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(60);
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (auto local = transport.local_buffer().extract(cookie)) {
-        return std::move(local.mapped());
-      }
-      if (auto remote = relayed.extract(cookie)) {
-        return std::move(remote.mapped());
-      }
-      std::vector<pollfd> fds;
-      for (const auto& [index, conn] : peers) {
-        fds.push_back(pollfd{.fd = conn->fd(), .events = POLLIN,
-                             .revents = 0});
-      }
-      if (!fds.empty()) (void)::poll(fds.data(), fds.size(), 100);
-      drain_peers();
-    }
-    throw std::runtime_error("lockstep: granted message never arrived");
-  };
-
-  net::MessageTrace shard;
 
   // Observability: the metrics baseline isolates this process's RUN work
   // (grant handlers + shard verification) from startup noise — plan_world
@@ -363,9 +228,8 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
     return gauges;
   });
 
-  // NOTE: peer connections are drained only inside await_message — a peer
-  // drops its connections the moment it finishes, and a drain at the loop
-  // top would misread that teardown race as a mid-run failure.
+  std::uint8_t type = 0;
+  std::vector<std::uint8_t> body;
   while (true) {
     if (!control.read_one_frame(type, body)) return 2;
     if (type == net::kFrameStats) {
@@ -387,10 +251,8 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
         transport.take_timer(reader.get_u64())();
       } else if (kind == kGrantDeliver) {
         const std::uint64_t cookie = reader.get_u64();
-        const std::uint64_t trace_seq = reader.get_u64();
-        const net::Message message = await_message(cookie);
-        shard.append(net::TraceEntry{
-            .sequence = trace_seq, .at = at, .message = message});
+        const net::Message message =
+            net::decode_message_body(reader.get_bytes());
         transport.note_delivered(message);
         obs::TraceWriter& tracer = obs::TraceWriter::global();
         if (tracer.active()) {
@@ -404,28 +266,7 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
       } else {
         return 2;
       }
-      // Real bytes first (so a granted delivery can never outrun them),
-      // then the ordered action list back to the conductor.
-      for (auto& [index, conn] : peers) {
-        if (conn->has_pending_out() && !conn->flush_all()) return 2;
-      }
-      crypto::ByteWriter done;
-      done.put_u32(static_cast<std::uint32_t>(transport.actions().size()));
-      for (const Action& action : transport.actions()) {
-        if (action.is_send) {
-          done.put_u8(kActionSend);
-          done.put_u64(action.send.cookie);
-          done.put_u32(action.send.from);
-          done.put_u32(action.send.to);
-          done.put_string(action.send.channel);
-          done.put_u32(action.send.payload_size);
-        } else {
-          done.put_u8(kActionSchedule);
-          done.put_u64(action.schedule.at);
-          done.put_u64(action.schedule.timer_id);
-        }
-      }
-      control.append(net::kFrameDone, done.data());
+      control.append(net::kFrameDone, transport.done());
       if (!control.flush_all()) return 2;
       continue;
     }
@@ -461,12 +302,6 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
     result.put_u32(static_cast<std::uint32_t>(log.size()));
     for (const core::Evidence& item : log) result.put_bytes(item.encode());
   }
-  result.put_u32(static_cast<std::uint32_t>(shard.entries.size()));
-  for (const net::TraceEntry& entry : shard.entries) {
-    result.put_u64(entry.sequence);
-    result.put_u64(entry.at);
-    result.put_bytes(net::encode_message_body(entry.message));
-  }
   // Observability shard: the run's metrics delta (conductor merges all
   // shards) and this process's trace file, flushed before the result frame
   // so the conductor can stitch immediately after reaping.
@@ -478,21 +313,17 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
   }
   result.put_string(trace_path);
   control.append(net::kFrameResult, result.data());
-  if (!control.flush_all()) return 2;
-  ::close(data_listen);
-  return 0;
+  return control.flush_all() ? 0 : 2;
 }
 
 // ---------------------------------------------------------------------------
 // Conductor side.
 // ---------------------------------------------------------------------------
 
-namespace {
-
 class Conductor;
 
-// Conductor-side stand-in for a remote node: a placeholder delivery means
-// "the real message may now be delivered at its owner".
+// Conductor-side stand-in for a remote node: a delivery means "grant this
+// message to its owner now".
 class ProxyNode final : public net::Node {
  public:
   explicit ProxyNode(Conductor* conductor) noexcept : conductor_(conductor) {}
@@ -506,7 +337,6 @@ class ProxyNode final : public net::Node {
 struct ChildProc {
   pid_t pid = -1;
   std::unique_ptr<net::FrameConn> control;
-  std::uint16_t data_port = 0;
 };
 
 class Conductor {
@@ -519,21 +349,11 @@ class Conductor {
     if (options_.processes < 1) {
       throw std::invalid_argument("conductor: need at least one process");
     }
-    if (plan_.adversary->max_replay_lag() > 0) {
-      // The conductor's interceptor sees zero-filled placeholder payloads,
-      // so a strategy that reads payload bytes (replay captures gossip
-      // envelopes by content) cannot reproduce the simulated run — refuse
-      // rather than claim parity for it.
-      throw std::invalid_argument(
-          "conductor: replaying adversaries are not supported multiprocess");
-    }
   }
 
   MultiprocessResult run();
 
-  void on_placeholder(const net::Message& message) {
-    const std::size_t owner =
-        owner_of(plan_, message.to, options_.processes);
+  void deliver(const net::Message& message) {
     // The relay hop of the flow arrow: send ('s') and delivery ('f') live
     // in child shards; this step ('t') pins the conductor's grant moment
     // onto the same cookie chain in the merged timeline.
@@ -542,17 +362,22 @@ class Conductor {
       tracer.flow('t', "msg.flow", "flow", obs::Track::kSim, message.to,
                   sim_.now(), message.cookie);
     }
-    crypto::ByteWriter grant;
-    grant.put_u8(kGrantDeliver);
-    grant.put_u64(sim_.now());
+    crypto::ByteWriter grant = grant_header(kGrantDeliver);
     grant.put_u64(message.cookie);
-    grant.put_u64(next_trace_sequence_++);
-    grant_and_apply(owner, grant.data());
+    grant.put_bytes(net::encode_message_body(message));
+    grant_and_apply(owner_of(plan_, message.to, options_.processes),
+                    grant.data());
   }
 
  private:
   void spawn_children(std::uint16_t control_port);
-  void handshake(int control_listen);
+  void accept_children(int control_listen);
+  [[nodiscard]] crypto::ByteWriter grant_header(std::uint8_t kind) const {
+    crypto::ByteWriter grant;
+    grant.put_u8(kind);
+    grant.put_u64(sim_.now());
+    return grant;
+  }
   void grant_and_apply(std::size_t child,
                        std::span<const std::uint8_t> grant_body);
   void poll_child_stats(std::size_t child);
@@ -564,7 +389,6 @@ class Conductor {
   WorldPlan plan_;
   net::Simulator sim_;
   std::vector<ChildProc> children_;
-  std::uint64_t next_trace_sequence_ = 0;
   obs::MetricsSnapshot obs_baseline_;
   std::vector<MultiprocessResult::StatsPoint> stats_timeline_;
   std::vector<std::string> child_trace_paths_;
@@ -573,35 +397,10 @@ class Conductor {
 void ProxyNode::on_message(net::Transport& transport,
                            const net::Message& message) {
   (void)transport;
-  conductor_->on_placeholder(message);
+  conductor_->deliver(message);
 }
 
-void Conductor::spawn_children(std::uint16_t control_port) {
-  children_.resize(options_.processes);
-  for (std::size_t i = 0; i < options_.processes; ++i) {
-    const pid_t pid = ::fork();
-    if (pid < 0) throw std::runtime_error("conductor: fork failed");
-    if (pid == 0) {
-      char seed[32], rounds[32], index[32], procs[32], port[32];
-      std::snprintf(seed, sizeof(seed), "%llu",
-                    static_cast<unsigned long long>(options_.seed));
-      std::snprintf(rounds, sizeof(rounds), "%zu", options_.rounds);
-      std::snprintf(index, sizeof(index), "%zu", i);
-      std::snprintf(procs, sizeof(procs), "%zu", options_.processes);
-      std::snprintf(port, sizeof(port), "%u", control_port);
-      // "-" = no tracing: argv slots cannot be empty strings.
-      const std::string trace_arg =
-          options_.trace_base.empty() ? "-" : options_.trace_base;
-      ::execl(options_.self_exe.c_str(), options_.self_exe.c_str(), "--node",
-              options_.scenario.c_str(), seed, rounds, index, procs, port,
-              trace_arg.c_str(), static_cast<char*>(nullptr));
-      ::_exit(127);  // exec failed
-    }
-    children_[i].pid = pid;
-  }
-}
-
-void Conductor::handshake(int control_listen) {
+void Conductor::accept_children(int control_listen) {
   std::size_t connected = 0;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
@@ -622,32 +421,8 @@ void Conductor::handshake(int control_listen) {
       throw std::runtime_error("conductor: bad child hello");
     }
     crypto::ByteReader reader(body);
-    const std::size_t index = reader.get_u32();
-    children_.at(index).control = std::move(conn);
-    children_[index].data_port = reader.get_u16();
+    children_.at(reader.get_u32()).control = std::move(conn);
     connected += 1;
-  }
-  // Everyone is in: publish the peer table, await readiness.
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    crypto::ByteWriter peers;
-    peers.put_u32(static_cast<std::uint32_t>(children_.size() - 1));
-    for (std::size_t j = 0; j < children_.size(); ++j) {
-      if (j == i) continue;
-      peers.put_u32(static_cast<std::uint32_t>(j));
-      peers.put_u16(children_[j].data_port);
-    }
-    children_[i].control->append(net::kFramePeers, peers.data());
-    if (!children_[i].control->flush_all()) {
-      throw std::runtime_error("conductor: child hung up");
-    }
-  }
-  for (ChildProc& child : children_) {
-    std::uint8_t type = 0;
-    std::vector<std::uint8_t> body;
-    if (!child.control->read_one_frame(type, body) ||
-        type != net::kFrameReady) {
-      throw std::runtime_error("conductor: child failed to become ready");
-    }
   }
 }
 
@@ -666,24 +441,18 @@ void Conductor::grant_and_apply(std::size_t child,
   // Mirror the child's actions into the deterministic queue, in execution
   // order — this is what pins sequence parity with the monolithic run.
   crypto::ByteReader reader(body);
-  const std::uint32_t count = reader.get_u32();
-  for (std::uint32_t i = 0; i < count; ++i) {
+  while (!reader.exhausted()) {
     const std::uint8_t kind = reader.get_u8();
     if (kind == kActionSend) {
-      net::Message placeholder;
-      placeholder.cookie = reader.get_u64();
-      placeholder.from = reader.get_u32();
-      placeholder.to = reader.get_u32();
-      placeholder.channel = reader.get_string();
-      placeholder.payload.resize(reader.get_u32());  // size-true, zero-filled
-      sim_.send(std::move(placeholder));
+      const std::uint64_t cookie = reader.get_u64();
+      net::Message message = net::decode_message_body(reader.get_bytes());
+      message.cookie = cookie;
+      sim_.send(std::move(message));
     } else if (kind == kActionSchedule) {
       const net::SimTime at = reader.get_u64();
       const std::uint64_t timer_id = reader.get_u64();
       sim_.schedule(at, [this, child, timer_id] {
-        crypto::ByteWriter grant;
-        grant.put_u8(kGrantTimer);
-        grant.put_u64(sim_.now());
+        crypto::ByteWriter grant = grant_header(kGrantTimer);
         grant.put_u64(timer_id);
         grant_and_apply(child, grant.data());
       });
@@ -760,18 +529,9 @@ void Conductor::collect_results(MultiprocessResult& out) {
         log.push_back(core::Evidence::decode(reader.get_bytes()));
       }
     }
-    const std::uint32_t entry_count = reader.get_u32();
-    for (std::uint32_t i = 0; i < entry_count; ++i) {
-      net::TraceEntry entry;
-      entry.sequence = reader.get_u64();
-      entry.at = reader.get_u64();
-      entry.message = net::decode_message_body(reader.get_bytes());
-      out.trace.append(std::move(entry));
-    }
     out.child_obs.push_back(obs::MetricsSnapshot::decode(reader.get_bytes()));
     child_trace_paths_.push_back(reader.get_string());
   }
-  out.trace.sort_by_sequence();
   out.trace.scenario = spec_.name;
   out.trace.seed = spec_.seed;
   out.trace.backend = "multiprocess";
@@ -820,35 +580,31 @@ MultiprocessResult Conductor::run() {
       (void)obs::TraceWriter::global().open(options_.trace_base +
                                             ".conductor.json");
     }
-    handshake(control_listen);
+    accept_children(control_listen);
 
-    // The conductor's deterministic world: proxies, the planned links, the
-    // adversary's wire hook, and the planned app schedule as grants.
-    for (const bgp::AsNumber asn : plan_.participants) {
-      sim_.add_node(asn, std::make_unique<ProxyNode>(this));
-    }
-    for (const PlannedLink& link : plan_.links) {
-      sim_.connect(link.a, link.b, link.config);
-    }
-    plan_.adversary->install(sim_.transport(), plan_.hoods, plan_.attacked,
-                             spec_.seed);
-    for (std::size_t k = 0; k < plan_.app_events.size(); ++k) {
-      const AppEvent& event = plan_.app_events[k];
-      const std::size_t owner =
-          owner_of(plan_, event.actor, options_.processes);
-      sim_.schedule(event.at, [this, owner, k] {
-        crypto::ByteWriter grant;
-        grant.put_u8(kGrantApp);
-        grant.put_u64(sim_.now());
-        grant.put_u32(static_cast<std::uint32_t>(k));
-        grant_and_apply(owner, grant.data());
-      });
-    }
+    // The conductor's deterministic world, wired like every simulated run:
+    // proxies stand in for the nodes, and each planned app event becomes a
+    // grant to its actor's owner. The simulator carries the real messages
+    // and records the delivery trace.
+    MultiprocessResult result;
+    sim_.set_trace(&result.trace);
+    wire_simulator(
+        plan_, spec_.seed, sim_,
+        [this](bgp::AsNumber) -> std::unique_ptr<net::Node> {
+          return std::make_unique<ProxyNode>(this);
+        },
+        [this](const AppEvent& event) {
+          crypto::ByteWriter grant = grant_header(kGrantApp);
+          grant.put_u32(
+              static_cast<std::uint32_t>(&event - plan_.app_events.data()));
+          grant_and_apply(owner_of(plan_, event.actor, options_.processes),
+                          grant.data());
+        });
 
     obs_baseline_ = obs::MetricsRegistry::global().snapshot();
     sim_.run();
+    sim_.set_trace(nullptr);
 
-    MultiprocessResult result;
     collect_results(result);
     reap_children();
     ::close(control_listen);
@@ -885,7 +641,50 @@ MultiprocessResult Conductor::run() {
   }
 }
 
+// The --node argv contract, written by spawn_children's execl and read by
+// node_process_main:
+//   --node <scenario> <seed> <rounds> <index> <processes> <control_port>
+//          <trace_base|->
+// "-" = tracing off: execl argv slots cannot be empty strings.
+void Conductor::spawn_children(std::uint16_t control_port) {
+  children_.resize(options_.processes);
+  for (std::size_t i = 0; i < options_.processes; ++i) {
+    const pid_t pid = ::fork();
+    if (pid < 0) throw std::runtime_error("conductor: fork failed");
+    if (pid == 0) {
+      char seed[32], rounds[32], index[32], procs[32], port[32];
+      std::snprintf(seed, sizeof(seed), "%llu",
+                    static_cast<unsigned long long>(options_.seed));
+      std::snprintf(rounds, sizeof(rounds), "%zu", options_.rounds);
+      std::snprintf(index, sizeof(index), "%zu", i);
+      std::snprintf(procs, sizeof(procs), "%zu", options_.processes);
+      std::snprintf(port, sizeof(port), "%u", control_port);
+      const std::string trace_arg =
+          options_.trace_base.empty() ? "-" : options_.trace_base;
+      ::execl(options_.self_exe.c_str(), options_.self_exe.c_str(), "--node",
+              options_.scenario.c_str(), seed, rounds, index, procs, port,
+              trace_arg.c_str(), static_cast<char*>(nullptr));
+      ::_exit(127);  // exec failed
+    }
+    children_[i].pid = pid;
+  }
+}
+
 }  // namespace
+
+std::optional<int> node_process_main(int argc, char** argv) {
+  if (argc < 2 || std::strcmp(argv[1], "--node") != 0) return std::nullopt;
+  if (argc != 9) {
+    std::fprintf(stderr, "--node: expected 7 arguments, got %d\n", argc - 2);
+    return 2;
+  }
+  const auto number = [argv](int i) {
+    return std::strtoull(argv[i], nullptr, 10);
+  };
+  return run_node_process(argv[2], number(3), number(4), number(5), number(6),
+                          static_cast<std::uint16_t>(number(7)),
+                          std::strcmp(argv[8], "-") == 0 ? "" : argv[8]);
+}
 
 MultiprocessResult run_conductor(const MultiprocessOptions& options) {
   if (options.self_exe.empty()) {

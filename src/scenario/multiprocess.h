@@ -5,40 +5,39 @@
 // Free-running sockets cannot reproduce a simulator fingerprint — gossip
 // relay fan-out depends on delivery order, and the kernel's interleaving is
 // not the simulator's. So the conductor keeps the ONE deterministic event
-// queue: it re-derives the world plan (scenario/world.h), populates its own
-// net::Simulator with one proxy node per participant, and drives the real
-// protocol state — which lives sharded across the node processes — by
-// granting each event to the owning process over a control connection:
+// queue: it re-derives the world plan (scenario/world.h), wires its own
+// net::Simulator with wire_simulator — the same links, latencies,
+// adversary interceptor and app-event schedule as run_scenario — with one
+// proxy node per participant, and drives the real protocol state, which
+// lives sharded across the node processes, by granting each event to the
+// owning process over its control connection, the process's only socket:
 //
-//   grant(app event k / timer id / deliver cookie)  →  child executes the
-//   closure against its real PvrNodes and replies with the ordered list of
-//   actions the handler took (sends with their wire metadata, one-shot
-//   schedules). The conductor replays those actions into its simulator —
-//   sends as PLACEHOLDER messages (same channel, same payload size, so
-//   latency draws, interceptor decisions, and byte accounting are
-//   identical; Message::cookie carries the correlation tag), schedules as
-//   future grants. Real payload bytes travel peer-to-peer between node
-//   processes, keyed by the same cookie, and are delivered to the
-//   destination node when (and only when) the conductor grants it.
+//   grant(app event k / timer id / deliver cookie + message bytes)  →
+//   child executes the closure against its real PvrNodes and replies with
+//   the ordered list of actions the handler took (sends as cookie + the
+//   encoded message, one-shot schedules). The conductor replays those
+//   actions into its simulator — sends as the real messages, so latency
+//   draws, interceptor decisions (replay included) and byte accounting are
+//   the simulated run's; schedules as future grants.
 //
 // Sequence parity is by construction: the conductor's simulator makes the
 // same schedule()/send() calls in the same order as the monolithic run's
-// handlers did, so same-time events tiebreak identically. At the end each
-// child engine-verifies its local verifiers and ships the evidence logs,
-// prover counters, and its MessageTrace shard (conductor-issued sequence
-// numbers) back; the conductor scores with the shared assemble_report pass
-// and merges the shards into one trace that replays through
+// handlers did, so same-time events tiebreak identically. The conductor
+// records the delivery trace with Simulator::set_trace, as run_scenario
+// does. At the end each child engine-verifies its local verifiers and
+// ships the evidence logs and prover counters back; the conductor scores
+// with the shared assemble_report pass, and its trace replays through
 // scenario::replay_trace to the same fingerprint. DESIGN.md §13.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "net/message_trace.h"
 #include "obs/metrics.h"
 #include "scenario/runner.h"
-#include "scenario/world.h"
 
 namespace pvr::scenario {
 
@@ -62,7 +61,7 @@ struct MultiprocessOptions {
 
 struct MultiprocessResult {
   ScenarioReport report;
-  net::MessageTrace trace;  // merged shards, sorted by conductor sequence
+  net::MessageTrace trace;  // recorded by the conductor's simulator
 
   // Cross-process metrics aggregation: each child ships the snapshot DELTA
   // of its grant-loop + verification work in the result frame; merged_obs
@@ -88,26 +87,17 @@ struct MultiprocessResult {
   std::string merged_trace_path;
 };
 
-// Which node process owns `asn`: its index in the sorted participant list,
-// round-robin over `processes`. Pure function of the plan, so every process
-// computes the same map.
-[[nodiscard]] std::size_t owner_of(const WorldPlan& plan, bgp::AsNumber asn,
-                                   std::size_t processes);
-
 // Conductor entry: forks/execs `processes` node children, runs the lockstep
 // scenario, scores, and reaps them. Throws std::runtime_error if a child
 // fails or disconnects mid-run.
 [[nodiscard]] MultiprocessResult run_conductor(
     const MultiprocessOptions& options);
 
-// Node-process entry (invoked by the --node re-exec): serves lockstep
-// grants until the finish verb, then ships results. Returns the process
-// exit code. A non-empty `trace_base` arms per-process Chrome tracing
-// into "<trace_base>.<pid>.json" (the shard path travels back in the
-// result frame for the conductor's merge).
-int run_node_process(const std::string& scenario, std::uint64_t seed,
-                     std::size_t rounds, std::size_t process_index,
-                     std::size_t processes, std::uint16_t control_port,
-                     const std::string& trace_base = {});
+// Node-process entry for a binary that can be re-exec'd as a child: when
+// argv is the conductor's --node invocation, serves lockstep grants until
+// the finish verb, ships results, and returns the process exit code;
+// otherwise returns nullopt. A binary that calls run_conductor calls this
+// first thing in main.
+[[nodiscard]] std::optional<int> node_process_main(int argc, char** argv);
 
 }  // namespace pvr::scenario

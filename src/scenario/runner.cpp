@@ -100,26 +100,21 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
   const std::uint64_t world_hits_before = hot.crypto_world_cache_hits.value();
 
   // The deterministic world plan (world.h), the World built from it, and
-  // the simulator as its transport: star + verifier-mesh links with the
-  // planned jittered latencies, the adversary's wire hook, and the planned
-  // app events scheduled in canonical order so same-time events keep their
-  // sequence tiebreak.
+  // the simulator as its transport, wired by the same wire_simulator the
+  // multiprocess conductor uses.
   const WorldPlan plan = plan_world(spec);
   World world(spec, plan, spec.workers);
   net::Simulator sim(spec.seed);
   net::Transport& transport = sim.transport();
   if (record != nullptr) sim.set_trace(record);
-  for (const auto& [asn, node] : world.nodes()) {
-    sim.add_node(asn, std::make_unique<SimEndpoint>(node.get()));
-  }
-  for (const PlannedLink& link : plan.links) {
-    sim.connect(link.a, link.b, link.config);
-  }
-  plan.adversary->install(transport, plan.hoods, plan.attacked, spec.seed);
-  for (const AppEvent& event : plan.app_events) {
-    sim.schedule(event.at,
-                 [&world, &transport, &event] { world.apply(transport, event); });
-  }
+  wire_simulator(
+      plan, spec.seed, sim,
+      [&world](bgp::AsNumber asn) -> std::unique_ptr<net::Node> {
+        return std::make_unique<SimEndpoint>(world.nodes().at(asn).get());
+      },
+      [&world, &transport](const AppEvent& event) {
+        world.apply(transport, event);
+      });
   if (spec.online) world.arm_online(transport);
 
   // Distributed-parity baseline (DESIGN.md §14): everything from here to the

@@ -212,6 +212,22 @@ WorldPlan plan_world(const ScenarioSpec& spec) {
   return plan;
 }
 
+void wire_simulator(
+    const WorldPlan& plan, std::uint64_t seed, net::Simulator& sim,
+    const std::function<std::unique_ptr<net::Node>(bgp::AsNumber)>& endpoint,
+    const std::function<void(const AppEvent&)>& on_event) {
+  for (const bgp::AsNumber asn : plan.participants) {
+    sim.add_node(asn, endpoint(asn));
+  }
+  for (const PlannedLink& link : plan.links) {
+    sim.connect(link.a, link.b, link.config);
+  }
+  plan.adversary->install(sim.transport(), plan.hoods, plan.attacked, seed);
+  for (const AppEvent& event : plan.app_events) {
+    sim.schedule(event.at, [on_event, &event] { on_event(event); });
+  }
+}
+
 void assemble_report(const ScenarioSpec& spec, const WorldPlan& plan,
                      std::size_t workers, const EvidenceAccessor& evidence_of,
                      const std::vector<net::TraceProverMeta>& provers,

@@ -27,6 +27,7 @@
 #include "core/verify_context.h"
 #include "engine/verification_engine.h"
 #include "net/message_trace.h"
+#include "net/simulator.h"
 #include "obs/metrics.h"
 #include "scenario/runner.h"
 
@@ -81,6 +82,19 @@ struct WorldPlan {
 // on unworkable timing, std::runtime_error when the topology yields no
 // qualifying neighborhood.
 [[nodiscard]] WorldPlan plan_world(const ScenarioSpec& spec);
+
+// Builds the simulated wire every simulator-driven run shares: one
+// `endpoint(asn)` per participant, the planned links, the adversary's
+// interceptor, and one event per planned app event, in canonical order, that
+// calls `on_event` with its element of plan.app_events. run_scenario wires
+// World-owned nodes; the multiprocess conductor wires proxies that grant
+// each delivery to the owning node process. Both get the same latency
+// draws, interception and sequence tiebreaks. `plan` must outlive `sim`'s
+// run; `on_event` is copied into each scheduled event.
+void wire_simulator(
+    const WorldPlan& plan, std::uint64_t seed, net::Simulator& sim,
+    const std::function<std::unique_ptr<net::Node>(bgp::AsNumber)>& endpoint,
+    const std::function<void(const AppEvent&)>& on_event);
 
 // Evidence accessor: the log of hoods[hood].verifiers()[verifier_index],
 // however the caller stores it (a live node, or evidence shipped back from

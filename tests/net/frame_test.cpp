@@ -73,13 +73,13 @@ TEST(FrameConnTest, ReassemblesFramesAcrossPartialReads) {
   wire.push_back(static_cast<std::uint8_t>(total >> 16));
   wire.push_back(static_cast<std::uint8_t>(total >> 8));
   wire.push_back(static_cast<std::uint8_t>(total));
-  wire.push_back(kFrameMessage);
+  wire.push_back(kFrameDone);
   wire.insert(wire.end(), body.begin(), body.end());
 
   std::vector<std::vector<std::uint8_t>> frames;
   const auto on_frame = [&](std::uint8_t type,
                             std::span<const std::uint8_t> data) {
-    EXPECT_EQ(type, kFrameMessage);
+    EXPECT_EQ(type, kFrameDone);
     frames.emplace_back(data.begin(), data.end());
   };
 
@@ -107,7 +107,7 @@ TEST(FrameConnTest, DisconnectMidMessageDiscardsTornFrame) {
   // A complete frame followed by the first half of another, then a close:
   // the complete one is delivered, the torn one never is.
   const std::vector<std::uint8_t> first = {0, 0, 0, 2, kFrameHello, 0xAA};
-  const std::vector<std::uint8_t> torn = {0, 0, 1, 0, kFrameMessage, 1, 2, 3};
+  const std::vector<std::uint8_t> torn = {0, 0, 1, 0, kFrameGrant, 1, 2, 3};
   ASSERT_EQ(::send(fds[1], first.data(), first.size(), 0),
             static_cast<ssize_t>(first.size()));
   ASSERT_EQ(::send(fds[1], torn.data(), torn.size(), 0),
