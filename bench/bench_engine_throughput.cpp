@@ -1,5 +1,5 @@
-// Engine throughput: rounds/sec vs. worker count and aggregation batch
-// size.
+// Engine throughput: rounds/sec vs. worker count, and the shared-context
+// signature verification rate.
 //
 // Workload: `--rounds=N` precomputed (prover, prefix, epoch) minimum-
 // operator rounds (default 10000: 25 prefixes x 400 epochs, 3 providers,
@@ -8,24 +8,20 @@
 // evidence must be byte-identical across worker counts (the engine's
 // determinism contract).
 //
-// Three measurements:
+// Two measurements:
 //   1. worker sweep  — full round verification through the engine at
 //      1/2/4/8 workers, rounds spread over 25 prefixes (cross-round
 //      parallelism; thread-level speedup tracks physical cores);
-//   2. aggregation   — bundle authentications/sec when the prover signs one
-//      Merkle root per epoch instead of one bundle per prefix (algorithmic
-//      speedup, independent of core count);
-//   3. batch verify  — BatchVerifier vs. per-message verify_message on
-//      same-signer reveal batches.
+//   2. verify rate   — core::verify_message through the directory's
+//      VerifyContext over the signed reveals, the path engine workers and
+//      nodes run.
 //
-// Exits nonzero when the evidence diverges across worker counts, batched
-// verdicts diverge from per-message ones, or batch_speedup < 0.9.
+// Exits nonzero when the evidence diverges across worker counts.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,7 +29,6 @@
 #include "bench_common.h"
 #include "core/pvr_speaker.h"
 #include "crypto/sha256.h"
-#include "engine/batch_verifier.h"
 #include "engine/verification_engine.h"
 
 namespace pvr::bench {
@@ -44,8 +39,6 @@ constexpr std::size_t kDefaultRounds = 10'000;
 constexpr std::size_t kProviders = 3;
 constexpr std::size_t kKeyBits = 512;
 constexpr std::uint32_t kMaxLen = 16;
-// Floor for batched / per-call-rebuild verification throughput.
-constexpr double kMinBatchSpeedup = 0.9;
 
 struct Round {
   core::ProtocolId id;
@@ -216,154 +209,38 @@ int main(int argc, char** argv) {
               "has %u)\n\n",
               std::thread::hardware_concurrency());
 
-  // --- 2. Merkle-aggregated bundle mode ------------------------------------
-  // Naive (batch=1): one signed bundle per (prefix, epoch) -> one RSA verify
-  // per round. Aggregated: within each epoch the prover signs one Merkle
-  // root per group of `batch` prefixes and reveals each prefix with a
-  // log-size proof -> one RSA verify per group. Groups never span epochs
-  // (the (prover, epoch) binding is part of the signed statement).
-  std::printf("%-8s %-14s %-12s %-9s\n", "batch", "bundle_auths", "auths/sec",
-              "speedup");
-  std::vector<core::CommitmentBundle> bundles;
-  bundles.reserve(rounds);
-  for (const Round& round : w.rounds) {
-    bundles.push_back(
-        core::CommitmentBundle::decode(round.result.signed_bundle.payload));
-  }
-  double naive_aps = 0;
-  double agg_aps_best = 0;
-  for (const std::size_t batch : {1u, 5u, 25u}) {
-    std::size_t auths = 0;
-    std::size_t failures = 0;
-    double elapsed = 0;
-    if (batch == 1) {
-      const double t0 = now_seconds();
-      for (const Round& round : w.rounds) {
-        if (!core::verify_message(w.keys.directory, round.result.signed_bundle)) {
-          failures += 1;
-        }
-        auths += 1;
-      }
-      elapsed = now_seconds() - t0;
-    } else {
-      // Prover side (untimed): per epoch, aggregate each `batch`-prefix
-      // group into one signed Merkle root.
-      std::vector<std::pair<core::SignedMessage,
-                            std::vector<engine::AggregatedOpening>>>
-          groups;
-      for (std::size_t epoch_start = 0; epoch_start < bundles.size();
-           epoch_start += kPrefixes) {
-        const std::uint64_t epoch = 1 + epoch_start / kPrefixes;
-        const std::size_t epoch_count =
-            std::min(kPrefixes, bundles.size() - epoch_start);
-        for (std::size_t offset = 0; offset < epoch_count; offset += batch) {
-          const std::size_t count = std::min(batch, epoch_count - offset);
-          engine::AggregatedCommitment commitment = engine::aggregate_bundles(
-              w.prover, epoch,
-              std::span(bundles).subspan(epoch_start + offset, count),
-              w.keys.private_keys.at(w.prover).priv);
-          groups.emplace_back(std::move(commitment.signed_root),
-                              std::move(commitment.openings));
-        }
-      }
-      const double t0 = now_seconds();
-      for (const auto& [signed_root, openings] : groups) {
-        const std::vector<bool> ok = engine::verify_aggregated_openings(
-            w.keys.directory, signed_root, openings);
-        for (const bool valid : ok) {
-          if (!valid) failures += 1;
-          auths += 1;
-        }
-      }
-      elapsed = now_seconds() - t0;
-    }
-    const double aps = static_cast<double>(auths) / elapsed;
-    if (batch == 1) naive_aps = aps;
-    agg_aps_best = std::max(agg_aps_best, aps);
-    std::printf("%-8zu %-14zu %-12.0f %-9.2f%s\n", batch, auths, aps,
-                aps / naive_aps, failures == 0 ? "" : "  FAILURES!");
-  }
-  std::printf("\n");
-
-  // --- 3. Stateless vs shared-context vs batched verification ---------------
-  //
-  // Three measurements over the same signed reveals:
-  //   stateless — crypto::rsa_verify, which rebuilds the per-key Montgomery
-  //               context on EVERY call (the pre-context cost model);
-  //   shared    — core::verify_message through the directory's
-  //               VerifyContext (per-key precompute built once) — this is
-  //               what engine workers and nodes actually pay, and the
-  //               verifies_per_sec the regression gate tracks;
-  //   batched   — engine::BatchVerifier over the shared context, messages
-  //               grouped by signer per drain batch.
-  // batch_speedup = batched / stateless: the honest end-to-end win of the
-  // amortized path over per-call setup. Before the shared context, the
-  // "batched" loop redid the same per-call work and the ratio pinned at
-  // ~1.0 — the no-op batching this section now exists to catch.
+  // --- 2. Shared-context verification rate ---------------------------------
+  // core::verify_message through the directory's VerifyContext (per-key
+  // precompute built once): what engine workers and nodes actually pay,
+  // and the verifies_per_sec the regression gate tracks.
   std::vector<core::SignedMessage> reveals;
   for (const Round& round : w.rounds) {
     for (const auto& [provider, reveal] : round.result.provider_reveals) {
       reveals.push_back(reveal);
     }
   }
-  // Repeat each loop until the sample is large enough for a stable rate,
-  // and take the best of several interleaved passes per mode: on a shared
-  // host one unlucky scheduling quantum otherwise dominates a single pass
-  // and the inter-mode ratio swings by tens of percent run to run.
+  // Repeat the loop until the sample is large enough for a stable rate,
+  // and take the best of several passes: on a shared host one unlucky
+  // scheduling quantum otherwise dominates a single pass.
   const std::size_t reps =
       reveals.empty() ? 0 : (2000 + reveals.size() - 1) / reveals.size();
   constexpr std::size_t kPasses = 3;
 
-  double stateless_vps = 0;
   double shared_vps = 0;
-  double batched_vps = 0;
-  std::size_t valid_stateless = 0;
-  std::size_t valid_single = 0;
-  std::size_t valid_batch = 0;
-  engine::BatchVerifier batch_verifier(&w.keys.directory);
+  std::size_t valid = 0;
   const double per_pass = static_cast<double>(reveals.size()) * reps;
   for (std::size_t pass = 0; pass < kPasses; ++pass) {
-    const double t_stateless = now_seconds();
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      for (const core::SignedMessage& message : reveals) {
-        const crypto::RsaPublicKey* key = w.keys.directory.find(message.signer);
-        if (key != nullptr &&
-            crypto::rsa_verify(*key,
-                               core::message_signing_input(message.signer,
-                                                           message.payload),
-                               message.signature)) {
-          valid_stateless += 1;
-        }
-      }
-    }
-    stateless_vps =
-        std::max(stateless_vps, per_pass / (now_seconds() - t_stateless));
-
     const double t_single = now_seconds();
     for (std::size_t rep = 0; rep < reps; ++rep) {
       for (const core::SignedMessage& message : reveals) {
-        if (core::verify_message(w.keys.directory, message)) valid_single += 1;
+        if (core::verify_message(w.keys.directory, message)) valid += 1;
       }
     }
     shared_vps = std::max(shared_vps, per_pass / (now_seconds() - t_single));
-
-    const double t_batch = now_seconds();
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      const std::vector<bool> batch_results = batch_verifier.verify(reveals);
-      for (const bool ok : batch_results) valid_batch += ok ? 1 : 0;
-    }
-    batched_vps = std::max(batched_vps, per_pass / (now_seconds() - t_batch));
   }
-
-  const double batch_speedup = batched_vps / stateless_vps;
-  const bool verdicts_agree =
-      valid_single == valid_batch && valid_stateless == valid_single;
-  std::printf("batch verifier: %zu reveals x%zu x%zu passes  stateless %.0f/s  "
-              "shared-ctx %.0f/s  batched %.0f/s  batch_speedup %.2f  "
-              "(results %s)\n\n",
-              reveals.size(), reps, kPasses, stateless_vps, shared_vps,
-              batched_vps, batch_speedup,
-              verdicts_agree ? "identical" : "DIVERGED!");
+  std::printf("verify: %zu reveals x%zu x%zu passes  shared-ctx %.0f/s  "
+              "(%zu valid)\n\n",
+              reveals.size(), reps, kPasses, shared_vps, valid);
 
   // Crypto profile row (ROADMAP item 3: profile before accelerating).
   // verifies_per_sec is wall-clock measured over the shared-context loop
@@ -371,12 +248,10 @@ int main(int argc, char** argv) {
   // crypto.* wall histograms and read 0 in that flavor.
   const obs::HotMetrics& hot = obs::MetricsRegistry::global().hot;
   std::printf("{\"bench\":\"crypto_profile\",\"seed\":%llu,"
-              "\"verifies_per_sec\":%.1f,\"batched_verifies_per_sec\":%.1f,"
-              "\"stateless_verifies_per_sec\":%.1f,\"batch_speedup\":%.2f,"
+              "\"verifies_per_sec\":%.1f,"
               "\"rsa_verify_p50_us\":%llu,\"rsa_verify_p99_us\":%llu,"
               "\"mulmod_p99_us\":%llu,\"hw_threads\":%u}\n",
-              static_cast<unsigned long long>(args.seed),
-              shared_vps, batched_vps, stateless_vps, batch_speedup,
+              static_cast<unsigned long long>(args.seed), shared_vps,
               static_cast<unsigned long long>(
                   hot.crypto_rsa_verify_us.quantile(0.5)),
               static_cast<unsigned long long>(
@@ -388,20 +263,10 @@ int main(int argc, char** argv) {
   std::printf("{\"bench\":\"engine_throughput\",\"seed\":%llu,\"rounds\":%zu,"
               "\"rounds_per_sec_1w\":%.1f,\"rounds_per_sec_8w\":%.1f,"
               "\"speedup_8v1\":%.2f,"
-              "\"deterministic\":%s,"
-              "\"agg_speedup\":%.2f,\"hw_threads\":%u}\n",
+              "\"deterministic\":%s,\"hw_threads\":%u}\n",
               static_cast<unsigned long long>(args.seed), rounds, rps_at_1,
-              rps_at_8, rps_at_8 / rps_at_1, deterministic ? "true" : "false", agg_aps_best / naive_aps,
+              rps_at_8, rps_at_8 / rps_at_1, deterministic ? "true" : "false",
               std::thread::hardware_concurrency());
   pvr::bench::emit_obs_snapshot("engine_throughput");
-  // batch_speedup is host-relative, so its floor needs no baseline: the
-  // grouped batch path must not be slower than rebuilding the per-key
-  // context on every call.
-  const bool batch_ok = batch_speedup >= kMinBatchSpeedup;
-  if (!batch_ok) {
-    std::fprintf(stderr,
-                 "bench_engine_throughput: batch_speedup %.2f < floor %.2f\n",
-                 batch_speedup, kMinBatchSpeedup);
-  }
-  return deterministic && verdicts_agree && batch_ok ? 0 : 1;
+  return deterministic ? 0 : 1;
 }

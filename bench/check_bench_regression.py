@@ -5,10 +5,10 @@ committed BENCH_pr*.json baseline, one RULES row at a time.
 Correctness is each bench's own job: bench_scenarios exits nonzero on a
 missed detection, false evidence, a failed verification, nondeterminism,
 online/offline or multiprocess parity loss, or an unbounded online trace;
-bench_engine_throughput does on nondeterminism, diverged batch verdicts or
-batch_speedup < 0.9; and run_all.sh exits nonzero when any bench does. This
-script does the one thing no bench can do alone: hold the fresh numbers
-against the committed baseline.
+bench_engine_throughput does when its evidence digest diverges across worker
+counts; and run_all.sh exits nonzero when any bench does. This script does
+the one thing no bench can do alone: hold the fresh numbers against the
+committed baseline.
 
 Usage: check_bench_regression.py FRESH BASELINE   (exit 1 on any violation)
 """

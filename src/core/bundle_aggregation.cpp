@@ -41,6 +41,7 @@ AggregatedBundle AggregatedBundle::decode(std::span<const std::uint8_t> data) {
   bundle.epoch = reader.get_u64();
   bundle.batch = reader.get_u32();
   const std::uint32_t count = reader.get_u32();
+  reader.require_entries(count, 5);  // u32 address + u8 length per prefix
   bundle.prefixes.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     bundle.prefixes.push_back(bgp::Ipv4Prefix::decode(reader));
@@ -49,118 +50,6 @@ AggregatedBundle AggregatedBundle::decode(std::span<const std::uint8_t> data) {
   std::copy(raw.begin(), raw.end(), bundle.root.begin());
   return bundle;
 }
-
-std::vector<std::uint8_t> AggregatedOpening::encode() const {
-  crypto::ByteWriter writer;
-  writer.put_bytes(bundle.encode());
-  proof.encode(writer);
-  return writer.take();
-}
-
-AggregatedOpening AggregatedOpening::decode(std::span<const std::uint8_t> data) {
-  crypto::ByteReader reader(data);
-  AggregatedOpening opening;
-  opening.bundle = CommitmentBundle::decode(reader.get_bytes());
-  opening.proof = crypto::MerkleProof::decode(reader);
-  return opening;
-}
-
-AggregatedCommitment aggregate_bundles(bgp::AsNumber prover,
-                                       std::uint64_t epoch,
-                                       std::span<const CommitmentBundle> bundles,
-                                       const crypto::RsaPrivateKey& key,
-                                       std::uint32_t batch) {
-  if (bundles.empty()) {
-    throw std::invalid_argument("aggregate_bundles: no bundles");
-  }
-  std::vector<std::vector<std::uint8_t>> leaves;
-  leaves.reserve(bundles.size());
-  for (const CommitmentBundle& bundle : bundles) {
-    leaves.push_back(bundle.encode());
-  }
-  const crypto::MerkleTree tree = crypto::MerkleTree::build(leaves);
-
-  AggregatedCommitment commitment;
-  AggregatedBundle root{
-      .prover = prover, .epoch = epoch, .batch = batch, .root = tree.root()};
-  for (const CommitmentBundle& bundle : bundles) {
-    root.prefixes.push_back(bundle.id.prefix);
-  }
-  commitment.signed_root = sign_message(prover, key, root.encode());
-  commitment.openings.reserve(bundles.size());
-  for (std::size_t i = 0; i < bundles.size(); ++i) {
-    commitment.openings.push_back(
-        AggregatedOpening{.bundle = bundles[i], .proof = tree.prove(i)});
-  }
-  return commitment;
-}
-
-namespace {
-
-// Signature-free part of the aggregated check (the root signature is the
-// caller's responsibility, verified once per epoch in the batched form).
-[[nodiscard]] bool check_opening_against_root(const AggregatedBundle& root,
-                                              bgp::AsNumber root_signer,
-                                              const AggregatedOpening& opening) {
-  // The opened bundle must belong to the same (prover, epoch) the root was
-  // signed for — a proof from another epoch's tree must not transplant.
-  if (opening.bundle.id.prover != root.prover ||
-      opening.bundle.id.epoch != root.epoch || root.prover != root_signer) {
-    return false;
-  }
-  if (!root.covers(opening.bundle.id.prefix)) return false;
-  if (opening.proof.leaf_count != root.prefix_count()) return false;
-  return crypto::MerkleTree::verify(root.root, opening.bundle.encode(),
-                                    opening.proof);
-}
-
-}  // namespace
-
-bool verify_aggregated_opening(const VerifyContext& ctx,
-                               const SignedMessage& signed_root,
-                               const AggregatedOpening& opening) {
-  if (!ctx.verify(signed_root)) return false;
-  AggregatedBundle root;
-  try {
-    root = AggregatedBundle::decode(signed_root.payload);
-  } catch (const std::out_of_range&) {
-    return false;
-  }
-  return check_opening_against_root(root, signed_root.signer, opening);
-}
-
-bool verify_aggregated_opening(const KeyDirectory& directory,
-                               const SignedMessage& signed_root,
-                               const AggregatedOpening& opening) {
-  return verify_aggregated_opening(directory.verify_context(), signed_root,
-                                   opening);
-}
-
-std::vector<bool> verify_aggregated_openings(
-    const VerifyContext& ctx, const SignedMessage& signed_root,
-    std::span<const AggregatedOpening> openings) {
-  std::vector<bool> out(openings.size(), false);
-  if (!ctx.verify(signed_root)) return out;
-  AggregatedBundle root;
-  try {
-    root = AggregatedBundle::decode(signed_root.payload);
-  } catch (const std::out_of_range&) {
-    return out;
-  }
-  for (std::size_t i = 0; i < openings.size(); ++i) {
-    out[i] = check_opening_against_root(root, signed_root.signer, openings[i]);
-  }
-  return out;
-}
-
-std::vector<bool> verify_aggregated_openings(
-    const KeyDirectory& directory, const SignedMessage& signed_root,
-    std::span<const AggregatedOpening> openings) {
-  return verify_aggregated_openings(directory.verify_context(), signed_root,
-                                    openings);
-}
-
-// ---- Envelope-level wire aggregation ----
 
 void SignedBundleOpening::encode(crypto::ByteWriter& writer) const {
   writer.put_bytes(bundle.encode());
@@ -192,6 +81,8 @@ AggregatedBundleMessage AggregatedBundleMessage::decode(
   AggregatedBundleMessage message;
   message.signed_root = SignedMessage::decode(reader.get_bytes());
   const std::uint32_t count = reader.get_u32();
+  // u32 length prefix of the signed bundle + the 20-byte proof header.
+  reader.require_entries(count, 4 + 20);
   message.openings.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     message.openings.push_back(SignedBundleOpening::decode(reader));
@@ -285,14 +176,6 @@ std::optional<Evidence> check_root_equivocation(const VerifyContext& ctx,
       .detail = a.batch == b.batch
                     ? "two conflicting signed bundle roots for one aggregation window"
                     : "two aggregation windows claim the same round"};
-}
-
-std::optional<Evidence> check_root_equivocation(const KeyDirectory& directory,
-                                                bgp::AsNumber reporter,
-                                                const SignedMessage& first,
-                                                const SignedMessage& second) {
-  return check_root_equivocation(directory.verify_context(), reporter, first,
-                                 second);
 }
 
 }  // namespace pvr::core

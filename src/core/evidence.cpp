@@ -52,6 +52,7 @@ Evidence Evidence::decode(std::span<const std::uint8_t> data) {
   evidence.reporter = reader.get_u32();
   evidence.index = reader.get_u32();
   const std::uint32_t count = reader.get_u32();
+  reader.require_entries(count, 4);  // u32 length prefix per message
   evidence.messages.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     evidence.messages.push_back(SignedMessage::decode(reader.get_bytes()));

@@ -78,8 +78,8 @@ struct SignedMessage {
                                   const SignedMessage& message);
 
 // The exact byte string rsa_sign / rsa_verify operate on for a
-// SignedMessage (domain tag || signer || payload). Exposed so batched
-// verifiers can feed many messages into crypto::rsa_verify_batch.
+// SignedMessage (domain tag || signer || payload). Exposed so
+// VerifyContext can screen and verify through its prepared per-key state.
 [[nodiscard]] std::vector<std::uint8_t> message_signing_input(
     bgp::AsNumber signer, std::span<const std::uint8_t> payload);
 

@@ -217,7 +217,7 @@ void PvrNode::run_prover_batch(net::Transport& sim, std::uint64_t epoch,
   }
 
   // Publish the window's bundles under one signed Merkle root
-  // (pvr.bundle.agg, DESIGN.md §8.5). When equivocating, the first half of
+  // (pvr.bundle.agg, DESIGN.md §8.4). When equivocating, the first half of
   // the providers get the conflicting variant.
   const std::size_t half = config_.providers.size() / 2;
   const std::uint32_t window = next_batch_[epoch]++;

@@ -3,8 +3,8 @@
 //
 // PR 5 deduplicated re-VERIFIED roots per node (PvrNode::seen_roots_, one
 // node skipping its own repeat work). This hoists the idea to a
-// world-level service: ONE VerifyContext shared by every node, the engine,
-// and the batch verifier, so
+// world-level service: ONE VerifyContext shared by every node and the
+// engine, so
 //
 //   - each public key's MontgomeryCtx (crypto/montgomery.h) is built once
 //     for the whole world instead of once per rsa_verify call, and

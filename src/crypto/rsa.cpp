@@ -179,13 +179,6 @@ bool rsa_verify(const RsaPublicKey& key, std::span<const std::uint8_t> message,
   return m == Bignum::from_bytes_be(em);
 }
 
-std::vector<bool> rsa_verify_batch(const RsaPublicKey& key,
-                                   std::span<const RsaBatchItem> items) {
-  // One RsaVerifyKey for the whole batch: the Montgomery precompute (R^2
-  // division, n') is paid once instead of once per member.
-  return RsaVerifyKey(key).verify_batch(items);
-}
-
 RsaVerifyKey::RsaVerifyKey(RsaPublicKey key) : key_(std::move(key)) {
   if (key_.n.is_odd() && key_.n.limbs().size() <= kMaxMontgomeryLimbs &&
       !key_.n.is_one()) {
@@ -220,20 +213,6 @@ bool RsaVerifyKey::verify(std::span<const std::uint8_t> message,
                           std::span<const std::uint8_t> signature) const {
   const std::optional<Prepared> prepared = prepare(message, signature);
   return prepared.has_value() && finish(*prepared);
-}
-
-std::vector<bool> RsaVerifyKey::verify_batch(
-    std::span<const RsaBatchItem> items) const {
-  std::vector<bool> out(items.size(), false);
-  PVR_OBS_COUNT(crypto_rsa_batched, items.size());
-  // Structural screening first; members failing it cannot verify and need
-  // no exponentiation at all.
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const std::optional<Prepared> prepared =
-        prepare(items[i].message, items[i].signature);
-    if (prepared.has_value()) out[i] = finish(*prepared);
-  }
-  return out;
 }
 
 Bignum RsaVerifyKey::public_apply(const Bignum& x) const {

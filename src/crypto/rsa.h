@@ -70,25 +70,6 @@ struct RsaKeyPair {
                               std::span<const std::uint8_t> message,
                               std::span<const std::uint8_t> signature);
 
-// Verification of many signatures under ONE public key in a single call,
-// amortizing the structural screening and message encoding across the
-// batch. The result vector is EXACTLY what per-member rsa_verify returns.
-//
-// Deliberately NOT a product-test batch accept: the small-exponents test
-// (Bellare–Garay–Rabin) is only sound in prime-order groups, and Z_n* is
-// not one — Boyd–Pavlovski-style forgeries (e.g. s' = n - s, or factors
-// of small odd order dividing lambda(n)) pass the product equation with
-// non-negligible probability, which would make the batched verdict
-// diverge from rsa_verify under adversarial input. Each member is
-// therefore checked with its own e-exponentiation; for the e = 65537 keys
-// used throughout this repo that is also the cheapest option.
-struct RsaBatchItem {
-  std::span<const std::uint8_t> message;
-  std::span<const std::uint8_t> signature;
-};
-[[nodiscard]] std::vector<bool> rsa_verify_batch(const RsaPublicKey& key,
-                                                 std::span<const RsaBatchItem> items);
-
 // Raw RSA trapdoor permutation (used by the ring-signature scheme).
 [[nodiscard]] Bignum rsa_public_apply(const RsaPublicKey& key, const Bignum& x);
 [[nodiscard]] Bignum rsa_private_apply(const RsaPrivateKey& key, const Bignum& y);
@@ -125,11 +106,6 @@ class RsaVerifyKey {
 
   [[nodiscard]] bool verify(std::span<const std::uint8_t> message,
                             std::span<const std::uint8_t> signature) const;
-
-  // Same contract as rsa_verify_batch, with the per-key precompute shared
-  // across the whole batch.
-  [[nodiscard]] std::vector<bool> verify_batch(
-      std::span<const RsaBatchItem> items) const;
 
   // s^e mod n through the shared Montgomery context.
   [[nodiscard]] Bignum public_apply(const Bignum& x) const;

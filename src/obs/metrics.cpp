@@ -105,7 +105,6 @@ constexpr HotScalar kHotScalars[] = {
     // though every verdict is deterministic.
     {"crypto.mont_powmods", Domain::kSched, &HotMetrics::crypto_mont_powmods},
     {"crypto.mulmod_calls", Domain::kSim, &HotMetrics::crypto_mulmod_calls},
-    {"crypto.rsa_batched", Domain::kSim, &HotMetrics::crypto_rsa_batched},
     {"crypto.rsa_signs", Domain::kSim, &HotMetrics::crypto_rsa_signs},
     // kSched since the world verdict cache: a cache hit skips the RSA
     // exponentiation entirely, and WHICH lookup hits depends on the

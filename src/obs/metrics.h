@@ -203,7 +203,6 @@ struct HotMetrics {
   // Crypto profile (ROADMAP item 3's "profile first").
   Counter crypto_rsa_verifies;    // RSA verify exponentiations performed
   Counter crypto_rsa_signs;       // RSA signatures produced
-  Counter crypto_rsa_batched;     // verify members screened via a batch call
   Counter crypto_sig_cache_hits;  // verified-root dedup hits (RSA skipped)
   Counter crypto_world_cache_hits;  // world verdict-cache hits (RSA skipped)
   Counter crypto_mulmod_calls;    // Bignum::mulmod invocations

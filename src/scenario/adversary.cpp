@@ -67,6 +67,7 @@ struct WireChaosState {
           state->replay_budget -= 1;
           net::Message replay = message;
           replay.payload[0] = 0;  // stale copy reinjected as if fresh
+          replay.cookie = 0;      // a new send, not part of the original's flow
           const net::SimTime at =
               sim.now() + kReplayStepUs * (1 + static_cast<net::SimTime>(i));
           sim.schedule(at, [&sim, replay = std::move(replay)]() mutable {

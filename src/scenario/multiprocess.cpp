@@ -257,10 +257,12 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
         obs::TraceWriter& tracer = obs::TraceWriter::global();
         if (tracer.active()) {
           // Anchor slice + finish half of the flow arrow whose 's' lives in
-          // the SENDING process's shard (same cookie).
+          // the SENDING process's shard (same cookie); cookie 0 has no 's'.
           tracer.sim_span("msg.deliver", message.to, at, at);
-          tracer.flow('f', "msg.flow", "flow", obs::Track::kSim, message.to,
-                      at, cookie);
+          if (cookie != 0) {
+            tracer.flow('f', "msg.flow", "flow", obs::Track::kSim, message.to,
+                        at, cookie);
+          }
         }
         world.deliver(transport, message);
       } else {
@@ -356,9 +358,10 @@ class Conductor {
   void deliver(const net::Message& message) {
     // The relay hop of the flow arrow: send ('s') and delivery ('f') live
     // in child shards; this step ('t') pins the conductor's grant moment
-    // onto the same cookie chain in the merged timeline.
+    // onto the same cookie chain in the merged timeline. Messages no child
+    // sent (an adversary's replays) carry cookie 0 and no flow.
     obs::TraceWriter& tracer = obs::TraceWriter::global();
-    if (tracer.active()) {
+    if (tracer.active() && message.cookie != 0) {
       tracer.flow('t', "msg.flow", "flow", obs::Track::kSim, message.to,
                   sim_.now(), message.cookie);
     }

@@ -271,6 +271,38 @@ TEST(PvrNodeTest, MultipleSequentialEpochs) {
   EXPECT_TRUE(world.node(world.recipient).evidence().empty());
 }
 
+// A 58-byte unsigned gossip root from one provider to another: a hops
+// byte, then a SignedMessage whose AggregatedBundle claims 2^32 - 1
+// prefixes. The decoder must reject the count before it reserves for it;
+// the receiver drops the root and the run completes.
+TEST(PvrNodeTest, ForgedHugeGossipRootIsDroppedWithoutAbortingTheRun) {
+  Figure1Handles handles = make_figure1_world({.seed = 12});
+  Figure1World& world = *handles.world;
+  crypto::ByteWriter root;
+  root.put_string("pvr-aggregated-bundle");
+  root.put_u32(world.prover);
+  root.put_u64(1);            // epoch
+  root.put_u32(0);            // batch
+  root.put_u32(0xFFFFFFFFu);  // prefix count, with no prefixes following
+  const SignedMessage forged{
+      .signer = world.prover, .payload = root.take(), .signature = {}};
+  std::vector<std::uint8_t> payload{0};  // relay hop count
+  const std::vector<std::uint8_t> envelope = forged.encode();
+  payload.insert(payload.end(), envelope.begin(), envelope.end());
+  ASSERT_EQ(payload.size(), 58u);
+
+  const bgp::AsNumber receiver = world.providers[0];
+  world.sim.schedule(0, [&world, receiver, payload] {
+    world.sim.send(net::Message{.from = world.providers[1],
+                                .to = receiver,
+                                .channel = kGossipRootChannel,
+                                .payload = payload});
+  });
+  world.sim.run();
+  EXPECT_EQ(world.node(receiver).open_rounds(), 0u);
+  EXPECT_EQ(world.node(receiver).seen_root_epochs(), 0u);
+}
+
 TEST(PvrNodeTest, RoleValidation) {
   Figure1Setup setup{.seed = 10};
   Figure1Handles handles = make_figure1_world(setup);

@@ -218,25 +218,51 @@ TEST_F(RsaTest, PreparedKeyAgreesWithStatelessVerify) {
   }
 }
 
-TEST_F(RsaTest, PreparedKeyBatchMatchesSingles) {
-  const RsaVerifyKey prepared(key().pub);
+// A large-e key (the case a batched product-test accept would target; see
+// DESIGN.md §15 on why none exists): the prepared key still returns
+// exactly rsa_verify's verdict, including for the s' = n - s forgery.
+TEST_F(RsaTest, LargeExponentPreparedKeyMatchesStatelessVerify) {
+  // Re-derive a key pair over the shared modulus with a ~80-bit exponent.
+  const RsaPrivateKey& base = key().priv;
+  const Bignum p1 = base.p - Bignum(1);
+  const Bignum q1 = base.q - Bignum(1);
+  const Bignum phi = p1 * q1;
+  Drbg rng(7, "rsa-large-exponent");
+  Bignum e;
+  do {
+    e = rng.random_bits(80);
+    e.set_bit(0);
+  } while (!Bignum::gcd(e, phi).is_one());
+  const Bignum d = e.invmod(phi);
+  const RsaPrivateKey priv{.n = base.n,
+                           .e = e,
+                           .d = d,
+                           .p = base.p,
+                           .q = base.q,
+                           .d_p = d % p1,
+                           .d_q = d % q1,
+                           .q_inv = base.q_inv};
+  const RsaPublicKey pub = priv.public_key();
+  ASSERT_GT(pub.e.bit_length(), 64u);
+  const RsaVerifyKey prepared(pub);
+
   std::vector<std::vector<std::uint8_t>> messages;
   std::vector<std::vector<std::uint8_t>> signatures;
-  for (int i = 0; i < 5; ++i) {
-    messages.push_back({static_cast<std::uint8_t>('a' + i)});
-    signatures.push_back(rsa_sign(key().priv, messages.back()));
+  for (std::size_t i = 0; i < 6; ++i) {
+    messages.push_back(rng.bytes(64));
+    signatures.push_back(rsa_sign(priv, messages.back()));
   }
-  signatures[3][9] ^= 0x40;  // one forgery in the batch
-  std::vector<RsaBatchItem> items;
+  signatures[4][0] ^= 0x80;  // corrupt one signature
+  // Boyd–Pavlovski-style forgery: s' = n - s passes a naive product test
+  // half the time (even random exponents), so it must be rejected here.
+  const Bignum negated = pub.n - Bignum::from_bytes_be(signatures[0]);
+  messages.push_back(messages[0]);
+  signatures.push_back(negated.to_bytes_be(pub.modulus_bytes()));
+
   for (std::size_t i = 0; i < messages.size(); ++i) {
-    items.push_back(RsaBatchItem{.message = messages[i],
-                                 .signature = signatures[i]});
-  }
-  const std::vector<bool> verdicts = prepared.verify_batch(items);
-  ASSERT_EQ(verdicts.size(), messages.size());
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    EXPECT_EQ(verdicts[i], prepared.verify(messages[i], signatures[i])) << i;
-    EXPECT_EQ(verdicts[i], i != 3) << i;
+    const bool verdict = prepared.verify(messages[i], signatures[i]);
+    EXPECT_EQ(verdict, rsa_verify(pub, messages[i], signatures[i])) << i;
+    EXPECT_EQ(verdict, i != 4 && i != 6) << i;
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "baseline/sbgp.h"
 #include "bgp/messages.h"
+#include "core/bundle_aggregation.h"
 #include "core/graph_commitment.h"
 #include "core/min_protocol.h"
 #include "crypto/drbg.h"
@@ -175,6 +176,38 @@ TEST(DecoderRobustness, HugeEntryCountsRejectedBeforeReserve) {
   snapshot.put_u32(0xFFFFFFFFu);
   ASSERT_EQ(snapshot.data().size(), 6u);
   EXPECT_THROW((void)obs::MetricsSnapshot::decode(snapshot.data()),
+               std::out_of_range);
+
+  // Tag, prover, epoch, batch, then prefix_count = 2^32 - 1 and no
+  // prefixes (each would be 5 bytes).
+  crypto::ByteWriter root;
+  root.put_string("pvr-aggregated-bundle");
+  root.put_u32(1);
+  root.put_u64(1);
+  root.put_u32(0);
+  root.put_u32(0xFFFFFFFFu);
+  EXPECT_THROW((void)core::AggregatedBundle::decode(root.data()),
+               std::out_of_range);
+
+  // Tag, an empty signed root, then opening_count = 2^32 - 1 and no
+  // openings (each at least a 4-byte length prefix + the 20-byte proof
+  // header).
+  crypto::ByteWriter agg;
+  agg.put_string("pvr.bundle.agg");
+  agg.put_bytes(core::SignedMessage{}.encode());
+  agg.put_u32(0xFFFFFFFFu);
+  EXPECT_THROW((void)core::AggregatedBundleMessage::decode(agg.data()),
+               std::out_of_range);
+
+  // Kind, accused, reporter, index, then message count = 2^32 - 1 and no
+  // messages (each at least a 4-byte length prefix).
+  crypto::ByteWriter evidence;
+  evidence.put_u8(0);
+  evidence.put_u32(1);
+  evidence.put_u32(2);
+  evidence.put_u32(0);
+  evidence.put_u32(0xFFFFFFFFu);
+  EXPECT_THROW((void)core::Evidence::decode(evidence.data()),
                std::out_of_range);
 }
 

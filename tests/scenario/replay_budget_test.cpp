@@ -2,9 +2,13 @@
 // stale signed roots with a reset hop count must be absorbed by the
 // first-seen slots (no re-relay storm, no state growth) and must never
 // manufacture evidence against honest provers; the hop budget must bound
-// the honest flood itself.
+// the honest flood itself. A replayed copy is a new send: it must not
+// inherit the original's trace-flow cookie.
 #include <gtest/gtest.h>
 
+#include "core/pvr_speaker.h"
+#include "net/simulator.h"
+#include "scenario/adversary.h"
 #include "scenario/runner.h"
 
 namespace pvr::scenario {
@@ -64,6 +68,49 @@ TEST(ReplayBudgetTest, ReplayOnTopOfEquivocationChangesNothing) {
   EXPECT_EQ(report.detection_rate, 1.0);
   EXPECT_EQ(report.false_evidence, 0u);
   EXPECT_EQ(report.audit_failures, 0u);
+}
+
+// Records the (hop byte, cookie) of every message it receives.
+class CookieRecorder final : public net::Node {
+ public:
+  void on_message(net::Transport& transport,
+                  const net::Message& message) override {
+    (void)transport;
+    seen.emplace_back(message.payload.front(), message.cookie);
+  }
+  std::vector<std::pair<std::uint8_t, std::uint64_t>> seen;
+};
+
+TEST(ReplayBudgetTest, ReplayedCopiesCarryNoFlowCookie) {
+  net::Simulator sim(5);
+  sim.add_node(1, std::make_unique<CookieRecorder>());
+  sim.add_node(2, std::make_unique<CookieRecorder>());
+  sim.connect(1, 2);
+  // No neighborhoods: nothing is droppable, so only delay and replay act.
+  make_adversary("delay_replay")->install(sim.transport(), {}, {}, 9);
+  sim.schedule(0, [&sim] {
+    sim.send(net::Message{.from = 1,
+                          .to = 2,
+                          .channel = core::kGossipRootChannel,
+                          .payload = {3, 0xAA, 0xBB},
+                          .cookie = 0x1234});
+  });
+  sim.run();
+
+  const auto& seen = dynamic_cast<CookieRecorder&>(sim.node(2)).seen;
+  // The original plus delay_replay's two replays, which reset the hop byte.
+  ASSERT_EQ(seen.size(), 3u);
+  std::size_t originals = 0;
+  for (const auto& [hops, cookie] : seen) {
+    if (hops == 3) {
+      originals += 1;
+      EXPECT_EQ(cookie, 0x1234u);
+    } else {
+      EXPECT_EQ(hops, 0u);
+      EXPECT_EQ(cookie, 0u) << "a replay kept the original's flow cookie";
+    }
+  }
+  EXPECT_EQ(originals, 1u);
 }
 
 }  // namespace
