@@ -69,13 +69,21 @@ TEST(AggregatedBundleTest, AllOpeningsVerify) {
 TEST(AggregatedBundleTest, TamperedBundleRejected) {
   const AggregatedWorld world = make_aggregated(4, 1);
   // Even a bundle the prover itself re-signed after the fact must not
-  // verify: it is not the leaf the root commits to.
+  // verify: it is not the leaf the root commits to. The tampered bundle
+  // still decodes, names this window's prover and epoch and a covered
+  // prefix, so only the Merkle inclusion proof can reject it.
   SignedBundleOpening tampered = world.message.openings[2];
   CommitmentBundle bundle = CommitmentBundle::decode(tampered.bundle.payload);
-  bundle.max_len += 1;
+  bundle.bits[1].digest[0] ^= 1;
   tampered.bundle = sign_message(
       kProver, world.keys.private_keys.at(kProver).priv, bundle.encode());
   ASSERT_TRUE(world.keys.directory.verify_context().verify(tampered.bundle));
+  const CommitmentBundle reopened =
+      CommitmentBundle::decode(tampered.bundle.payload);
+  ASSERT_EQ(reopened.id.prover, world.root.prover);
+  ASSERT_EQ(reopened.id.epoch, world.root.epoch);
+  ASSERT_TRUE(world.root.covers(reopened.id.prefix));
+  ASSERT_NE(tampered.bundle, world.message.openings[2].bundle);
   EXPECT_FALSE(verify_signed_opening(world.root, tampered));
 }
 
