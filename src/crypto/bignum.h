@@ -29,6 +29,9 @@ class Bignum {
   // Parses a big-endian byte string (as used by RFC 8017 OS2IP).
   [[nodiscard]] static Bignum from_bytes_be(std::span<const std::uint8_t> bytes);
 
+  // Takes little-endian limbs; trailing zero limbs are trimmed.
+  [[nodiscard]] static Bignum from_limbs(std::vector<std::uint64_t> limbs);
+
   // Serializes to a big-endian byte string of exactly `length` bytes
   // (RFC 8017 I2OSP). Throws std::length_error if the value does not fit.
   [[nodiscard]] std::vector<std::uint8_t> to_bytes_be(std::size_t length) const;
@@ -92,7 +95,6 @@ class Bignum {
 
  private:
   void trim() noexcept;
-  static Bignum from_limbs(std::vector<std::uint64_t> limbs);
 
   std::vector<std::uint64_t> limbs_;  // little-endian; no trailing zero limbs
 };

@@ -1,16 +1,26 @@
 // Montgomery-form modular arithmetic for a fixed odd modulus.
 //
-// This is the fast kernel behind Bignum::powmod and the per-public-key
-// verification contexts (rsa.h RsaVerifyKey, core/verify_context.h): all
-// per-modulus work — n' = -n^{-1} mod 2^64, R^2 mod n, the fixed limb
-// width — is done once in the constructor, after which every modular
-// multiplication is one CIOS pass (Koç–Acar–Kaliski) with no division at
-// all. A full exponentiation converts into Montgomery domain once, runs
-// its whole ladder on CIOS multiplies, and converts out once.
+// This is the fast kernel behind Bignum::powmod, the per-public-key
+// verification contexts (rsa.h RsaVerifyKey, core/verify_context.h) and the
+// per-private-key CRT contexts (rsa.h RsaCrtContexts): all per-modulus work
+// — n' = -n^{-1} mod 2^64, R^2 mod n, the fixed limb width — is done once in
+// the constructor, after which every modular multiplication is one CIOS pass
+// (Koç–Acar–Kaliski) with no division at all. A full exponentiation converts
+// into Montgomery domain once, runs its whole ladder on CIOS multiplies, and
+// converts out once.
+//
+// Two CIOS kernels share one body (detail::cios_mul, montgomery_detail.h):
+// a fixed-width instantiation for 4, 8 and 16 limbs — the CRT halves and
+// moduli of 512-, 1024- and 2048-bit RSA keys — whose loops the compiler
+// fully unrolls, and a runtime-width fallback for every other width.
+// powmod() picks one once per call from width(); for the fixed widths its
+// window table, accumulator and conversions live in stack arrays, so a
+// ladder makes no heap allocation.
 //
 // The schoolbook path (Bignum::mulmod / Bignum::powmod_reference) is kept
 // as the differential-test reference; tests/crypto/montgomery_test.cpp
-// fuzzes the two against each other over random operands and edge moduli.
+// fuzzes the two against each other over random operands and edge moduli,
+// and the fixed-width kernels against the runtime-width one.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +30,7 @@
 
 namespace pvr::crypto {
 
-// Widest modulus the stack-buffer CIOS kernel accepts: 64 limbs = 4096
+// Widest modulus the runtime-width CIOS kernel accepts: 64 limbs = 4096
 // bits, comfortably past any RSA modulus this repo generates. Callers
 // (Bignum::powmod) fall back to the schoolbook ladder beyond it.
 inline constexpr std::size_t kMaxMontgomeryLimbs = 64;
@@ -35,9 +45,9 @@ class MontgomeryCtx {
   [[nodiscard]] const Bignum& modulus() const noexcept { return m_; }
   [[nodiscard]] std::size_t width() const noexcept { return n_.size(); }
 
-  // (a * b) mod m via to-Montgomery / CIOS / from-Montgomery. Exposed for
-  // the differential tests; powmod() stays in Montgomery domain throughout
-  // and does NOT route through this.
+  // (a * b) mod m via to-Montgomery / CIOS / from-Montgomery on the
+  // runtime-width kernel. Exposed for the differential tests; powmod()
+  // stays in Montgomery domain throughout and does NOT route through this.
   [[nodiscard]] Bignum mulmod(const Bignum& a, const Bignum& b) const;
 
   // (base ^ exponent) mod m. One conversion in, one conversion out, every
@@ -47,15 +57,9 @@ class MontgomeryCtx {
   [[nodiscard]] Bignum powmod(const Bignum& base, const Bignum& exponent) const;
 
  private:
-  // CIOS Montgomery multiplication: out = a * b * R^{-1} mod m, where a, b,
-  // out are `width()` limbs little-endian, a/b < m. out may alias a or b.
-  void mont_mul(const std::uint64_t* a, const std::uint64_t* b,
-                std::uint64_t* out) const;
-
-  // Widens `x` (which must be < m) to width() limbs.
-  [[nodiscard]] std::vector<std::uint64_t> to_limbs(const Bignum& x) const;
-  [[nodiscard]] static Bignum from_limbs_trimmed(
-      const std::vector<std::uint64_t>& limbs);
+  // powmod() on the kernel for width W (0 = runtime width).
+  template <std::size_t W>
+  [[nodiscard]] Bignum powmod_w(const Bignum& base, const Bignum& exponent) const;
 
   Bignum m_;
   std::vector<std::uint64_t> n_;   // modulus limbs, fixed width

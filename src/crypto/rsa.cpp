@@ -130,6 +130,8 @@ RsaKeyPair generate_rsa_keypair(std::size_t modulus_bits, Drbg& rng) {
         .d_p = d % p1,
         .d_q = d % q1,
         .q_inv = q.invmod(p),
+        .crt = std::make_shared<const RsaCrtContexts>(
+            RsaCrtContexts{.p = MontgomeryCtx(p), .q = MontgomeryCtx(q)}),
     };
     return {.pub = priv.public_key(), .priv = std::move(priv)};
   }
@@ -141,8 +143,8 @@ Bignum rsa_public_apply(const RsaPublicKey& key, const Bignum& x) {
 
 Bignum rsa_private_apply(const RsaPrivateKey& key, const Bignum& y) {
   // CRT: m1 = y^dP mod p, m2 = y^dQ mod q, h = qInv(m1-m2) mod p.
-  const Bignum m1 = (y % key.p).powmod(key.d_p, key.p);
-  const Bignum m2 = (y % key.q).powmod(key.d_q, key.q);
+  const Bignum m1 = key.crt->p.powmod(y % key.p, key.d_p);
+  const Bignum m2 = key.crt->q.powmod(y % key.q, key.d_q);
   // (m1 - m2) mod p without negative numbers: add p*? — m2 < q, reduce first.
   const Bignum m2_mod_p = m2 % key.p;
   const Bignum diff = m1 >= m2_mod_p ? m1 - m2_mod_p : (m1 + key.p) - m2_mod_p;

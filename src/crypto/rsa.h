@@ -3,10 +3,13 @@
 // The paper's overhead analysis (§3.8) is phrased in terms of RSA-1024
 // signatures (~2 ms on 2011 hardware); route announcements, commitments,
 // and evidence objects in this repo are all signed with this module.
-// Signing uses the CRT; verification uses the public exponent directly.
+// Signing uses the CRT on Montgomery contexts for p and q that
+// generate_rsa_keypair builds once per key; verification uses the public
+// exponent directly, on RsaVerifyKey's per-key context.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -32,6 +35,12 @@ struct RsaPublicKey {
   [[nodiscard]] static RsaPublicKey decode(std::span<const std::uint8_t> data);
 };
 
+// The Montgomery contexts of the two CRT moduli.
+struct RsaCrtContexts {
+  MontgomeryCtx p;
+  MontgomeryCtx q;
+};
+
 struct RsaPrivateKey {
   Bignum n;
   Bignum e;
@@ -42,6 +51,11 @@ struct RsaPrivateKey {
   Bignum d_p;    // d mod (p-1)
   Bignum d_q;    // d mod (q-1)
   Bignum q_inv;  // q^{-1} mod p
+  // Contexts for p and q, built once by generate_rsa_keypair. Immutable and
+  // shared, so copies of the key stay cheap and concurrent signers need no
+  // lock. rsa_private_apply requires them: a key assembled by hand must
+  // carry the contexts of its own p and q.
+  std::shared_ptr<const RsaCrtContexts> crt;
 
   [[nodiscard]] RsaPublicKey public_key() const { return {.n = n, .e = e}; }
 };

@@ -1,9 +1,16 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
+#include "crypto/sha256_detail.h"
 #include "obs/metrics.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace pvr::crypto {
 
@@ -27,14 +34,8 @@ constexpr std::array<std::uint32_t, 64> kRoundConstants = {
   return std::rotr(x, n);
 }
 
-}  // namespace
-
-Sha256::Sha256() noexcept
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
-      buffer_{} {}
-
-void Sha256::process_block(const std::uint8_t* block) noexcept {
+void process_block(detail::Sha256State& state,
+                   const std::uint8_t* block) noexcept {
   std::array<std::uint32_t, 64> w;
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
@@ -50,7 +51,7 @@ void Sha256::process_block(const std::uint8_t* block) noexcept {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  auto [a, b, c, d, e, f, g, h] = state_;
+  auto [a, b, c, d, e, f, g, h] = state;
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -69,15 +70,111 @@ void Sha256::process_block(const std::uint8_t* block) noexcept {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
 }
+
+using BlockKernel = void (*)(detail::Sha256State&, const std::uint8_t*,
+                             std::size_t) noexcept;
+
+// The kernel for this CPU, chosen by cpuid on first use.
+[[nodiscard]] BlockKernel block_kernel() noexcept {
+  static const BlockKernel kernel = [] {
+#if defined(__x86_64__)
+    if (detail::cpu_has_sha_ni()) return &detail::sha256_blocks_shani;
+#endif
+    return &detail::sha256_blocks_portable;
+  }();
+  return kernel;
+}
+
+}  // namespace
+
+namespace detail {
+
+void sha256_blocks_portable(Sha256State& state, const std::uint8_t* data,
+                            std::size_t nblocks) noexcept {
+  for (std::size_t i = 0; i < nblocks; ++i) process_block(state, data + 64 * i);
+}
+
+#if defined(__x86_64__)
+
+bool cpu_has_sha_ni() noexcept {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool ssse3 = (ecx & bit_SSSE3) != 0;
+  const bool sse41 = (ecx & bit_SSE4_1) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return ssse3 && sse41 && (ebx & bit_SHA) != 0;
+}
+
+// The message schedule lives in four vectors of four words, m[g % 4]
+// holding W[4g .. 4g+3]. Each sha256rnds2 runs two rounds on the state
+// split as ABEF / CDGH, so a group of four rounds is two of them.
+__attribute__((target("sha,sse4.1,ssse3"))) void sha256_blocks_shani(
+    Sha256State& state, const std::uint8_t* data, std::size_t nblocks) noexcept {
+  const __m128i byteswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  // DCBA, HGFE -> ABEF, CDGH.
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  tmp = _mm_shuffle_epi32(tmp, 0xb1);    // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1b);  // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xf0);
+
+  for (; nblocks > 0; --nblocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i m[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& cur = m[g & 3];
+      if (g < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            byteswap);
+      } else {
+        // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16].
+        const __m128i prev = m[(g + 3) & 3];
+        cur = _mm_sha256msg1_epu32(cur, m[(g + 1) & 3]);
+        cur = _mm_add_epi32(cur, _mm_alignr_epi8(prev, m[(g + 2) & 3], 4));
+        cur = _mm_sha256msg2_epu32(cur, prev);
+      }
+      __m128i wk = _mm_add_epi32(
+          cur, _mm_loadu_si128(
+                   reinterpret_cast<const __m128i*>(&kRoundConstants[4 * g])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      wk = _mm_shuffle_epi32(wk, 0x0e);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  // ABEF, CDGH -> DCBA, HGFE.
+  tmp = _mm_shuffle_epi32(abef, 0x1b);   // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xb1);  // DCHG
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(tmp, cdgh, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(cdgh, tmp, 8));
+}
+
+#endif  // __x86_64__
+
+}  // namespace detail
+
+Sha256::Sha256() noexcept
+    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
+      buffer_{} {}
 
 void Sha256::update(std::span<const std::uint8_t> data) noexcept {
   if (counted_) PVR_OBS_COUNT(crypto_bytes_hashed, data.size());
@@ -89,13 +186,13 @@ void Sha256::update(std::span<const std::uint8_t> data) noexcept {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
+      block_kernel()(state_, buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  if (const std::size_t nblocks = (data.size() - offset) / 64; nblocks > 0) {
+    block_kernel()(state_, data.data() + offset, nblocks);
+    offset += nblocks * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -109,18 +206,16 @@ void Sha256::update(std::string_view data) noexcept {
 }
 
 Digest Sha256::finalize() noexcept {
+  // 0x80, zeros up to 56 mod 64, then the bit length: one update, so
+  // crypto.bytes_hashed counts these bytes as one call.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(std::span(&pad_byte, 1));
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    update(std::span(&zero, 1));
+  const std::size_t zeros = (119 - buffer_len_) % 64;
+  std::array<std::uint8_t, 72> pad{};
+  pad[0] = 0x80;
+  for (std::size_t i = 0; i < 8; ++i) {
+    pad[1 + zeros + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  std::array<std::uint8_t, 8> len_be;
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  update(std::span(len_be.data(), len_be.size()));
+  update(std::span(pad.data(), 1 + zeros + 8));
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

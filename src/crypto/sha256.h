@@ -2,6 +2,11 @@
 //
 // PVR's commitment and Merkle-tree layers (paper §3.2, §3.6) are built on a
 // cryptographic hash; the paper names SHA-256 explicitly in §3.8.
+//
+// update() hands every run of whole 64-byte blocks to one block kernel,
+// chosen once by cpuid: the x86 SHA extensions where present, the portable
+// compression elsewhere (crypto/sha256_detail.h). Digests are identical on
+// both.
 #pragma once
 
 #include <array>
@@ -30,8 +35,6 @@ class Sha256 {
 
  private:
   friend Digest sha256_uncounted(std::span<const std::uint8_t> data) noexcept;
-
-  void process_block(const std::uint8_t* block) noexcept;
 
   bool counted_ = true;  // false = exempt from crypto.bytes_hashed
   std::array<std::uint32_t, 8> state_;

@@ -3,18 +3,59 @@
 // arithmetic beyond Bignum's add/sub/mul/div primitives, so agreement over
 // seeded random operands and the edge moduli below is strong evidence the
 // kernel is right (the RSA known-answer vectors in rsa_test.cpp pin it to
-// an outside implementation on top).
+// an outside implementation on top). The fixed-width kernels (4, 8 and 16
+// limbs) and the runtime-width one are also driven directly, with aliased
+// operands, at every width either serves.
 #include "crypto/montgomery.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "crypto/bignum.h"
 #include "crypto/drbg.h"
+#include "crypto/montgomery_detail.h"
 
 namespace pvr::crypto {
 namespace {
+
+using Limbs = std::vector<std::uint64_t>;
+using Kernel = void (*)(const std::uint64_t*, const std::uint64_t*,
+                        const std::uint64_t*, std::uint64_t, std::size_t,
+                        std::uint64_t*) noexcept;
+
+// Every width the fixed kernels cover, plus runtime-width ones around and
+// between them, up to kMaxMontgomeryLimbs.
+constexpr std::size_t kKernelWidths[] = {1, 2, 3, 4, 5, 8, 12, 16, 64};
+
+// The kernel MontgomeryCtx dispatches to for width w.
+Kernel kernel_for(std::size_t w) {
+  switch (w) {
+    case 4: return &detail::cios_mul<4>;
+    case 8: return &detail::cios_mul<8>;
+    case 16: return &detail::cios_mul<16>;
+    default: return &detail::cios_mul<0>;
+  }
+}
+
+// A random odd modulus of exactly `width` limbs. With top_all_ones its top
+// limb is 2^64 - 1, so CIOS results sit close to 2m and the final
+// subtraction fires at its edge.
+Bignum random_modulus(Drbg& rng, std::size_t width, bool top_all_ones) {
+  Limbs limbs(width);
+  for (auto& limb : limbs) limb = rng.next_u64();
+  limbs[0] |= 1;
+  limbs.back() = top_all_ones ? ~std::uint64_t{0} : limbs.back() | (1ULL << 63);
+  if (width == 1 && limbs[0] == 1) limbs[0] = 3;
+  return Bignum::from_limbs(std::move(limbs));
+}
+
+Limbs to_width(const Bignum& x, std::size_t width) {
+  Limbs out(width, 0);
+  std::copy(x.limbs().begin(), x.limbs().end(), out.begin());
+  return out;
+}
 
 // Odd moduli that stress the kernel's boundaries: minimal width, all-ones
 // limbs (carry chains), Mersenne shapes, and multi-limb RSA-ish widths.
@@ -108,6 +149,82 @@ TEST(MontgomeryTest, PowmodEdgeExponents) {
               base.powmod_reference(Bignum(65537), m));
     EXPECT_EQ(ctx.powmod(base, (Bignum(1) << 33) + Bignum(5)),
               base.powmod_reference((Bignum(1) << 33) + Bignum(5), m));
+  }
+}
+
+// Each kernel, called directly, against the schoolbook product: out * R
+// must equal a * b mod m. Covers out aliasing a, b or both (the squaring
+// a ladder runs), operands at m - 1, and top-limb-all-ones moduli; the
+// fixed-width kernels must also match the runtime-width one limb for limb.
+TEST(MontgomeryTest, KernelsMatchSchoolbookAtEveryWidthWithAliasing) {
+  Drbg rng(7104, "montgomery-kernel-fuzz");
+  for (const std::size_t w : kKernelWidths) {
+    const Kernel kernel = kernel_for(w);
+    for (const bool top_all_ones : {false, true}) {
+      for (int round = 0; round < 12; ++round) {
+        const Bignum m = random_modulus(rng, w, top_all_ones);
+        const Limbs n = to_width(m, w);
+        const std::uint64_t n0inv = detail::neg_inverse_64(n[0]);
+        const Bignum r = (Bignum(1) << (64 * w)) % m;
+        const Bignum a = round == 0 ? m - Bignum(1) : rng.random_below(m);
+        const Bignum b = round <= 1 ? m - Bignum(1) : rng.random_below(m);
+        const Limbs al = to_width(a, w);
+        const Limbs bl = to_width(b, w);
+        const auto check = [&](const Limbs& out, const Bignum& x,
+                               const Bignum& y, const char* what) {
+          const Bignum got = Bignum::from_limbs(out);
+          ASSERT_LT(got, m) << what << " w=" << w;
+          ASSERT_EQ(got.mulmod(r, m), x.mulmod(y, m))
+              << what << " w=" << w << " m=" << m.to_hex();
+        };
+
+        Limbs out(w);
+        kernel(al.data(), bl.data(), n.data(), n0inv, w, out.data());
+        check(out, a, b, "distinct");
+        if (w == 4 || w == 8 || w == 16) {
+          Limbs generic(w);
+          detail::cios_mul<0>(al.data(), bl.data(), n.data(), n0inv, w,
+                              generic.data());
+          ASSERT_EQ(out, generic) << "fixed vs generic, w=" << w;
+        }
+
+        Limbs x = al;
+        kernel(x.data(), bl.data(), n.data(), n0inv, w, x.data());
+        check(x, a, b, "out == a");
+        x = bl;
+        kernel(al.data(), x.data(), n.data(), n0inv, w, x.data());
+        check(x, a, b, "out == b");
+        x = al;
+        kernel(x.data(), x.data(), n.data(), n0inv, w, out.data());
+        check(out, a, a, "a == b");
+        kernel(x.data(), x.data(), n.data(), n0inv, w, x.data());
+        check(x, a, a, "out == a == b");
+      }
+    }
+  }
+}
+
+// Full exponentiations through MontgomeryCtx at every kernel width, both
+// the fixed-width stack ladders and the runtime-width fallback, against
+// powmod_reference; the ladder squares in place (out == a == b).
+TEST(MontgomeryTest, PowmodMatchesReferenceAtEveryKernelWidth) {
+  Drbg rng(7105, "montgomery-width-powmod-fuzz");
+  for (const std::size_t w : kKernelWidths) {
+    for (const bool top_all_ones : {false, true}) {
+      for (int round = 0; round < 4; ++round) {
+        const Bignum m = random_modulus(rng, w, top_all_ones);
+        const MontgomeryCtx ctx(m);
+        ASSERT_EQ(ctx.width(), w);
+        const Bignum base =
+            round == 0 ? m - Bignum(1) : rng.random_below(m + m);
+        // Up to 512 exponent bits keeps the schoolbook side quick at 64
+        // limbs; short exponents take the binary ladder, long the window.
+        const std::size_t max_bits = std::min<std::size_t>(64 * w, 512);
+        const Bignum exponent = rng.random_bits(1 + rng.uniform(max_bits));
+        ASSERT_EQ(ctx.powmod(base, exponent), base.powmod_reference(exponent, m))
+            << "w=" << w << " m=" << m.to_hex() << " e=" << exponent.to_hex();
+      }
+    }
   }
 }
 

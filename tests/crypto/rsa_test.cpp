@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string_view>
 #include <vector>
 
@@ -64,6 +65,13 @@ TEST_F(RsaTest, KeyPairInvariants) {
   // e*d = 1 mod phi
   const Bignum phi = (kp.priv.p - Bignum(1)) * (kp.priv.q - Bignum(1));
   EXPECT_EQ(kp.priv.e.mulmod(kp.priv.d, phi), Bignum(1));
+  // The CRT contexts are built with the key, for its own p and q, and a
+  // copy of the key shares them.
+  ASSERT_NE(kp.priv.crt, nullptr);
+  EXPECT_EQ(kp.priv.crt->p.modulus(), kp.priv.p);
+  EXPECT_EQ(kp.priv.crt->q.modulus(), kp.priv.q);
+  const RsaKeyPair copy = kp;
+  EXPECT_EQ(copy.priv.crt.get(), kp.priv.crt.get());
 }
 
 TEST_F(RsaTest, TrapdoorRoundTrip) {
@@ -197,6 +205,94 @@ TEST(RsaKnownAnswer, PinnedVectorsVerify) {
   }
 }
 
+// Signatures pinned from the schoolbook-era signing path: keys of 512, 1024
+// and 2048 bits (CRT halves on the 4-, 8- and 16-limb Montgomery kernels)
+// drawn from a fixed Drbg, three messages each. PKCS#1 v1.5 signing is
+// deterministic, so any change to the CRT contexts or the kernels must
+// reproduce these bytes exactly.
+struct PinnedSigningKey {
+  std::size_t modulus_bits;
+  std::array<RsaKat, 3> signatures;
+};
+
+TEST(RsaKnownAnswer, PinnedSignaturesReproduce) {
+  const PinnedSigningKey pinned[] = {
+      {512,
+       {{
+        {"",
+          "57457c07cec05a89d2251884e974bb5130feb7b1c7b82d806b0ee16f64ffa3fb"
+          "44580136da24633fbc2c1499771a753092fd0801a09cab6d9ede8786245987af"},
+        {"pvr pinned signing vector",
+          "255d4f4f94e3450ba9e0478a8aac0f57615f8ea56224a8ae5c1167b07b6b8a37"
+          "01345353a97a7e42bbe137f8d65a5213bff39f945e5b521ba3d937233459a861"},
+        {"The quick brown fox jumps over the lazy dog",
+          "835e3fe3b5a27c63c1ef255c6dba60169d684e124f692cf95ab237d462acce17"
+          "4e3617100d0013010eab31d764356a8c06e87745b0e50d6a087f97f502b363cd"},
+       }}},
+      {1024,
+       {{
+        {"",
+          "369bfe5011e76a9d848f8ae62359b750c8fbbff4910d03953a0219f4f694a7a4"
+          "5144f3a5b8c7d3c610907b439cf40f16f0ce147096fe2d4c2dd9bc4784e613ff"
+          "db3179823b79f54950f9a5fd60fe7bb5e2e88e85a9cedca87de3df4654b35e08"
+          "6f63a1591517a3049aaa3f0047365494f3fd77d2279ef0f12d6546d18443a16a"},
+        {"pvr pinned signing vector",
+          "97204f607ee1a2a4ca10315b085da5b4bc947967e5aef6ce5d26b38b80268c0e"
+          "77fcb67229eddc10e54447f7b746859e702411fc1880a1b9da8536d5a92b455c"
+          "1bcf3285864bce8c28dde5b4137898e540335ade8fd56210041fc19a35384f71"
+          "9044d9308805027725d46257f86289d41eb2bf2722a4f5df944287f156a504b8"},
+        {"The quick brown fox jumps over the lazy dog",
+          "8ce48037cc8a48505549935903d06843e7eb057742efd3144c27ee8f37a9313e"
+          "6273d193aad37839a643793f48bc8a937ea1440e281f7e74b7bdaaf2c6c83b7f"
+          "3bd93de0cf5d0cd972271e7d19a5a5063b289c300b95336d533dca7f618d5194"
+          "7bd97dba88145333df3e5462f4e558dc45ce8ee88fd36472335dd223b7876163"},
+       }}},
+      {2048,
+       {{
+        {"",
+          "9040308041b7c2378a799d74056fe5468d0567679256c0b6f1a9743ec1a4959f"
+          "07340f2c47973971f55df33ba2222a5672a7e073e31fff454556cd163963aae0"
+          "24b1409119419118822a8db5ec7a94e56be5739c2f131d0ef07b534b5677cf91"
+          "5d5266fbf7e4d309788601567cf0a77e3299adbf9ba1390118bfe3f4e07ae766"
+          "cf7ef9cbe3aa122f22aeea255e3e328b316cc162fe8297d1a707a5b0a9b1d8ac"
+          "bf9a76cdc4b45bba282f777acabe8d3a297ab5e7541fb76ba520d330f6d6eabf"
+          "50734bd6dee9dae33cb3e52c9a27f5a43dec37dcf3d747a95f37234be60c05cb"
+          "8d92765e85c1cb1b4bf536c06b0c30d5f290b7264ba068b0bc918513a0cde587"},
+        {"pvr pinned signing vector",
+          "29dba7444f3bb96ae52deaff0a413cc4ca878b1caf22abd806d0af1e0ad96bb7"
+          "ebaa4df87ec968f277e1e1ed3ae0d139f94ae5e473680b0ef2832df83deb478b"
+          "ad49e5f24d20338fafa9393ed5e87523462f8964604706287fd24014d2f5fb5f"
+          "21b9908cd2bfeb4fca9f739fb9da66634f5729c2d20a3fe06b5c9695d7df485d"
+          "5522f1a1282c790b0e9af8794aa06b4b633ef94db162e587ccf6ae5c2154915b"
+          "2501324859ecd9d341b837fe1d8ff5c8f15ac6f4368f93a56eeed61c144a454f"
+          "64e720e25eaaf15e96b7d704318fceaab19709696623248caec31f946dae7688"
+          "09ae66e3dee75b28040b231353b349882f515e30b26b0a83cf7698773d169d44"},
+        {"The quick brown fox jumps over the lazy dog",
+          "0577899232dec60e8bd06e818b083c7c89ddc0e71651a2b66ceeaa96962748c8"
+          "f2a593d56c9bfaba4e3ddabba0fd0ba19a3ee9b00a16c467867a41807028f545"
+          "2c5f3d1316ffb566e3ce34364f2d0fde10ed67964084b66378e1ed517b35566a"
+          "107acf6459b57b9ed46fefd9fd149e4d370a1ed2a35fe6a649a9f09ce311b38a"
+          "e4e2ef72a70f9d7756c009bb4f7a29c325d56e6dd9d6b6d9a0baf48f63dd97c0"
+          "b0929b1c7ea1849be60a3d0b09066a2d670005b6f4574ba8316598cdc1676437"
+          "c2ca266e524ce82fab6002c58b4364dbdc6ae876553813f71edb0d3eba56e4c5"
+          "1964fec9cec7b93d1897971464ea9af3b07d40ea2e7a2919b51faa43467afe11"},
+       }}},
+  };
+  for (const PinnedSigningKey& key : pinned) {
+    Drbg rng(key.modulus_bits, "rsa-pinned-signing");
+    const RsaKeyPair pair = generate_rsa_keypair(key.modulus_bits, rng);
+    for (const RsaKat& kat : key.signatures) {
+      const std::string_view text = kat.message;
+      const std::vector<std::uint8_t> message(text.begin(), text.end());
+      const std::vector<std::uint8_t> signature = rsa_sign(pair.priv, message);
+      EXPECT_EQ(signature, Bignum::from_hex(kat.signature_hex)
+                               .to_bytes_be(pair.pub.modulus_bytes()))
+          << key.modulus_bits << " bits, message \"" << kat.message << "\"";
+      EXPECT_TRUE(rsa_verify(pair.pub, message, signature));
+    }
+  }
+}
+
 // The stateless free function and the prepared-key class are the same
 // verifier: equal verdicts over matched and mismatched pairs.
 TEST_F(RsaTest, PreparedKeyAgreesWithStatelessVerify) {
@@ -241,7 +337,8 @@ TEST_F(RsaTest, LargeExponentPreparedKeyMatchesStatelessVerify) {
                            .q = base.q,
                            .d_p = d % p1,
                            .d_q = d % q1,
-                           .q_inv = base.q_inv};
+                           .q_inv = base.q_inv,
+                           .crt = base.crt};
   const RsaPublicKey pub = priv.public_key();
   ASSERT_GT(pub.e.bit_length(), 64u);
   const RsaVerifyKey prepared(pub);
