@@ -104,28 +104,40 @@ inline void emit_obs_snapshot(const char* bench_name) {
     return 0;                                                       \
   }
 
+// Seals one round as a one-prefix window (batch 0): the statements of
+// `result` as leaves under one signed root, as a PvrNode would ship them.
+[[nodiscard]] inline core::SignedWindow seal_round(
+    const core::ProverResult& result, const crypto::RsaPrivateKey& key,
+    crypto::Drbg& rng) {
+  return core::seal_window(result.bundle.id.prover, result.bundle.id.epoch, 0,
+                           0, std::span(&result, 1), key, rng)
+      .honest;
+}
+
 // The canonical neighborhood check used by the experiment harnesses: every
 // announcing provider verifies its reveal, every recipient verifies the
-// reveal + export. One shared definition keeps the sequential and
-// engine-backed measurement paths comparing identical work.
+// reveal + export, all as leaves of one sealed round. One shared
+// definition keeps the sequential and engine-backed measurement paths
+// comparing identical work.
 [[nodiscard]] inline core::RoundFindings verify_neighborhood(
-    const core::KeyDirectory& directory, const core::ProverResult& result,
+    const core::KeyDirectory& directory, const core::SignedWindow& window,
     const std::map<bgp::AsNumber, core::InputAnnouncement>& announcements,
     const std::vector<bgp::AsNumber>& recipients) {
   core::RoundFindings findings;
+  const core::SignedWindow::Round& round = window.rounds.front();
   for (const auto& [provider, announcement] : announcements) {
-    const auto it = result.provider_reveals.find(provider);
+    const auto it = round.provider_reveals.find(provider);
     auto found = core::verify_as_provider(
-        directory, provider, announcement, result.signed_bundle,
-        it == result.provider_reveals.end() ? nullptr : &it->second);
+        directory, provider, announcement, window.signed_root, round.bundle,
+        it == round.provider_reveals.end() ? nullptr : &it->second);
     findings.evidence.insert(findings.evidence.end(), found.begin(),
                              found.end());
   }
   for (const bgp::AsNumber recipient : recipients) {
     auto found = core::verify_as_recipient(directory, recipient,
-                                           result.signed_bundle,
-                                           &result.recipient_reveal,
-                                           &result.export_statement);
+                                           window.signed_root, round.bundle,
+                                           &round.recipient_reveal,
+                                           &round.export_statement);
     findings.evidence.insert(findings.evidence.end(), found.begin(),
                              found.end());
   }

@@ -86,28 +86,19 @@ struct Tally {
       misbehavior.skip_reveal_for = announcements.begin()->first;
     }
 
-    const core::ProverResult result =
-        core::run_prover(id, core::OperatorKind::kMinimum, inputs, kMaxLen,
-                         keys.private_keys.at(1).priv, rng, misbehavior);
+    const core::ProverResult result = core::run_prover(
+        id, core::OperatorKind::kMinimum, inputs, kMaxLen, rng, misbehavior);
+    const core::SealedWindow sealed = core::seal_window(
+        id.prover, id.epoch, 0, 0, std::span(&result, 1),
+        keys.private_keys.at(1).priv, rng);
 
-    std::vector<core::Evidence> evidence;
-    for (const auto& [provider, announcement] : announcements) {
-      const auto it = result.provider_reveals.find(provider);
-      auto found = core::verify_as_provider(
-          keys.directory, provider, announcement, result.signed_bundle,
-          it == result.provider_reveals.end() ? nullptr : &it->second);
-      evidence.insert(evidence.end(), found.begin(), found.end());
-    }
-    auto found = core::verify_as_recipient(keys.directory, 2,
-                                           result.signed_bundle,
-                                           &result.recipient_reveal,
-                                           &result.export_statement);
-    evidence.insert(evidence.end(), found.begin(), found.end());
-    if (result.equivocating_bundle.has_value()) {
-      if (auto conflict =
-              core::check_equivocation(keys.directory, providers.front(),
-                                       result.signed_bundle,
-                                       *result.equivocating_bundle)) {
+    core::RoundFindings findings = verify_neighborhood(
+        keys.directory, sealed.honest, announcements, {2});
+    std::vector<core::Evidence>& evidence = findings.evidence;
+    if (sealed.variant.has_value()) {
+      if (auto conflict = core::check_root_equivocation(
+              keys.directory.verify_context(), providers.front(),
+              sealed.honest.signed_root, sealed.variant->signed_root)) {
         evidence.push_back(std::move(*conflict));
       }
     }

@@ -13,8 +13,8 @@
 //      1/2/4/8 workers, rounds spread over 25 prefixes (cross-round
 //      parallelism; thread-level speedup tracks physical cores);
 //   2. verify rate   — core::verify_message through the directory's
-//      VerifyContext over the signed reveals, the path engine workers and
-//      nodes run.
+//      VerifyContext over the rounds' signed window roots, the path engine
+//      workers and nodes run.
 //
 // Exits nonzero when the evidence diverges across worker counts.
 #include <algorithm>
@@ -42,7 +42,7 @@ constexpr std::uint32_t kMaxLen = 16;
 
 struct Round {
   core::ProtocolId id;
-  core::ProverResult result;
+  core::SignedWindow window;  // the round sealed alone under one signed root
   std::map<bgp::AsNumber, core::InputAnnouncement> announcements;
 };
 
@@ -98,10 +98,10 @@ struct Workload {
       }
     }
     crypto::Drbg round_rng(1000 + r, "engine-bench-round");
-    round.result = core::run_prover(round.id, core::OperatorKind::kMinimum,
-                                    inputs, kMaxLen,
-                                    w.keys.private_keys.at(w.prover).priv,
-                                    round_rng, misbehavior);
+    round.window = seal_round(
+        core::run_prover(round.id, core::OperatorKind::kMinimum, inputs,
+                         kMaxLen, round_rng, misbehavior),
+        w.keys.private_keys.at(w.prover).priv, round_rng);
     w.rounds.push_back(std::move(round));
   }
   return w;
@@ -110,7 +110,7 @@ struct Workload {
 // Full verification of one round: all providers + the recipient.
 [[nodiscard]] core::RoundFindings check_round(const Workload& w,
                                               const Round& round) {
-  return verify_neighborhood(w.keys.directory, round.result,
+  return verify_neighborhood(w.keys.directory, round.window,
                              round.announcements, {w.recipient});
 }
 
@@ -123,6 +123,9 @@ struct Workload {
       for (const core::SignedMessage& message : item.messages) {
         const std::vector<std::uint8_t> encoded = message.encode();
         hasher.update(encoded);
+      }
+      for (const core::LeafOpening& opening : item.leaves) {
+        hasher.update(opening.leaf.encode());
       }
     }
   }
@@ -213,34 +216,30 @@ int main(int argc, char** argv) {
   // core::verify_message through the directory's VerifyContext (per-key
   // precompute built once): what engine workers and nodes actually pay,
   // and the verifies_per_sec the regression gate tracks.
-  std::vector<core::SignedMessage> reveals;
-  for (const Round& round : w.rounds) {
-    for (const auto& [provider, reveal] : round.result.provider_reveals) {
-      reveals.push_back(reveal);
-    }
-  }
+  std::vector<core::SignedMessage> roots;
+  for (const Round& round : w.rounds) roots.push_back(round.window.signed_root);
   // Repeat the loop until the sample is large enough for a stable rate,
   // and take the best of several passes: on a shared host one unlucky
   // scheduling quantum otherwise dominates a single pass.
   const std::size_t reps =
-      reveals.empty() ? 0 : (2000 + reveals.size() - 1) / reveals.size();
+      roots.empty() ? 0 : (2000 + roots.size() - 1) / roots.size();
   constexpr std::size_t kPasses = 3;
 
   double shared_vps = 0;
   std::size_t valid = 0;
-  const double per_pass = static_cast<double>(reveals.size()) * reps;
+  const double per_pass = static_cast<double>(roots.size()) * reps;
   for (std::size_t pass = 0; pass < kPasses; ++pass) {
     const double t_single = now_seconds();
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      for (const core::SignedMessage& message : reveals) {
+      for (const core::SignedMessage& message : roots) {
         if (core::verify_message(w.keys.directory, message)) valid += 1;
       }
     }
     shared_vps = std::max(shared_vps, per_pass / (now_seconds() - t_single));
   }
-  std::printf("verify: %zu reveals x%zu x%zu passes  shared-ctx %.0f/s  "
+  std::printf("verify: %zu roots x%zu x%zu passes  shared-ctx %.0f/s  "
               "(%zu valid)\n\n",
-              reveals.size(), reps, kPasses, shared_vps, valid);
+              roots.size(), reps, kPasses, shared_vps, valid);
 
   // Crypto profile row (ROADMAP item 3: profile before accelerating).
   // verifies_per_sec is wall-clock measured over the shared-context loop

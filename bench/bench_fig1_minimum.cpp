@@ -20,15 +20,15 @@ void BM_Fig1_ProverRound(benchmark::State& state) {
 
   std::size_t wire_bytes = 0;
   for (auto _ : state) {
-    const core::ProverResult result = core::run_prover(
-        instance.id, core::OperatorKind::kMinimum, instance.inputs, max_len,
-        instance.keys.private_keys.at(1).priv, rng, {});
-    benchmark::DoNotOptimize(result);
-    wire_bytes = result.signed_bundle.encode().size() +
-                 result.recipient_reveal.encode().size() +
-                 result.export_statement.encode().size();
-    for (const auto& [provider, reveal] : result.provider_reveals) {
-      wire_bytes += reveal.encode().size();
+    const core::SignedWindow window = seal_round(
+        core::run_prover(instance.id, core::OperatorKind::kMinimum,
+                         instance.inputs, max_len, rng, {}),
+        instance.keys.private_keys.at(1).priv, rng);
+    benchmark::DoNotOptimize(window);
+    // One pvr.bundle.agg message per neighbor.
+    wire_bytes = window.message_for_recipient().encode().size();
+    for (const bgp::AsNumber provider : instance.providers) {
+      wire_bytes += window.message_for_provider(provider).encode().size();
     }
   }
   state.counters["wire_bytes"] = static_cast<double>(wire_bytes);
@@ -43,16 +43,19 @@ void BM_Fig1_VerifyAsProvider(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   const Fig1Instance& instance = fig1_instance(k, kKeyBits, 16);
   crypto::Drbg rng(2, "bench-verify-n");
-  const core::ProverResult result = core::run_prover(
-      instance.id, core::OperatorKind::kMinimum, instance.inputs, 16,
-      instance.keys.private_keys.at(1).priv, rng, {});
+  const core::SignedWindow window = seal_round(
+      core::run_prover(instance.id, core::OperatorKind::kMinimum,
+                       instance.inputs, 16, rng, {}),
+      instance.keys.private_keys.at(1).priv, rng);
   const bgp::AsNumber provider = instance.providers.front();
   const core::InputAnnouncement& own = instance.announcements.at(provider);
-  const core::SignedMessage& reveal = result.provider_reveals.at(provider);
+  const core::SignedWindow::Round& round = window.rounds.front();
+  const core::LeafOpening& reveal = round.provider_reveals.at(provider);
 
   for (auto _ : state) {
     const auto evidence = core::verify_as_provider(
-        instance.keys.directory, provider, own, result.signed_bundle, &reveal);
+        instance.keys.directory, provider, own, window.signed_root,
+        round.bundle, &reveal);
     benchmark::DoNotOptimize(evidence);
   }
 }
@@ -65,14 +68,16 @@ void BM_Fig1_VerifyAsRecipient(benchmark::State& state) {
   const std::uint32_t max_len = static_cast<std::uint32_t>(state.range(1));
   const Fig1Instance& instance = fig1_instance(k, kKeyBits, max_len);
   crypto::Drbg rng(3, "bench-verify-b");
-  const core::ProverResult result = core::run_prover(
-      instance.id, core::OperatorKind::kMinimum, instance.inputs, max_len,
-      instance.keys.private_keys.at(1).priv, rng, {});
+  const core::SignedWindow window = seal_round(
+      core::run_prover(instance.id, core::OperatorKind::kMinimum,
+                       instance.inputs, max_len, rng, {}),
+      instance.keys.private_keys.at(1).priv, rng);
+  const core::SignedWindow::Round& round = window.rounds.front();
 
   for (auto _ : state) {
     const auto evidence = core::verify_as_recipient(
-        instance.keys.directory, 2, result.signed_bundle,
-        &result.recipient_reveal, &result.export_statement);
+        instance.keys.directory, 2, window.signed_root, round.bundle,
+        &round.recipient_reveal, &round.export_statement);
     benchmark::DoNotOptimize(evidence);
   }
 }
@@ -88,10 +93,11 @@ void BM_Fig1_ExistentialProverRound(benchmark::State& state) {
   const Fig1Instance& instance = fig1_instance(k, kKeyBits, 16);
   crypto::Drbg rng(4, "bench-exists");
   for (auto _ : state) {
-    const core::ProverResult result = core::run_prover(
-        instance.id, core::OperatorKind::kExistential, instance.inputs, 1,
-        instance.keys.private_keys.at(1).priv, rng, {});
-    benchmark::DoNotOptimize(result);
+    const core::SignedWindow window = seal_round(
+        core::run_prover(instance.id, core::OperatorKind::kExistential,
+                         instance.inputs, 1, rng, {}),
+        instance.keys.private_keys.at(1).priv, rng);
+    benchmark::DoNotOptimize(window);
   }
 }
 BENCHMARK(BM_Fig1_ExistentialProverRound)

@@ -24,7 +24,10 @@
 //      scenarios_online row now also records the pipelining evidence
 //      (wall_ms, sim_ms, verify_ms, pipeline_overlap_ratio, hw_threads):
 //      overlap ratio must be > 0 everywhere, and on multi-core hosts
-//      wall_ms must undercut sim_ms + verify_ms.
+//      wall_ms must undercut sim_ms + verify_ms. The row also reports the
+//      paper's bandwidth trade (§3.8): proof_bytes_per_round, the Merkle
+//      proofs one signature per window costs, and prover_signs_per_window,
+//      which must be exactly 1 for every prover that does not attack.
 //
 // One JSON line per scenario plus a scenarios_gate verdict row, one
 // scenarios_online row (check_bench_regression.py holds its p99_settle_us
@@ -240,9 +243,17 @@ int main(int argc, char** argv) {
         report.pipeline_overlap_ratio > 0.0 &&
         (report.hw_threads <= 1 ||
          report.wall_ms < report.sim_ms + report.verify_ms);
+    // One signature per window (DESIGN.md §8.3): a prover that does not
+    // attack signs exactly one root per window it fires.
+    const bool signs_ok = report.honest_signs_per_window <= 1.0;
+    const double proof_bytes_per_round =
+        report.rounds_started == 0
+            ? 0.0
+            : static_cast<double>(report.proof_bytes) /
+                  static_cast<double>(report.rounds_started);
     const bool online_ok = gates_hold(report) &&
                            report.peak_open_rounds <= bound &&
-                           report.drain_batches > 1 && overlap_ok;
+                           report.drain_batches > 1 && overlap_ok && signs_ok;
     std::printf("\nonline long trace: %llu rounds, peak_open_rounds %llu "
                 "(bound %llu), drain_batches %llu, verify_failures %llu, "
                 "wall %.1f ms (sim %.1f + verify %.1f, overlap %.2f), "
@@ -263,6 +274,8 @@ int main(int argc, char** argv) {
                 "\"settle_horizon_us\":%llu,"
                 "\"p50_settle_us\":%llu,\"p99_settle_us\":%llu,"
                 "\"rsa_verifies\":%llu,\"sig_cache_hits\":%llu,"
+                "\"proof_bytes_per_round\":%.1f,"
+                "\"prover_signs_per_window\":%.3f,"
                 "\"hw_threads\":%zu,\"sim_ms\":%.1f,\"verify_ms\":%.1f,"
                 "\"wall_ms\":%.1f,\"pipeline_overlap_ratio\":%.4f,"
                 "\"rounds_per_sec\":%.1f}\n",
@@ -281,6 +294,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(report.p99_settle_us),
                 static_cast<unsigned long long>(report.rsa_verifies),
                 static_cast<unsigned long long>(report.sig_cache_hits),
+                proof_bytes_per_round, report.honest_signs_per_window,
                 report.hw_threads, report.sim_ms, report.verify_ms,
                 report.wall_ms, report.pipeline_overlap_ratio,
                 report.rounds_per_sec);

@@ -45,19 +45,12 @@ struct Row {
   const Fig1Instance& instance = fig1_instance(parties, 1024, kMaxLen);
   crypto::Drbg rng(parties, "smc-strawman-pvr");
   const auto t0 = std::chrono::steady_clock::now();
-  const core::ProverResult result = core::run_prover(
-      instance.id, core::OperatorKind::kMinimum, instance.inputs, kMaxLen,
-      instance.keys.private_keys.at(1).priv, rng, {});
-  for (const bgp::AsNumber provider : instance.providers) {
-    const auto it = result.provider_reveals.find(provider);
-    (void)core::verify_as_provider(
-        instance.keys.directory, provider, instance.announcements.at(provider),
-        result.signed_bundle,
-        it == result.provider_reveals.end() ? nullptr : &it->second);
-  }
-  (void)core::verify_as_recipient(instance.keys.directory, 2,
-                                  result.signed_bundle, &result.recipient_reveal,
-                                  &result.export_statement);
+  const core::SignedWindow window = seal_round(
+      core::run_prover(instance.id, core::OperatorKind::kMinimum,
+                       instance.inputs, kMaxLen, rng, {}),
+      instance.keys.private_keys.at(1).priv, rng);
+  (void)verify_neighborhood(instance.keys.directory, window,
+                            instance.announcements, {2});
   row.pvr_ms = std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - t0)
                    .count();

@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "bgp/speaker.h"
+#include "core/bundle_aggregation.h"
 #include "core/min_protocol.h"
 
 namespace {
@@ -97,17 +98,28 @@ int main() {
   crypto::Drbg round_rng(3, "internet-scale-round");
   const auto t_round = std::chrono::steady_clock::now();
   const core::ProverResult result = core::run_prover(
-      id, core::OperatorKind::kMinimum, inputs, /*max_len=*/16,
-      keys.private_keys.at(prover).priv, round_rng, {});
+      id, core::OperatorKind::kMinimum, inputs, /*max_len=*/16, round_rng, {});
+  // One signed root over every statement of the round (a one-prefix window).
+  const core::SignedWindow window =
+      core::seal_window(prover, id.epoch, /*batch=*/0, /*variant_batch=*/0,
+                        std::span(&result, 1), keys.private_keys.at(prover).priv,
+                        round_rng)
+          .honest;
+  const core::SignedWindow::Round& round = window.rounds.front();
   const double prover_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t_round)
           .count();
 
-  std::size_t wire_bytes = result.signed_bundle.encode().size() +
-                           result.recipient_reveal.encode().size() +
-                           result.export_statement.encode().size();
-  for (const auto& [provider, reveal] : result.provider_reveals) {
-    wire_bytes += reveal.encode().size();
+  // One pvr.bundle.agg message per provider and per customer.
+  const std::vector<bgp::AsNumber> customers = graph.customers_of(prover);
+  std::size_t wire_bytes = 0;
+  for (const auto& [provider, input] : inputs) {
+    wire_bytes += window.message_for_provider(provider).encode().size();
+  }
+  for (const bgp::AsNumber customer : customers) {
+    if (keys.directory.contains(customer)) {
+      wire_bytes += window.message_for_recipient().encode().size();
+    }
   }
   std::printf("PVR round: %.2f ms prover CPU, %zu bytes of protocol traffic\n",
               prover_seconds * 1000.0, wire_bytes);
@@ -117,20 +129,20 @@ int main() {
   std::size_t violations = 0;
   for (const auto& [provider, input] : inputs) {
     const auto announcement = core::InputAnnouncement::decode(input->payload);
-    const auto it = result.provider_reveals.find(provider);
+    const auto it = round.provider_reveals.find(provider);
     violations += core::verify_as_provider(
-                      keys.directory, provider, announcement,
-                      result.signed_bundle,
-                      it == result.provider_reveals.end() ? nullptr : &it->second)
+                      keys.directory, provider, announcement, window.signed_root,
+                      round.bundle,
+                      it == round.provider_reveals.end() ? nullptr : &it->second)
                       .size();
   }
   // Every customer of the prover acts as a recipient B.
-  for (const bgp::AsNumber customer : graph.customers_of(prover)) {
+  for (const bgp::AsNumber customer : customers) {
     if (!keys.directory.contains(customer)) continue;
     violations += core::verify_as_recipient(keys.directory, customer,
-                                            result.signed_bundle,
-                                            &result.recipient_reveal,
-                                            &result.export_statement)
+                                            window.signed_root, round.bundle,
+                                            &round.recipient_reveal,
+                                            &round.export_statement)
                       .size();
   }
   const double verify_seconds =

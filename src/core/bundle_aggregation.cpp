@@ -25,6 +25,7 @@ std::vector<std::uint8_t> AggregatedBundle::encode() const {
   writer.put_u32(prover);
   writer.put_u64(epoch);
   writer.put_u32(batch);
+  writer.put_u32(leaf_count);
   writer.put_u32(prefix_count());
   for (const bgp::Ipv4Prefix& prefix : prefixes) prefix.encode(writer);
   writer.put_raw(std::span(root.data(), root.size()));
@@ -40,35 +41,79 @@ AggregatedBundle AggregatedBundle::decode(std::span<const std::uint8_t> data) {
   bundle.prover = reader.get_u32();
   bundle.epoch = reader.get_u64();
   bundle.batch = reader.get_u32();
+  bundle.leaf_count = reader.get_u32();
   const std::uint32_t count = reader.get_u32();
   reader.require_entries(count, 5);  // u32 address + u8 length per prefix
+  if (count == 0 || bundle.leaf_count < count) {
+    throw std::out_of_range("AggregatedBundle::decode: bad leaf count");
+  }
   bundle.prefixes.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     bundle.prefixes.push_back(bgp::Ipv4Prefix::decode(reader));
+  }
+  // One bundle leaf per round: a prefix listed twice would let one root
+  // commit to two bundles for one round.
+  std::vector<bgp::Ipv4Prefix> sorted = bundle.prefixes;
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    throw std::out_of_range("AggregatedBundle::decode: duplicate prefix");
   }
   const std::vector<std::uint8_t> raw = reader.get_raw(crypto::kSha256DigestSize);
   std::copy(raw.begin(), raw.end(), bundle.root.begin());
   return bundle;
 }
 
-void SignedBundleOpening::encode(crypto::ByteWriter& writer) const {
-  writer.put_bytes(bundle.encode());
-  proof.encode(writer);
+template <typename Statement>
+std::optional<Statement> open_leaf(const AggregatedBundle& root,
+                                   const LeafOpening& opening) {
+  if (opening.leaf.kind != Statement::kLeafKind) return std::nullopt;
+  // The proof's leaf count is unauthenticated; several counts share one
+  // depth, so only the signed count pins the tree the proof is for.
+  if (opening.proof.leaf_count != root.leaf_count) return std::nullopt;
+  const std::size_t index = opening.proof.leaf_index;
+  const bool bundle_slot = index < root.prefix_count();
+  if (bundle_slot != (Statement::kLeafKind == LeafKind::kBundle)) {
+    return std::nullopt;
+  }
+  Statement statement;
+  try {
+    statement = Statement::decode(opening.leaf.payload);
+  } catch (const std::out_of_range&) {
+    return std::nullopt;
+  }
+  // The statement must belong to this window's (prover, epoch) — a leaf
+  // from another epoch's tree must not transplant — and name a round the
+  // window's SIGNED prefix list covers; a bundle must sit at its own
+  // prefix's index.
+  if (statement.id.prover != root.prover || statement.id.epoch != root.epoch) {
+    return std::nullopt;
+  }
+  if (bundle_slot ? statement.id.prefix != root.prefixes[index]
+                  : !root.covers(statement.id.prefix)) {
+    return std::nullopt;
+  }
+  if (!crypto::MerkleTree::verify(root.root, opening.leaf.encode(),
+                                  opening.proof)) {
+    return std::nullopt;
+  }
+  return statement;
 }
 
-SignedBundleOpening SignedBundleOpening::decode(crypto::ByteReader& reader) {
-  SignedBundleOpening opening;
-  opening.bundle = SignedMessage::decode(reader.get_bytes());
-  opening.proof = crypto::MerkleProof::decode(reader);
-  return opening;
-}
+template std::optional<CommitmentBundle> open_leaf(const AggregatedBundle&,
+                                                   const LeafOpening&);
+template std::optional<RevealToProvider> open_leaf(const AggregatedBundle&,
+                                                   const LeafOpening&);
+template std::optional<RevealToRecipient> open_leaf(const AggregatedBundle&,
+                                                    const LeafOpening&);
+template std::optional<ExportStatement> open_leaf(const AggregatedBundle&,
+                                                  const LeafOpening&);
 
 std::vector<std::uint8_t> AggregatedBundleMessage::encode() const {
   crypto::ByteWriter writer;
   writer.put_string(kAggregatedMessageTag);
   writer.put_bytes(signed_root.encode());
   writer.put_u32(static_cast<std::uint32_t>(openings.size()));
-  for (const SignedBundleOpening& opening : openings) opening.encode(writer);
+  for (const LeafOpening& opening : openings) opening.encode(writer);
   return writer.take();
 }
 
@@ -81,62 +126,132 @@ AggregatedBundleMessage AggregatedBundleMessage::decode(
   AggregatedBundleMessage message;
   message.signed_root = SignedMessage::decode(reader.get_bytes());
   const std::uint32_t count = reader.get_u32();
-  // u32 length prefix of the signed bundle + the 20-byte proof header.
-  reader.require_entries(count, 4 + 20);
+  reader.require_entries(count, LeafOpening::kMinEncodedSize);
   message.openings.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    message.openings.push_back(SignedBundleOpening::decode(reader));
+    message.openings.push_back(LeafOpening::decode(reader));
   }
   return message;
 }
 
-AggregatedBundleMessage aggregate_signed_bundles(
-    bgp::AsNumber prover, std::uint64_t epoch, std::uint32_t batch,
-    std::span<const SignedMessage> bundles, const crypto::RsaPrivateKey& key) {
-  if (bundles.empty()) {
-    throw std::invalid_argument("aggregate_signed_bundles: no bundles");
-  }
-  std::vector<std::vector<std::uint8_t>> leaves;
-  leaves.reserve(bundles.size());
-  for (const SignedMessage& bundle : bundles) leaves.push_back(bundle.encode());
-  const crypto::MerkleTree tree = crypto::MerkleTree::build(leaves);
-
-  AggregatedBundleMessage message;
-  AggregatedBundle root{
-      .prover = prover, .epoch = epoch, .batch = batch, .root = tree.root()};
-  for (const SignedMessage& bundle : bundles) {
-    root.prefixes.push_back(CommitmentBundle::decode(bundle.payload).id.prefix);
-  }
-  message.signed_root = sign_message(prover, key, root.encode());
-  message.openings.reserve(bundles.size());
-  for (std::size_t i = 0; i < bundles.size(); ++i) {
-    message.openings.push_back(
-        SignedBundleOpening{.bundle = bundles[i], .proof = tree.prove(i)});
+AggregatedBundleMessage SignedWindow::message_for_provider(
+    bgp::AsNumber provider) const {
+  AggregatedBundleMessage message{.signed_root = signed_root, .openings = {}};
+  for (const Round& round : rounds) message.openings.push_back(round.bundle);
+  for (const Round& round : rounds) {
+    const auto it = round.provider_reveals.find(provider);
+    if (it != round.provider_reveals.end()) message.openings.push_back(it->second);
   }
   return message;
 }
 
-bool verify_signed_opening(const AggregatedBundle& root,
-                           const SignedBundleOpening& opening) {
-  if (opening.bundle.signer != root.prover) return false;
-  if (opening.proof.leaf_count != root.prefix_count()) return false;
-  // The opened bundle must belong to this window's (prover, epoch) — a
-  // proof from another epoch's tree must not transplant — and its round
-  // must be in the window's SIGNED prefix list, otherwise a prover could
-  // hide a round inside the tree while omitting it from every window's
-  // list, and no two windows would ever conflict over it (the batch-split
-  // evasion the list exists to close).
-  try {
-    const CommitmentBundle opened = CommitmentBundle::decode(opening.bundle.payload);
-    if (opened.id.prover != root.prover || opened.id.epoch != root.epoch ||
-        !root.covers(opened.id.prefix)) {
-      return false;
+AggregatedBundleMessage SignedWindow::message_for_recipient() const {
+  AggregatedBundleMessage message{.signed_root = signed_root, .openings = {}};
+  for (const Round& round : rounds) message.openings.push_back(round.bundle);
+  for (const Round& round : rounds) {
+    message.openings.push_back(round.recipient_reveal);
+    message.openings.push_back(round.export_statement);
+  }
+  return message;
+}
+
+namespace {
+
+// Leaf index of each statement of one round, in the layout seal_window
+// builds: bundles first, then each round's reveals and export.
+struct RoundSlots {
+  std::size_t bundle = 0;
+  std::map<bgp::AsNumber, std::size_t> provider_reveals;
+  std::size_t recipient_reveal = 0;
+  std::size_t export_statement = 0;
+};
+
+// Builds the tree over `leaves`, signs its statement and cuts every
+// statement's opening.
+[[nodiscard]] SignedWindow sign_tree(bgp::AsNumber prover, std::uint64_t epoch,
+                                     std::uint32_t batch,
+                                     std::span<const ProverResult> rounds,
+                                     const std::vector<WindowLeaf>& leaves,
+                                     const std::vector<RoundSlots>& slots,
+                                     const crypto::RsaPrivateKey& key) {
+  std::vector<std::vector<std::uint8_t>> encoded;
+  encoded.reserve(leaves.size());
+  for (const WindowLeaf& leaf : leaves) encoded.push_back(leaf.encode());
+  const crypto::MerkleTree tree = crypto::MerkleTree::build(encoded);
+
+  AggregatedBundle statement{.prover = prover,
+                             .epoch = epoch,
+                             .batch = batch,
+                             .leaf_count = static_cast<std::uint32_t>(leaves.size()),
+                             .prefixes = {},
+                             .root = tree.root()};
+  for (const ProverResult& round : rounds) {
+    statement.prefixes.push_back(round.bundle.id.prefix);
+  }
+  const auto open = [&](std::size_t index) {
+    return LeafOpening{.leaf = leaves[index], .proof = tree.prove(index)};
+  };
+  SignedWindow window{.signed_root = sign_message(prover, key, statement.encode()),
+                      .rounds = {}};
+  window.rounds.reserve(slots.size());
+  for (const RoundSlots& slot : slots) {
+    SignedWindow::Round round{.bundle = open(slot.bundle),
+                              .provider_reveals = {},
+                              .recipient_reveal = open(slot.recipient_reveal),
+                              .export_statement = open(slot.export_statement)};
+    for (const auto& [provider, index] : slot.provider_reveals) {
+      round.provider_reveals.emplace(provider, open(index));
     }
-  } catch (const std::out_of_range&) {
-    return false;
+    window.rounds.push_back(std::move(round));
   }
-  return crypto::MerkleTree::verify(root.root, opening.bundle.encode(),
-                                    opening.proof);
+  return window;
+}
+
+}  // namespace
+
+SealedWindow seal_window(bgp::AsNumber prover, std::uint64_t epoch,
+                         std::uint32_t batch, std::uint32_t variant_batch,
+                         std::span<const ProverResult> rounds,
+                         const crypto::RsaPrivateKey& key, crypto::Drbg& rng) {
+  if (rounds.empty()) throw std::invalid_argument("seal_window: no rounds");
+  std::vector<WindowLeaf> leaves;
+  std::vector<RoundSlots> slots(rounds.size());
+  const auto add_leaf = [&](LeafKind kind, std::vector<std::uint8_t> payload) {
+    WindowLeaf leaf{.kind = kind, .salt = {}, .payload = std::move(payload)};
+    rng.fill(leaf.salt);
+    leaves.push_back(std::move(leaf));
+    return leaves.size() - 1;
+  };
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    slots[r].bundle = add_leaf(LeafKind::kBundle, rounds[r].bundle.encode());
+  }
+  bool equivocating = false;
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    const ProverResult& round = rounds[r];
+    for (const auto& [provider, reveal] : round.provider_reveals) {
+      slots[r].provider_reveals.emplace(
+          provider, add_leaf(LeafKind::kProviderReveal, reveal.encode()));
+    }
+    slots[r].recipient_reveal =
+        add_leaf(LeafKind::kRecipientReveal, round.recipient_reveal.encode());
+    slots[r].export_statement =
+        add_leaf(LeafKind::kExport, round.export_statement.encode());
+    equivocating |= round.equivocating_bundle.has_value();
+  }
+
+  SealedWindow sealed{
+      .honest = sign_tree(prover, epoch, batch, rounds, leaves, slots, key),
+      .variant = std::nullopt};
+  if (equivocating) {
+    for (std::size_t r = 0; r < rounds.size(); ++r) {
+      if (rounds[r].equivocating_bundle) {
+        leaves[slots[r].bundle].payload = rounds[r].equivocating_bundle->encode();
+      }
+    }
+    sealed.variant =
+        sign_tree(prover, epoch, variant_batch, rounds, leaves, slots, key);
+  }
+  return sealed;
 }
 
 bool roots_conflict(const AggregatedBundle& a, const AggregatedBundle& b) {
@@ -173,6 +288,7 @@ std::optional<Evidence> check_root_equivocation(const VerifyContext& ctx,
       .reporter = reporter,
       .index = 0,
       .messages = {first, second},
+      .leaves = {},
       .detail = a.batch == b.batch
                     ? "two conflicting signed bundle roots for one aggregation window"
                     : "two aggregation windows claim the same round"};

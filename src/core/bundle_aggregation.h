@@ -1,20 +1,25 @@
-// Merkle-aggregated commitment bundles (paper §3.6, §3.8): the prover
-// commits to ONE signed Merkle root over all its per-prefix bundles of an
-// epoch window and reveals each prefix with a log-size inclusion proof.
+// One signature per prover window (paper §3.6, §3.8; DESIGN.md §8.3–§8.4).
 //
-// The leaves are the prover's per-prefix *signed* bundle envelopes, and
-// the whole window travels as one AggregatedBundleMessage on the
-// "pvr.bundle.agg" channel, so all per-round evidence keeps working
-// unchanged, while verifiers gossip only the small signed root
-// ("pvr.gossip.root"), never a bundle. Two signed roots for the same
-// (prover, epoch, batch) window, or two whose signed prefix lists share a
-// round, are third-party-provable equivocation (check_root_equivocation) —
-// the only proof path verifiers need.
+// A prover signs ONE statement per collection window: an AggregatedBundle
+// naming the window's rounds and the Merkle root over every statement it
+// makes in them. The leaves (window_leaf.h) are, in order, the
+// CommitmentBundle of prefixes[0..P), then per round each RevealToProvider,
+// the RevealToRecipient and the ExportStatement. Each neighbor gets one
+// "pvr.bundle.agg" message: the signed root, every bundle leaf, and only
+// its own reveal leaf — or, for the recipient, the recipient-reveal and
+// export leaves — each with its inclusion proof. Verifiers gossip only the
+// small signed root ("pvr.gossip.root").
+//
+// Bundle leaf i is the bundle of prefixes[i] (open_leaf enforces it and
+// the statement signs the leaf count), so one root commits to exactly one
+// bundle per round: two bundles for one round always mean two signed
+// roots, and check_root_equivocation is the only equivocation proof.
 //
 // Wire formats are specified in DESIGN.md §"Engine".
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -22,22 +27,25 @@
 #include "core/evidence.h"
 #include "core/keys.h"
 #include "core/min_protocol.h"
+#include "core/window_leaf.h"
 #include "crypto/merkle.h"
 
 namespace pvr::core {
 
-// The signed statement: one root over all per-prefix bundles of one
-// aggregation window. `batch` numbers the prover's windows within an
-// epoch, and `prefixes` names the rounds the window covers — both are
-// signed, so EITHER two different roots for one (prover, epoch, batch)
-// OR two windows that both claim the same prefix are provable
-// equivocation from the two statements alone (a correct prover aggregates
-// each (prefix, epoch) round in exactly one window).
+// The signed statement: one root over every statement of one aggregation
+// window. `batch` numbers the prover's windows within an epoch, `prefixes`
+// names the rounds the window covers (no duplicates; decode rejects them)
+// and `leaf_count` sizes the tree — all signed, so EITHER two different
+// roots for one (prover, epoch, batch) OR two windows that both claim the
+// same prefix are provable equivocation from the two statements alone (a
+// correct prover aggregates each (prefix, epoch) round in exactly one
+// window).
 struct AggregatedBundle {
   bgp::AsNumber prover = 0;
   std::uint64_t epoch = 0;
   std::uint32_t batch = 0;
-  std::vector<bgp::Ipv4Prefix> prefixes;  // rounds covered, leaf order
+  std::uint32_t leaf_count = 0;
+  std::vector<bgp::Ipv4Prefix> prefixes;  // rounds covered, bundle leaf order
   crypto::Digest root{};
 
   [[nodiscard]] std::uint32_t prefix_count() const noexcept {
@@ -49,39 +57,65 @@ struct AggregatedBundle {
   [[nodiscard]] static AggregatedBundle decode(std::span<const std::uint8_t> data);
 };
 
-// One prefix's reveal under the root: the prover's individually signed
-// CommitmentBundle envelope plus its inclusion proof.
-struct SignedBundleOpening {
-  SignedMessage bundle;  // CommitmentBundle payload, prover-signed
-  crypto::MerkleProof proof;
+// Hash-only check of one leaf against an already-decoded root statement
+// (the root signature is the caller's concern — verified once per window).
+// The leaf must be of Statement's kind, its proof must be for the signed
+// leaf count, a bundle leaf must sit at the index of its own prefix and
+// every other statement after the bundles, naming a round the window
+// covers. Returns the decoded statement, or nullopt. Instantiated for the
+// four leaf statements of min_protocol.h.
+template <typename Statement>
+[[nodiscard]] std::optional<Statement> open_leaf(const AggregatedBundle& root,
+                                                 const LeafOpening& opening);
 
-  void encode(crypto::ByteWriter& writer) const;
-  [[nodiscard]] static SignedBundleOpening decode(crypto::ByteReader& reader);
-};
-
-// What actually travels on pvr.bundle.agg: the signed root plus one
-// opening per prefix of the window.
+// What travels on pvr.bundle.agg: the signed root plus the leaves this
+// neighbor may see.
 struct AggregatedBundleMessage {
   SignedMessage signed_root;  // AggregatedBundle payload
-  std::vector<SignedBundleOpening> openings;
+  std::vector<LeafOpening> openings;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] static AggregatedBundleMessage decode(
       std::span<const std::uint8_t> data);
 };
 
-// Prover side: aggregates the signed per-prefix bundle envelopes of one
-// (epoch, batch) window under one signed root.
-[[nodiscard]] AggregatedBundleMessage aggregate_signed_bundles(
-    bgp::AsNumber prover, std::uint64_t epoch, std::uint32_t batch,
-    std::span<const SignedMessage> bundles, const crypto::RsaPrivateKey& key);
+// One signed tree of a window: the root and every statement leaf with its
+// inclusion proof, per round in prefix order.
+struct SignedWindow {
+  struct Round {
+    LeafOpening bundle;
+    std::map<bgp::AsNumber, LeafOpening> provider_reveals;
+    LeafOpening recipient_reveal;
+    LeafOpening export_statement;
+  };
+  SignedMessage signed_root;
+  std::vector<Round> rounds;
 
-// Hash-only check of one opening against an already-decoded root statement
-// (the root signature is the caller's concern — verified once per window).
-// Also requires the opened bundle's prefix to be in the root's signed
-// prefix list.
-[[nodiscard]] bool verify_signed_opening(const AggregatedBundle& root,
-                                         const SignedBundleOpening& opening);
+  // The pvr.bundle.agg message for one neighbor: the root, every bundle
+  // leaf and that neighbor's own leaves.
+  [[nodiscard]] AggregatedBundleMessage message_for_provider(
+      bgp::AsNumber provider) const;
+  [[nodiscard]] AggregatedBundleMessage message_for_recipient() const;
+};
+
+// A window as the prover emits it: the honest tree and, when any round
+// carries an equivocating bundle, a variant tree whose bundle leaves are
+// the variants (its other leaves are the honest ones).
+struct SealedWindow {
+  SignedWindow honest;
+  std::optional<SignedWindow> variant;
+};
+
+// Prover side: makes every statement of `rounds` (one per prefix, in
+// window order) a leaf salted from `rng`, and signs the root — once, or
+// twice when equivocating, the variant under `variant_batch`.
+[[nodiscard]] SealedWindow seal_window(bgp::AsNumber prover,
+                                       std::uint64_t epoch,
+                                       std::uint32_t batch,
+                                       std::uint32_t variant_batch,
+                                       std::span<const ProverResult> rounds,
+                                       const crypto::RsaPrivateKey& key,
+                                       crypto::Drbg& rng);
 
 // The shared conflict predicate behind both evidence creation
 // (check_root_equivocation) and third-party validation (Auditor): two

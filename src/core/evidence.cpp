@@ -40,6 +40,8 @@ std::vector<std::uint8_t> Evidence::encode() const {
   for (const SignedMessage& message : messages) {
     writer.put_bytes(message.encode());
   }
+  writer.put_u32(static_cast<std::uint32_t>(leaves.size()));
+  for (const LeafOpening& leaf : leaves) leaf.encode(writer);
   writer.put_string(detail);
   return writer.take();
 }
@@ -57,6 +59,12 @@ Evidence Evidence::decode(std::span<const std::uint8_t> data) {
   for (std::uint32_t i = 0; i < count; ++i) {
     evidence.messages.push_back(SignedMessage::decode(reader.get_bytes()));
   }
+  const std::uint32_t leaf_count = reader.get_u32();
+  reader.require_entries(leaf_count, LeafOpening::kMinEncodedSize);
+  evidence.leaves.reserve(leaf_count);
+  for (std::uint32_t i = 0; i < leaf_count; ++i) {
+    evidence.leaves.push_back(LeafOpening::decode(reader));
+  }
   evidence.detail = reader.get_string();
   if (!reader.exhausted()) {
     throw std::out_of_range("Evidence::decode: trailing bytes");
@@ -71,18 +79,6 @@ Auditor::Auditor(const KeyDirectory* directory) : directory_(directory) {
 }
 
 namespace {
-
-// All decode helpers return nullopt instead of throwing: malformed evidence
-// must never crash the auditor, only fail to convince it.
-
-template <typename T>
-[[nodiscard]] std::optional<T> try_decode(const SignedMessage& message) {
-  try {
-    return T::decode(message.payload);
-  } catch (const std::out_of_range&) {
-    return std::nullopt;
-  }
-}
 
 [[nodiscard]] std::optional<std::vector<bool>> open_all_bits(
     const CommitmentBundle& bundle, const RevealToRecipient& reveal) {
@@ -101,60 +97,68 @@ template <typename T>
   return bits;
 }
 
+// Statements the auditor re-derives a violation from: leaf `i` of the
+// evidence opened under its signed root. Malformed or unproven leaves give
+// nullopt — they must never crash the auditor, only fail to convince it.
+struct ProvenStatements {
+  const AggregatedBundle& root;
+  const std::vector<LeafOpening>& leaves;
+
+  template <typename Statement>
+  [[nodiscard]] std::optional<Statement> at(std::size_t i) const {
+    if (i >= leaves.size()) return std::nullopt;
+    return open_leaf<Statement>(root, leaves[i]);
+  }
+};
+
 }  // namespace
 
 bool Auditor::validate(const Evidence& evidence) const {
-  // Every message in valid evidence must carry the accused's (or, for
-  // provenance, another directory member's) verifiable signature.
-  const auto verified = [&](std::size_t index,
-                            bgp::AsNumber expected_signer) -> const SignedMessage* {
-    if (index >= evidence.messages.size()) return nullptr;
+  // Every root in valid evidence must carry the accused's verifiable
+  // signature, and decode as a window statement of the accused.
+  const auto signed_root = [&](std::size_t index) -> std::optional<AggregatedBundle> {
+    if (index >= evidence.messages.size()) return std::nullopt;
     const SignedMessage& message = evidence.messages[index];
-    if (message.signer != expected_signer) return nullptr;
-    if (!verify_message(*directory_, message)) return nullptr;
-    return &message;
+    if (message.signer != evidence.accused) return std::nullopt;
+    if (!verify_message(*directory_, message)) return std::nullopt;
+    try {
+      AggregatedBundle root = AggregatedBundle::decode(message.payload);
+      if (root.prover != evidence.accused) return std::nullopt;
+      return root;
+    } catch (const std::out_of_range&) {
+      return std::nullopt;
+    }
   };
 
-  switch (evidence.kind) {
-    case ViolationKind::kEquivocation: {
-      const SignedMessage* first = verified(0, evidence.accused);
-      const SignedMessage* second = verified(1, evidence.accused);
-      if (first == nullptr || second == nullptr) return false;
-      // Two signed CommitmentBundles for one round (a prover that handed
-      // one verifier both).
-      const auto a = try_decode<CommitmentBundle>(*first);
-      const auto b = try_decode<CommitmentBundle>(*second);
-      if (a && b) {
-        return a->id == b->id && a->id.prover == evidence.accused &&
-               first->payload != second->payload;
-      }
-      // Aggregated wire mode: two content-distinct signed roots that are
-      // either for one (prover, epoch, batch) window or for two windows
-      // claiming a common round (batch-split equivocation).
-      const auto ra = try_decode<AggregatedBundle>(*first);
-      const auto rb = try_decode<AggregatedBundle>(*second);
-      if (!ra || !rb) return false;
-      return ra->prover == evidence.accused && roots_conflict(*ra, *rb);
-    }
+  if (evidence.kind == ViolationKind::kEquivocation) {
+    // Two content-distinct signed roots that are either for one
+    // (prover, epoch, batch) window or for two windows claiming a common
+    // round (batch-split equivocation).
+    const auto a = signed_root(0);
+    const auto b = signed_root(1);
+    return a && b && roots_conflict(*a, *b);
+  }
 
+  const auto root = signed_root(0);
+  if (!root) return false;
+  const ProvenStatements proven{.root = *root, .leaves = evidence.leaves};
+  const auto bundle = proven.at<CommitmentBundle>(0);
+  if (!bundle) return false;
+
+  switch (evidence.kind) {
     case ViolationKind::kBadOpening: {
-      const SignedMessage* bundle_msg = verified(0, evidence.accused);
-      const SignedMessage* reveal_msg = verified(1, evidence.accused);
-      if (bundle_msg == nullptr || reveal_msg == nullptr) return false;
-      const auto bundle = try_decode<CommitmentBundle>(*bundle_msg);
-      if (!bundle || bundle->id.prover != evidence.accused) return false;
-      // The reveal may be either flavor; the claim is "the accused signed
-      // an opening for bit `index` that does not match its own commitment".
+      // The claim is "the accused stated an opening for bit `index` that
+      // does not match its own commitment"; the reveal may be either flavor.
       if (evidence.index == 0 || evidence.index > bundle->bits.size()) {
         return false;
       }
-      if (const auto provider = try_decode<RevealToProvider>(*reveal_msg)) {
+      if (const auto provider = proven.at<RevealToProvider>(1)) {
         return provider->id == bundle->id &&
                provider->bit_index == evidence.index &&
                !crypto::verify_commitment(bundle->bits[evidence.index - 1],
                                           provider->opening);
       }
-      if (const auto recipient = try_decode<RevealToRecipient>(*reveal_msg)) {
+      if (const auto recipient = proven.at<RevealToRecipient>(1)) {
         return recipient->id == bundle->id &&
                recipient->openings.size() == bundle->bits.size() &&
                !crypto::verify_commitment(bundle->bits[evidence.index - 1],
@@ -164,17 +168,10 @@ bool Auditor::validate(const Evidence& evidence) const {
     }
 
     case ViolationKind::kBitNotSet: {
-      // The accused's signed reveal for bit index l acknowledges an input
-      // of length l while opening the bit to 0.
-      const SignedMessage* bundle_msg = verified(0, evidence.accused);
-      const SignedMessage* reveal_msg = verified(1, evidence.accused);
-      if (bundle_msg == nullptr || reveal_msg == nullptr) return false;
-      const auto bundle = try_decode<CommitmentBundle>(*bundle_msg);
-      const auto reveal = try_decode<RevealToProvider>(*reveal_msg);
-      if (!bundle || !reveal) return false;
-      if (!(reveal->id == bundle->id) || bundle->id.prover != evidence.accused) {
-        return false;
-      }
+      // The accused's reveal for bit index l acknowledges an input of
+      // length l while opening the bit to 0.
+      const auto reveal = proven.at<RevealToProvider>(1);
+      if (!reveal || !(reveal->id == bundle->id)) return false;
       if (reveal->bit_index == 0 || reveal->bit_index > bundle->bits.size()) {
         return false;
       }
@@ -186,12 +183,8 @@ bool Auditor::validate(const Evidence& evidence) const {
     }
 
     case ViolationKind::kNonMonotoneBits: {
-      const SignedMessage* bundle_msg = verified(0, evidence.accused);
-      const SignedMessage* reveal_msg = verified(1, evidence.accused);
-      if (bundle_msg == nullptr || reveal_msg == nullptr) return false;
-      const auto bundle = try_decode<CommitmentBundle>(*bundle_msg);
-      const auto reveal = try_decode<RevealToRecipient>(*reveal_msg);
-      if (!bundle || !reveal || !(reveal->id == bundle->id)) return false;
+      const auto reveal = proven.at<RevealToRecipient>(1);
+      if (!reveal || !(reveal->id == bundle->id)) return false;
       if (bundle->op != OperatorKind::kMinimum) return false;
       const auto bits = open_all_bits(*bundle, *reveal);
       if (!bits) return false;
@@ -209,16 +202,9 @@ bool Auditor::validate(const Evidence& evidence) const {
     case ViolationKind::kOutputNotMinimal:
     case ViolationKind::kOutputWithoutInput:
     case ViolationKind::kSuppressedOutput: {
-      const SignedMessage* bundle_msg = verified(0, evidence.accused);
-      const SignedMessage* reveal_msg = verified(1, evidence.accused);
-      const SignedMessage* export_msg = verified(2, evidence.accused);
-      if (bundle_msg == nullptr || reveal_msg == nullptr || export_msg == nullptr) {
-        return false;
-      }
-      const auto bundle = try_decode<CommitmentBundle>(*bundle_msg);
-      const auto reveal = try_decode<RevealToRecipient>(*reveal_msg);
-      const auto statement = try_decode<ExportStatement>(*export_msg);
-      if (!bundle || !reveal || !statement) return false;
+      const auto reveal = proven.at<RevealToRecipient>(1);
+      const auto statement = proven.at<ExportStatement>(2);
+      if (!reveal || !statement) return false;
       if (!(reveal->id == bundle->id) || !(statement->id == bundle->id)) {
         return false;
       }
@@ -238,15 +224,20 @@ bool Auditor::validate(const Evidence& evidence) const {
         if (!verify_message(*directory_, *statement->provenance)) {
           return std::nullopt;
         }
-        const auto input = try_decode<InputAnnouncement>(*statement->provenance);
-        if (!input || !(input->id == bundle->id)) return std::nullopt;
-        if (input->provider != statement->provenance->signer) return std::nullopt;
-        if (statement->route.path !=
-            input->route.path.prepended(bundle->id.prover)) {
+        InputAnnouncement input;
+        try {
+          input = InputAnnouncement::decode(statement->provenance->payload);
+        } catch (const std::out_of_range&) {
           return std::nullopt;
         }
-        if (statement->route.prefix != input->route.prefix) return std::nullopt;
-        return input->route.path.length();
+        if (!(input.id == bundle->id)) return std::nullopt;
+        if (input.provider != statement->provenance->signer) return std::nullopt;
+        if (statement->route.path !=
+            input.route.path.prepended(bundle->id.prover)) {
+          return std::nullopt;
+        }
+        if (statement->route.prefix != input.route.prefix) return std::nullopt;
+        return input.route.path.length();
       }();
 
       if (evidence.kind == ViolationKind::kOutputWithoutInput) {
@@ -260,6 +251,7 @@ bool Auditor::validate(const Evidence& evidence) const {
       return *provenance_length != min_set;
     }
 
+    case ViolationKind::kEquivocation:  // handled above
     case ViolationKind::kMissingReveal:
     case ViolationKind::kBadSignature:
       // Liveness / transport faults: detectable, not third-party provable.

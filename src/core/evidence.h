@@ -21,12 +21,14 @@
 #include <vector>
 
 #include "core/keys.h"
+#include "core/window_leaf.h"
 #include "crypto/commitment.h"
 
 namespace pvr::core {
 
 enum class ViolationKind : std::uint8_t {
-  // Two different signed commitment bundles for the same protocol round.
+  // Two conflicting signed window roots: one window signed twice, or two
+  // windows claiming one round (so two commitment bundles for it).
   kEquivocation = 0,
   // A reveal whose opening does not match the committed value.
   kBadOpening = 1,
@@ -61,9 +63,14 @@ struct Evidence {
   bgp::AsNumber reporter = 0;
   // Bit index the violation refers to (kBitNotSet / kBadOpening), 1-based.
   std::uint32_t index = 0;
-  // The accused's signed artifacts, in kind-specific order (see auditor.cpp
-  // table in min_protocol.h). Everything the auditor needs is here.
+  // The accused's signed window roots: the two conflicting ones for
+  // kEquivocation, otherwise the one root the leaves below open under.
   std::vector<SignedMessage> messages;
+  // The accused's statements as leaves of messages[0]'s tree, each with
+  // its inclusion proof: the bundle, then the reveal (provider or
+  // recipient), then the export statement, as far as the kind needs them.
+  // Everything the auditor needs is in messages + leaves.
+  std::vector<LeafOpening> leaves;
   std::string detail;  // human-readable diagnosis
 
   [[nodiscard]] std::string to_string() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/bundle_aggregation.h"
 #include "core/verify_context.h"
 
 namespace pvr::core {
@@ -28,7 +29,10 @@ ProtocolId ProtocolId::decode(crypto::ByteReader& reader) {
   return id;
 }
 
-// ---- Wire payloads ----
+// ---- Statements ----
+//
+// The prover's four statements carry no tag of their own: the LeafKind of
+// the window leaf that holds them types them.
 
 std::vector<std::uint8_t> InputAnnouncement::encode() const {
   crypto::ByteWriter writer;
@@ -53,7 +57,6 @@ InputAnnouncement InputAnnouncement::decode(std::span<const std::uint8_t> data) 
 
 std::vector<std::uint8_t> CommitmentBundle::encode() const {
   crypto::ByteWriter writer;
-  writer.put_string("pvr.bundle");
   id.encode(writer);
   writer.put_u8(static_cast<std::uint8_t>(op));
   writer.put_u32(max_len);
@@ -66,9 +69,6 @@ std::vector<std::uint8_t> CommitmentBundle::encode() const {
 
 CommitmentBundle CommitmentBundle::decode(std::span<const std::uint8_t> data) {
   crypto::ByteReader reader(data);
-  if (reader.get_string() != "pvr.bundle") {
-    throw std::out_of_range("CommitmentBundle: bad tag");
-  }
   CommitmentBundle out;
   out.id = ProtocolId::decode(reader);
   const std::uint8_t op = reader.get_u8();
@@ -106,7 +106,6 @@ void encode_opening(crypto::ByteWriter& writer,
 
 std::vector<std::uint8_t> RevealToProvider::encode() const {
   crypto::ByteWriter writer;
-  writer.put_string("pvr.reveal.n");
   id.encode(writer);
   writer.put_u32(provider);
   writer.put_u32(bit_index);
@@ -116,9 +115,6 @@ std::vector<std::uint8_t> RevealToProvider::encode() const {
 
 RevealToProvider RevealToProvider::decode(std::span<const std::uint8_t> data) {
   crypto::ByteReader reader(data);
-  if (reader.get_string() != "pvr.reveal.n") {
-    throw std::out_of_range("RevealToProvider: bad tag");
-  }
   RevealToProvider out;
   out.id = ProtocolId::decode(reader);
   out.provider = reader.get_u32();
@@ -129,7 +125,6 @@ RevealToProvider RevealToProvider::decode(std::span<const std::uint8_t> data) {
 
 std::vector<std::uint8_t> RevealToRecipient::encode() const {
   crypto::ByteWriter writer;
-  writer.put_string("pvr.reveal.b");
   id.encode(writer);
   writer.put_u32(static_cast<std::uint32_t>(openings.size()));
   for (const crypto::CommitmentOpening& opening : openings) {
@@ -140,9 +135,6 @@ std::vector<std::uint8_t> RevealToRecipient::encode() const {
 
 RevealToRecipient RevealToRecipient::decode(std::span<const std::uint8_t> data) {
   crypto::ByteReader reader(data);
-  if (reader.get_string() != "pvr.reveal.b") {
-    throw std::out_of_range("RevealToRecipient: bad tag");
-  }
   RevealToRecipient out;
   out.id = ProtocolId::decode(reader);
   const std::uint32_t count = reader.get_u32();
@@ -158,7 +150,6 @@ RevealToRecipient RevealToRecipient::decode(std::span<const std::uint8_t> data) 
 
 std::vector<std::uint8_t> ExportStatement::encode() const {
   crypto::ByteWriter writer;
-  writer.put_string("pvr.export");
   id.encode(writer);
   writer.put_bool(has_route);
   if (has_route) {
@@ -171,9 +162,6 @@ std::vector<std::uint8_t> ExportStatement::encode() const {
 
 ExportStatement ExportStatement::decode(std::span<const std::uint8_t> data) {
   crypto::ByteReader reader(data);
-  if (reader.get_string() != "pvr.export") {
-    throw std::out_of_range("ExportStatement: bad tag");
-  }
   ExportStatement out;
   out.id = ProtocolId::decode(reader);
   out.has_route = reader.get_bool();
@@ -207,8 +195,8 @@ std::vector<bool> compute_bits(OperatorKind op,
 ProverResult run_prover(
     const ProtocolId& id, OperatorKind op,
     const std::map<bgp::AsNumber, std::optional<SignedMessage>>& inputs,
-    std::uint32_t max_len, const crypto::RsaPrivateKey& prover_key,
-    crypto::Drbg& rng, const ProverMisbehavior& misbehavior) {
+    std::uint32_t max_len, crypto::Drbg& rng,
+    const ProverMisbehavior& misbehavior) {
   if (op == OperatorKind::kExistential) max_len = 1;
   if (max_len == 0) throw std::invalid_argument("run_prover: max_len == 0");
 
@@ -291,20 +279,17 @@ ProverResult run_prover(
     openings[i] = std::move(opening);
   }
 
-  CommitmentBundle bundle{
-      .id = id, .op = op, .max_len = max_len, .bits = commitments};
-
   ProverResult result;
-  result.signed_bundle = sign_message(id.prover, prover_key, bundle.encode());
+  result.bundle = CommitmentBundle{
+      .id = id, .op = op, .max_len = max_len, .bits = commitments};
 
   if (misbehavior.equivocate) {
     // Fresh nonces -> different commitments -> a second, conflicting bundle.
-    CommitmentBundle alt = bundle;
+    CommitmentBundle alt = result.bundle;
     for (std::size_t i = 0; i < bits.size(); ++i) {
-      auto [commitment, opening] = crypto::commit_bit(bits[i], rng);
-      alt.bits[i] = commitment;
+      alt.bits[i] = crypto::commit_bit(bits[i], rng).first;
     }
-    result.equivocating_bundle = sign_message(id.prover, prover_key, alt.encode());
+    result.equivocating_bundle = std::move(alt);
   }
 
   // Reveals to providers.
@@ -323,17 +308,15 @@ ProverResult run_prover(
     if (misbehavior.wrong_opening_for == input.provider) {
       reveal.opening.nonce[0] ^= 0xff;
     }
-    result.provider_reveals.emplace(
-        input.provider, sign_message(id.prover, prover_key, reveal.encode()));
+    result.provider_reveals.emplace(input.provider, std::move(reveal));
   }
 
   // Reveal to the recipient.
-  RevealToRecipient recipient_reveal{.id = id, .openings = openings};
-  result.recipient_reveal =
-      sign_message(id.prover, prover_key, recipient_reveal.encode());
+  result.recipient_reveal = RevealToRecipient{.id = id, .openings = openings};
 
   // Export statement.
-  ExportStatement statement{.id = id, .has_route = false, .route = {}, .provenance = {}};
+  ExportStatement& statement = result.export_statement;
+  statement.id = id;
   if (misbehavior.fabricate_route) {
     statement.has_route = true;
     statement.route = bgp::Route{
@@ -352,8 +335,6 @@ ProverResult run_prover(
     statement.route.next_hop = id.prover;
     statement.provenance = *actual->envelope;
   }
-  result.export_statement =
-      sign_message(id.prover, prover_key, statement.encode());
 
   if (honest != nullptr) result.honest_output = honest->announcement.route;
   return result;
@@ -363,44 +344,56 @@ ProverResult run_prover(
 
 namespace {
 
+// Evidence against the prover of `root`'s window: the signed root plus the
+// statement leaves that prove the violation.
 [[nodiscard]] Evidence make_evidence(ViolationKind kind, bgp::AsNumber accused,
                                      bgp::AsNumber reporter, std::string detail,
-                                     std::vector<SignedMessage> messages = {},
+                                     const SignedMessage* root = nullptr,
+                                     std::vector<LeafOpening> leaves = {},
                                      std::uint32_t index = 0) {
-  return Evidence{.kind = kind,
-                  .accused = accused,
-                  .reporter = reporter,
-                  .index = index,
-                  .messages = std::move(messages),
-                  .detail = std::move(detail)};
+  Evidence evidence{.kind = kind,
+                    .accused = accused,
+                    .reporter = reporter,
+                    .index = index,
+                    .messages = {},
+                    .leaves = std::move(leaves),
+                    .detail = std::move(detail)};
+  if (root != nullptr) evidence.messages.push_back(*root);
+  return evidence;
 }
 
-// Decodes and sanity-checks the bundle; appends evidence and returns
-// nullopt on failure.
-[[nodiscard]] std::optional<CommitmentBundle> checked_bundle(
+// The round's signed window statement and its bundle leaf, both checked:
+// the root signature (a cache hit after the window's first verify), the
+// statement's signer, and the bundle's inclusion. Appends evidence and
+// returns nullopt on failure.
+struct CheckedBundle {
+  AggregatedBundle root;
+  CommitmentBundle bundle;
+};
+
+[[nodiscard]] std::optional<CheckedBundle> checked_bundle(
     const VerifyContext& ctx, bgp::AsNumber reporter,
-    const SignedMessage& signed_bundle, std::vector<Evidence>& out) {
-  if (!ctx.verify(signed_bundle)) {
-    out.push_back(make_evidence(ViolationKind::kBadSignature,
-                                signed_bundle.signer, reporter,
-                                "commitment bundle signature invalid"));
+    const SignedMessage& signed_root, const LeafOpening& bundle_leaf,
+    std::vector<Evidence>& out) {
+  const auto fail = [&](const char* detail) {
+    out.push_back(make_evidence(ViolationKind::kBadSignature, signed_root.signer,
+                                reporter, detail));
     return std::nullopt;
-  }
+  };
+  if (!ctx.verify(signed_root)) return fail("window root signature invalid");
+  CheckedBundle checked;
   try {
-    CommitmentBundle bundle = CommitmentBundle::decode(signed_bundle.payload);
-    if (bundle.id.prover != signed_bundle.signer) {
-      out.push_back(make_evidence(ViolationKind::kBadSignature,
-                                  signed_bundle.signer, reporter,
-                                  "bundle prover != signer"));
-      return std::nullopt;
-    }
-    return bundle;
+    checked.root = AggregatedBundle::decode(signed_root.payload);
   } catch (const std::out_of_range&) {
-    out.push_back(make_evidence(ViolationKind::kBadSignature,
-                                signed_bundle.signer, reporter,
-                                "commitment bundle malformed"));
-    return std::nullopt;
+    return fail("window root malformed");
   }
+  if (checked.root.prover != signed_root.signer) {
+    return fail("window root prover != signer");
+  }
+  auto bundle = open_leaf<CommitmentBundle>(checked.root, bundle_leaf);
+  if (!bundle) return fail("commitment bundle not a leaf of the signed root");
+  checked.bundle = std::move(*bundle);
+  return checked;
 }
 
 [[nodiscard]] bool opened_bit(const crypto::CommitmentOpening& opening) {
@@ -412,121 +405,108 @@ namespace {
 std::vector<Evidence> verify_as_provider(
     const VerifyContext& ctx, bgp::AsNumber self,
     const std::optional<InputAnnouncement>& own_input,
-    const SignedMessage& signed_bundle, const SignedMessage* reveal) {
+    const SignedMessage& signed_root, const LeafOpening& bundle_leaf,
+    const LeafOpening* reveal) {
   std::vector<Evidence> out;
-  const auto bundle = checked_bundle(ctx, self, signed_bundle, out);
-  if (!bundle) return out;
-  const bgp::AsNumber prover = bundle->id.prover;
+  const auto checked = checked_bundle(ctx, self, signed_root, bundle_leaf, out);
+  if (!checked) return out;
+  const CommitmentBundle& bundle = checked->bundle;
+  const bgp::AsNumber prover = bundle.id.prover;
 
   if (!own_input.has_value()) return out;  // provided nothing: nothing to check
   const std::size_t len = own_input->route.path.length();
-  if (bundle->op == OperatorKind::kMinimum &&
-      (len == 0 || len > bundle->max_len)) {
+  if (bundle.op == OperatorKind::kMinimum &&
+      (len == 0 || len > bundle.max_len)) {
     return out;  // outside the promise's domain
   }
   const std::uint32_t expected_index =
-      bundle->op == OperatorKind::kExistential ? 1u
-                                               : static_cast<std::uint32_t>(len);
+      bundle.op == OperatorKind::kExistential ? 1u
+                                              : static_cast<std::uint32_t>(len);
 
   if (reveal == nullptr) {
     out.push_back(make_evidence(ViolationKind::kMissingReveal, prover, self,
                                 "no reveal received for provided route"));
     return out;
   }
-  if (!ctx.verify(*reveal) || reveal->signer != prover) {
+  const auto decoded = open_leaf<RevealToProvider>(checked->root, *reveal);
+  if (!decoded) {
     out.push_back(make_evidence(ViolationKind::kBadSignature, prover, self,
-                                "provider reveal signature invalid"));
+                                "provider reveal not a leaf of the signed root"));
     return out;
   }
-  RevealToProvider decoded;
-  try {
-    decoded = RevealToProvider::decode(reveal->payload);
-  } catch (const std::out_of_range&) {
-    out.push_back(make_evidence(ViolationKind::kMissingReveal, prover, self,
-                                "provider reveal malformed"));
-    return out;
-  }
-  if (!(decoded.id == bundle->id) || decoded.provider != self ||
-      decoded.bit_index != expected_index ||
-      decoded.bit_index > bundle->max_len) {
+  if (!(decoded->id == bundle.id) || decoded->provider != self ||
+      decoded->bit_index != expected_index ||
+      decoded->bit_index > bundle.max_len) {
     out.push_back(make_evidence(ViolationKind::kMissingReveal, prover, self,
                                 "reveal does not match this round/provider"));
     return out;
   }
-  if (!crypto::verify_commitment(bundle->bits[decoded.bit_index - 1],
-                                 decoded.opening)) {
+  if (!crypto::verify_commitment(bundle.bits[decoded->bit_index - 1],
+                                 decoded->opening)) {
     out.push_back(make_evidence(ViolationKind::kBadOpening, prover, self,
                                 "opening does not match commitment",
-                                {signed_bundle, *reveal}, decoded.bit_index));
+                                &signed_root, {bundle_leaf, *reveal},
+                                decoded->bit_index));
     return out;
   }
-  if (!opened_bit(decoded.opening)) {
+  if (!opened_bit(decoded->opening)) {
     out.push_back(make_evidence(
         ViolationKind::kBitNotSet, prover, self,
-        "bit b_" + std::to_string(decoded.bit_index) +
+        "bit b_" + std::to_string(decoded->bit_index) +
             " is 0 although this provider supplied a route of that length",
-        {signed_bundle, *reveal}, decoded.bit_index));
+        &signed_root, {bundle_leaf, *reveal}, decoded->bit_index));
   }
   return out;
 }
 
 std::vector<Evidence> verify_as_recipient(const VerifyContext& ctx,
                                           bgp::AsNumber self,
-                                          const SignedMessage& signed_bundle,
-                                          const SignedMessage* recipient_reveal,
-                                          const SignedMessage* export_statement) {
+                                          const SignedMessage& signed_root,
+                                          const LeafOpening& bundle_leaf,
+                                          const LeafOpening* recipient_reveal,
+                                          const LeafOpening* export_statement) {
   std::vector<Evidence> out;
-  const auto bundle = checked_bundle(ctx, self, signed_bundle, out);
-  if (!bundle) return out;
-  const bgp::AsNumber prover = bundle->id.prover;
+  const auto checked = checked_bundle(ctx, self, signed_root, bundle_leaf, out);
+  if (!checked) return out;
+  const CommitmentBundle& bundle = checked->bundle;
+  const bgp::AsNumber prover = bundle.id.prover;
 
   if (recipient_reveal == nullptr || export_statement == nullptr) {
     out.push_back(make_evidence(ViolationKind::kMissingReveal, prover, self,
                                 "recipient reveal or export statement missing"));
     return out;
   }
-  for (const SignedMessage* message : {recipient_reveal, export_statement}) {
-    if (!ctx.verify(*message) || message->signer != prover) {
-      out.push_back(make_evidence(ViolationKind::kBadSignature, prover, self,
-                                  "recipient-side message signature invalid"));
-      return out;
-    }
-  }
-
-  RevealToRecipient reveal;
-  ExportStatement statement;
-  try {
-    reveal = RevealToRecipient::decode(recipient_reveal->payload);
-    statement = ExportStatement::decode(export_statement->payload);
-  } catch (const std::out_of_range&) {
-    out.push_back(make_evidence(ViolationKind::kMissingReveal, prover, self,
-                                "recipient-side message malformed"));
+  const auto reveal = open_leaf<RevealToRecipient>(checked->root, *recipient_reveal);
+  const auto statement = open_leaf<ExportStatement>(checked->root, *export_statement);
+  if (!reveal || !statement) {
+    out.push_back(make_evidence(ViolationKind::kBadSignature, prover, self,
+                                "recipient-side leaf not under the signed root"));
     return out;
   }
-  if (!(reveal.id == bundle->id) || !(statement.id == bundle->id) ||
-      reveal.openings.size() != bundle->bits.size()) {
+  if (!(reveal->id == bundle.id) || !(statement->id == bundle.id) ||
+      reveal->openings.size() != bundle.bits.size()) {
     out.push_back(make_evidence(ViolationKind::kMissingReveal, prover, self,
-                                "recipient-side messages do not match round"));
+                                "recipient-side statements do not match round"));
     return out;
   }
 
   // Open every bit.
-  std::vector<bool> bits(bundle->bits.size());
+  std::vector<bool> bits(bundle.bits.size());
   for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (!crypto::verify_commitment(bundle->bits[i], reveal.openings[i])) {
+    if (!crypto::verify_commitment(bundle.bits[i], reveal->openings[i])) {
       out.push_back(make_evidence(ViolationKind::kBadOpening, prover, self,
                                   "opening " + std::to_string(i + 1) +
                                       " does not match commitment",
-                                  {signed_bundle, *recipient_reveal},
+                                  &signed_root, {bundle_leaf, *recipient_reveal},
                                   static_cast<std::uint32_t>(i + 1)));
       return out;
     }
-    bits[i] = opened_bit(reveal.openings[i]);
+    bits[i] = opened_bit(reveal->openings[i]);
   }
 
   // Monotonicity (§3.3: "if some bi is set to 1, then all the bj, j > i,
   // must also be set").
-  if (bundle->op == OperatorKind::kMinimum) {
+  if (bundle.op == OperatorKind::kMinimum) {
     bool seen_set = false;
     for (std::size_t i = 0; i < bits.size(); ++i) {
       if (bits[i]) {
@@ -534,7 +514,8 @@ std::vector<Evidence> verify_as_recipient(const VerifyContext& ctx,
       } else if (seen_set) {
         out.push_back(make_evidence(ViolationKind::kNonMonotoneBits, prover,
                                     self, "bit vector is not monotone",
-                                    {signed_bundle, *recipient_reveal},
+                                    &signed_root,
+                                    {bundle_leaf, *recipient_reveal},
                                     static_cast<std::uint32_t>(i + 1)));
         break;
       }
@@ -542,85 +523,60 @@ std::vector<Evidence> verify_as_recipient(const VerifyContext& ctx,
   }
 
   const bool any_set = std::any_of(bits.begin(), bits.end(), [](bool b) { return b; });
+  const auto output_evidence = [&](ViolationKind kind, std::string detail) {
+    return make_evidence(kind, prover, self, std::move(detail), &signed_root,
+                         {bundle_leaf, *recipient_reveal, *export_statement});
+  };
 
-  if (statement.has_route) {
+  if (statement->has_route) {
     // Condition 1: the route must have been provided by some Ni — checked
     // via the provenance signature chain.
     const auto provenance_valid = [&]() -> std::optional<std::size_t> {
-      if (!statement.provenance.has_value()) return std::nullopt;
-      if (!ctx.verify(*statement.provenance)) return std::nullopt;
+      if (!statement->provenance.has_value()) return std::nullopt;
+      if (!ctx.verify(*statement->provenance)) return std::nullopt;
       InputAnnouncement input;
       try {
-        input = InputAnnouncement::decode(statement.provenance->payload);
+        input = InputAnnouncement::decode(statement->provenance->payload);
       } catch (const std::out_of_range&) {
         return std::nullopt;
       }
-      if (!(input.id == bundle->id)) return std::nullopt;
-      if (input.provider != statement.provenance->signer) return std::nullopt;
+      if (!(input.id == bundle.id)) return std::nullopt;
+      if (input.provider != statement->provenance->signer) return std::nullopt;
       // Exported path must be the input path prepended with the prover.
-      if (statement.route.path != input.route.path.prepended(prover)) {
+      if (statement->route.path != input.route.path.prepended(prover)) {
         return std::nullopt;
       }
-      if (statement.route.prefix != input.route.prefix) return std::nullopt;
+      if (statement->route.prefix != input.route.prefix) return std::nullopt;
       return input.route.path.length();
     }();
 
     if (!provenance_valid.has_value()) {
-      out.push_back(make_evidence(
-          ViolationKind::kOutputWithoutInput, prover, self,
-          "exported route has no valid provenance",
-          {signed_bundle, *recipient_reveal, *export_statement}));
+      out.push_back(output_evidence(ViolationKind::kOutputWithoutInput,
+                                    "exported route has no valid provenance"));
       return out;
     }
     if (!any_set) {
-      out.push_back(make_evidence(
-          ViolationKind::kOutputWithoutInput, prover, self,
-          "route exported although all bits are 0",
-          {signed_bundle, *recipient_reveal, *export_statement}));
+      out.push_back(output_evidence(ViolationKind::kOutputWithoutInput,
+                                    "route exported although all bits are 0"));
       return out;
     }
-    if (bundle->op == OperatorKind::kMinimum) {
+    if (bundle.op == OperatorKind::kMinimum) {
       const std::size_t min_set =
           static_cast<std::size_t>(std::find(bits.begin(), bits.end(), true) -
                                    bits.begin()) + 1;
       if (*provenance_valid != min_set) {
-        out.push_back(make_evidence(
-            ViolationKind::kOutputNotMinimal, prover, self,
+        out.push_back(output_evidence(
+            ViolationKind::kOutputNotMinimal,
             "exported input length " + std::to_string(*provenance_valid) +
-                " != committed minimum " + std::to_string(min_set),
-            {signed_bundle, *recipient_reveal, *export_statement}));
+                " != committed minimum " + std::to_string(min_set)));
       }
     }
   } else if (any_set) {
-    out.push_back(make_evidence(
-        ViolationKind::kSuppressedOutput, prover, self,
-        "bits claim a route exists but none was exported",
-        {signed_bundle, *recipient_reveal, *export_statement}));
+    out.push_back(output_evidence(
+        ViolationKind::kSuppressedOutput,
+        "bits claim a route exists but none was exported"));
   }
   return out;
-}
-
-std::optional<Evidence> check_equivocation(const VerifyContext& ctx,
-                                           bgp::AsNumber reporter,
-                                           const SignedMessage& first,
-                                           const SignedMessage& second) {
-  if (!ctx.verify(first) || !ctx.verify(second)) {
-    return std::nullopt;
-  }
-  if (first.signer != second.signer) return std::nullopt;
-  CommitmentBundle a;
-  CommitmentBundle b;
-  try {
-    a = CommitmentBundle::decode(first.payload);
-    b = CommitmentBundle::decode(second.payload);
-  } catch (const std::out_of_range&) {
-    return std::nullopt;
-  }
-  if (!(a.id == b.id)) return std::nullopt;
-  if (first.payload == second.payload) return std::nullopt;
-  return make_evidence(ViolationKind::kEquivocation, first.signer, reporter,
-                       "two conflicting signed bundles for one round",
-                       {first, second});
 }
 
 // ---- KeyDirectory convenience wrappers ----
@@ -628,26 +584,20 @@ std::optional<Evidence> check_equivocation(const VerifyContext& ctx,
 std::vector<Evidence> verify_as_provider(
     const KeyDirectory& directory, bgp::AsNumber self,
     const std::optional<InputAnnouncement>& own_input,
-    const SignedMessage& signed_bundle, const SignedMessage* reveal) {
+    const SignedMessage& signed_root, const LeafOpening& bundle,
+    const LeafOpening* reveal) {
   return verify_as_provider(directory.verify_context(), self, own_input,
-                            signed_bundle, reveal);
+                            signed_root, bundle, reveal);
 }
 
 std::vector<Evidence> verify_as_recipient(const KeyDirectory& directory,
                                           bgp::AsNumber self,
-                                          const SignedMessage& signed_bundle,
-                                          const SignedMessage* recipient_reveal,
-                                          const SignedMessage* export_statement) {
-  return verify_as_recipient(directory.verify_context(), self, signed_bundle,
-                             recipient_reveal, export_statement);
-}
-
-std::optional<Evidence> check_equivocation(const KeyDirectory& directory,
-                                           bgp::AsNumber reporter,
-                                           const SignedMessage& first,
-                                           const SignedMessage& second) {
-  return check_equivocation(directory.verify_context(), reporter, first,
-                            second);
+                                          const SignedMessage& signed_root,
+                                          const LeafOpening& bundle,
+                                          const LeafOpening* recipient_reveal,
+                                          const LeafOpening* export_statement) {
+  return verify_as_recipient(directory.verify_context(), self, signed_root,
+                             bundle, recipient_reveal, export_statement);
 }
 
 }  // namespace pvr::core

@@ -6,19 +6,24 @@
 // Per protocol round (prefix, epoch):
 //   1. Each providing Ni sends A a signed InputAnnouncement.
 //   2. A computes bits b_1..b_L (b_i = 1 iff an input of length <= i
-//      exists; L = 1 with b_1 = "any input" for the existential operator),
-//      commits to each bit, and publishes a signed CommitmentBundle to all
-//      neighbors, who gossip it to detect equivocation.
+//      exists; L = 1 with b_1 = "any input" for the existential operator)
+//      and commits to each bit in a CommitmentBundle.
 //   3. A reveals to each providing Ni the opening of b_{|r_i|}
-//      (RevealToProvider, signed — the signature doubles as A's
+//      (RevealToProvider — A's statement of it doubles as A's
 //      acknowledgment that Ni provided a length-|r_i| route, which is what
 //      makes kBitNotSet third-party provable).
-//   4. A reveals all openings to B (RevealToRecipient, signed) and sends a
-//      signed ExportStatement carrying either the exported route plus its
+//   4. A reveals all openings to B (RevealToRecipient) and states its
+//      export (ExportStatement): either the exported route plus its
 //      provenance (the winning Ni's own signed announcement) or the claim
 //      "no route", which makes suppression provable.
 //   5. Verifiers run verify_as_provider / verify_as_recipient; any
 //      violation yields Evidence validatable by core::Auditor.
+//
+// run_prover only computes these statements; it signs nothing. A binds
+// them by making each one a salted leaf of its window's Merkle tree and
+// signing that tree's root once (core/bundle_aggregation.h seal_window), so
+// every statement reaches its verifier as leaf + inclusion proof under one
+// signed root, which binds A exactly as a signature on the statement would.
 //
 // Confidentiality: Ni learns only the single bit b_{|r_i|} (which must be 1
 // if A is honest — it already knows that); B learns the chosen route and
@@ -34,6 +39,7 @@
 #include "bgp/route.h"
 #include "core/evidence.h"
 #include "core/keys.h"
+#include "core/window_leaf.h"
 #include "crypto/commitment.h"
 #include "crypto/drbg.h"
 
@@ -57,7 +63,11 @@ struct ProtocolId {
   [[nodiscard]] static ProtocolId decode(crypto::ByteReader& reader);
 };
 
-// ---- Wire payloads (each travels inside a SignedMessage) ----
+// ---- Statements ----
+//
+// InputAnnouncement travels inside a provider-signed SignedMessage. The
+// prover's four statements travel as window leaves (window_leaf.h); each
+// names its LeafKind.
 
 struct InputAnnouncement {
   ProtocolId id;               // the round this input feeds
@@ -69,6 +79,8 @@ struct InputAnnouncement {
 };
 
 struct CommitmentBundle {
+  static constexpr LeafKind kLeafKind = LeafKind::kBundle;
+
   ProtocolId id;
   OperatorKind op = OperatorKind::kMinimum;
   std::uint32_t max_len = 0;                   // L; 1 for existential
@@ -79,6 +91,8 @@ struct CommitmentBundle {
 };
 
 struct RevealToProvider {
+  static constexpr LeafKind kLeafKind = LeafKind::kProviderReveal;
+
   ProtocolId id;
   bgp::AsNumber provider = 0;
   std::uint32_t bit_index = 0;  // 1-based; == min(|r_i|, L)
@@ -89,6 +103,8 @@ struct RevealToProvider {
 };
 
 struct RevealToRecipient {
+  static constexpr LeafKind kLeafKind = LeafKind::kRecipientReveal;
+
   ProtocolId id;
   std::vector<crypto::CommitmentOpening> openings;  // all of b_1..b_L
 
@@ -97,6 +113,8 @@ struct RevealToRecipient {
 };
 
 struct ExportStatement {
+  static constexpr LeafKind kLeafKind = LeafKind::kExport;
+
   ProtocolId id;
   bool has_route = false;
   bgp::Route route;  // as exported (provider path prepended with prover)
@@ -121,9 +139,9 @@ struct ProverMisbehavior {
   std::optional<bgp::AsNumber> wrong_opening_for;  // corrupt Ni's opening
   std::optional<bgp::AsNumber> skip_reveal_for;    // never reveal to Ni
   bool equivocate = false;          // second bundle for a subset of peers
-  // With equivocate, in aggregated wire mode: put the conflicting bundles
-  // under a SECOND window (fresh batch number) instead of signing the same
-  // window twice, so no two roots share a batch — the batch-split evasion.
+  // With equivocate: put the conflicting bundles under a SECOND window
+  // (fresh batch number) instead of signing the same window twice, so no
+  // two roots share a batch — the batch-split evasion.
   // Both windows still claim the same prefixes, which is exactly what
   // roots_conflict's common-round rule catches.
   bool batch_split = false;
@@ -135,12 +153,14 @@ struct ProverMisbehavior {
   }
 };
 
+// One round's statements, unsigned: seal_window (bundle_aggregation.h)
+// turns them into leaves under the window's signed root.
 struct ProverResult {
-  SignedMessage signed_bundle;                       // CommitmentBundle
-  std::optional<SignedMessage> equivocating_bundle;  // if equivocating
-  std::map<bgp::AsNumber, SignedMessage> provider_reveals;  // RevealToProvider
-  SignedMessage recipient_reveal;                    // RevealToRecipient
-  SignedMessage export_statement;                    // ExportStatement
+  CommitmentBundle bundle;
+  std::optional<CommitmentBundle> equivocating_bundle;  // if equivocating
+  std::map<bgp::AsNumber, RevealToProvider> provider_reveals;
+  RevealToRecipient recipient_reveal;
+  ExportStatement export_statement;
   // The honest decision (for experiment bookkeeping).
   std::optional<bgp::Route> honest_output;
 };
@@ -151,10 +171,15 @@ struct ProverResult {
 [[nodiscard]] ProverResult run_prover(
     const ProtocolId& id, OperatorKind op,
     const std::map<bgp::AsNumber, std::optional<SignedMessage>>& inputs,
-    std::uint32_t max_len, const crypto::RsaPrivateKey& prover_key,
-    crypto::Drbg& rng, const ProverMisbehavior& misbehavior = {});
+    std::uint32_t max_len, crypto::Drbg& rng,
+    const ProverMisbehavior& misbehavior = {});
 
 // ---- Verifiers (each returns the violations it detected) ----
+//
+// Every prover statement arrives as a LeafOpening under `signed_root`, the
+// prover-signed AggregatedBundle of the round's window. Each check verifies
+// that root's signature (one RSA verify per window once the VerifyContext
+// caches verdicts) and each leaf's inclusion with hashes only.
 //
 // Each check exists in two flavors: the VerifyContext one (the engine /
 // world-shared path, amortized per-key precompute plus the optional
@@ -162,35 +187,28 @@ struct ProverResult {
 // directory.verify_context(). Verdicts are identical by construction.
 
 // Ni-side checks (§3.2 condition 2 / §3.3 condition 3). `own_input` is what
-// the provider actually sent this round; `reveal` is the signed
-// RevealToProvider received from the prover (nullptr if none arrived).
+// the provider actually sent this round; `reveal` is the RevealToProvider
+// leaf received from the prover (nullptr if none arrived).
 [[nodiscard]] std::vector<Evidence> verify_as_provider(
     const VerifyContext& ctx, bgp::AsNumber self,
     const std::optional<InputAnnouncement>& own_input,
-    const SignedMessage& signed_bundle, const SignedMessage* reveal);
+    const SignedMessage& signed_root, const LeafOpening& bundle,
+    const LeafOpening* reveal);
 [[nodiscard]] std::vector<Evidence> verify_as_provider(
     const KeyDirectory& directory, bgp::AsNumber self,
     const std::optional<InputAnnouncement>& own_input,
-    const SignedMessage& signed_bundle, const SignedMessage* reveal);
+    const SignedMessage& signed_root, const LeafOpening& bundle,
+    const LeafOpening* reveal);
 
 // B-side checks (§3.2 condition 1 plus the §3.3 bit-vector checks).
 [[nodiscard]] std::vector<Evidence> verify_as_recipient(
     const VerifyContext& ctx, bgp::AsNumber self,
-    const SignedMessage& signed_bundle, const SignedMessage* recipient_reveal,
-    const SignedMessage* export_statement);
+    const SignedMessage& signed_root, const LeafOpening& bundle,
+    const LeafOpening* recipient_reveal, const LeafOpening* export_statement);
 [[nodiscard]] std::vector<Evidence> verify_as_recipient(
     const KeyDirectory& directory, bgp::AsNumber self,
-    const SignedMessage& signed_bundle, const SignedMessage* recipient_reveal,
-    const SignedMessage* export_statement);
-
-// Two signed bundles for the same round with different contents prove
-// equivocation.
-[[nodiscard]] std::optional<Evidence> check_equivocation(
-    const VerifyContext& ctx, bgp::AsNumber reporter,
-    const SignedMessage& first, const SignedMessage& second);
-[[nodiscard]] std::optional<Evidence> check_equivocation(
-    const KeyDirectory& directory, bgp::AsNumber reporter,
-    const SignedMessage& first, const SignedMessage& second);
+    const SignedMessage& signed_root, const LeafOpening& bundle,
+    const LeafOpening* recipient_reveal, const LeafOpening* export_statement);
 
 // Honest-bit computation (exposed for tests and benches): bits_of returns
 // b_1..b_L for the given input routes.

@@ -13,7 +13,7 @@ namespace pvr::core {
 namespace {
 
 // Max equivocation-pair checks defer_finalize_checks folds into one engine
-// task. A round with B observed bundles has B(B-1)/2 pair checks, and one
+// task. A round with R observed roots has R(R-1)/2 pair checks, and one
 // task per pair would explode the engine task count.
 constexpr std::size_t kFinalizeChunkPairs = 32;
 
@@ -183,11 +183,7 @@ void PvrNode::schedule_window_fire(net::Transport& sim, std::uint64_t epoch,
 
 void PvrNode::run_prover_batch(net::Transport& sim, std::uint64_t epoch,
                                const std::vector<bgp::Ipv4Prefix>& prefixes) {
-  struct PrefixRound {
-    ProtocolId id;
-    ProverResult result;
-  };
-  std::vector<PrefixRound> batch;
+  std::vector<ProverResult> batch;
   batch.reserve(prefixes.size());
   for (const bgp::Ipv4Prefix& prefix : prefixes) {
     const ProtocolId id{.prover = config_.asn, .prefix = prefix, .epoch = epoch};
@@ -201,10 +197,8 @@ void PvrNode::run_prover_batch(net::Transport& sim, std::uint64_t epoch,
     }
 
     rounds_run_.insert(id);
-    batch.push_back(PrefixRound{
-        .id = id,
-        .result = run_prover(id, config_.op, inputs, config_.max_len,
-                             *config_.private_key, rng_, config_.misbehavior)});
+    batch.push_back(run_prover(id, config_.op, inputs, config_.max_len, rng_,
+                               config_.misbehavior));
   }
   if (batch.empty()) return;
   windows_fired_ += 1;
@@ -216,51 +210,39 @@ void PvrNode::run_prover_batch(net::Transport& sim, std::uint64_t epoch,
             ",\"prefixes\":" + std::to_string(batch.size()) + "}");
   }
 
-  // Publish the window's bundles under one signed Merkle root
+  // Every statement of the window becomes a leaf under ONE signed root
   // (pvr.bundle.agg, DESIGN.md §8.4). When equivocating, the first half of
-  // the providers get the conflicting variant.
-  const std::size_t half = config_.providers.size() / 2;
+  // the providers get the variant root over the conflicting bundles.
+  // Batch-split evasion: the variant gets its OWN window number, so no two
+  // signed roots share a batch — only the common prefixes they both claim
+  // betray the equivocation (roots_conflict's second rule).
+  const bool equivocating =
+      std::any_of(batch.begin(), batch.end(), [](const ProverResult& round) {
+        return round.equivocating_bundle.has_value();
+      });
   const std::uint32_t window = next_batch_[epoch]++;
-  std::vector<SignedMessage> honest;
-  std::vector<SignedMessage> variant;
-  bool equivocating = false;
-  for (const PrefixRound& round : batch) {
-    honest.push_back(round.result.signed_bundle);
-    variant.push_back(round.result.equivocating_bundle.has_value()
-                          ? *round.result.equivocating_bundle
-                          : round.result.signed_bundle);
-    equivocating |= round.result.equivocating_bundle.has_value();
-  }
-  // Batch-split evasion: the variant gets its OWN window number, so no
-  // two signed roots share a batch — only the common prefixes they both
-  // claim betray the equivocation (roots_conflict's second rule).
   const std::uint32_t variant_window =
       equivocating && config_.misbehavior.batch_split ? next_batch_[epoch]++
                                                       : window;
-  const AggregatedBundleMessage agg_honest = aggregate_signed_bundles(
-      config_.asn, epoch, window, honest, *config_.private_key);
-  std::optional<AggregatedBundleMessage> agg_variant;
-  if (equivocating) {
-    agg_variant = aggregate_signed_bundles(
-        config_.asn, epoch, variant_window, variant, *config_.private_key);
-  }
-  for (std::size_t i = 0; i < config_.providers.size(); ++i) {
-    const AggregatedBundleMessage& message =
-        (agg_variant.has_value() && i < half) ? *agg_variant : agg_honest;
-    send(sim, config_.providers[i], kBundleAggChannel, message.encode());
-  }
-  send(sim, config_.recipient, kBundleAggChannel, agg_honest.encode());
-
-  // Reveals and exports, per prefix round.
-  for (const PrefixRound& round : batch) {
-    for (const auto& [provider, reveal] : round.result.provider_reveals) {
-      send(sim, provider, kRevealProviderChannel, reveal.encode());
+  const SealedWindow sealed = seal_window(config_.asn, epoch, window,
+                                          variant_window, batch,
+                                          *config_.private_key, rng_);
+  roots_signed_ += sealed.variant.has_value() ? 2 : 1;
+  const auto send_window = [&](bgp::AsNumber to,
+                               const AggregatedBundleMessage& message) {
+    for (const LeafOpening& opening : message.openings) {
+      proof_bytes_sent_ += opening.proof.encoded_size();
     }
-    send(sim, config_.recipient, kRevealRecipientChannel,
-         round.result.recipient_reveal.encode());
-    send(sim, config_.recipient, kExportChannel,
-         round.result.export_statement.encode());
+    send(sim, to, kBundleAggChannel, message.encode());
+  };
+  const std::size_t half = config_.providers.size() / 2;
+  for (std::size_t i = 0; i < config_.providers.size(); ++i) {
+    const SignedWindow& tree =
+        (sealed.variant.has_value() && i < half) ? *sealed.variant : sealed.honest;
+    send_window(config_.providers[i],
+                tree.message_for_provider(config_.providers[i]));
   }
+  send_window(config_.recipient, sealed.honest.message_for_recipient());
 
   // Window-closed event, after every message of the batch is on the wire:
   // subscribers (the online scenario pipeline) learn exactly which rounds
@@ -344,23 +326,45 @@ void PvrNode::open_aggregated(net::Transport& sim,
   }
   if (root.prover != config_.prover) return;
   if (!config_.verify_context().verify(message.signed_root)) return;
-  for (const SignedBundleOpening& opening : message.openings) {
-    // Only proofs that bind the bundle to the signed root are usable — an
-    // unprovable bundle could not support evidence later.
-    if (!verify_signed_opening(root, opening)) continue;
-    CommitmentBundle decoded;
-    try {
-      decoded = CommitmentBundle::decode(opening.bundle.payload);
-    } catch (const std::out_of_range&) {
-      continue;
-    }
-    if (decoded.id.prover != config_.prover || decoded.id.epoch != root.epoch) {
-      continue;
-    }
-    RoundState& round = round_state(decoded.id);
-    if (remember_distinct(round.observed_bundles, opening.bundle) &&
-        !round.bundle.has_value()) {
-      round.bundle = opening.bundle;
+  const auto shared_root = std::make_shared<const SignedMessage>(message.signed_root);
+  // Rounds whose bundle leaf THIS message delivered first: only their other
+  // leaves are taken from it, so a round's leaves all hang off one root.
+  std::set<ProtocolId> opened;
+  for (const LeafOpening& opening : message.openings) {
+    // Only leaves proven under the signed root are usable — an unproven
+    // statement could not support evidence later.
+    switch (opening.leaf.kind) {
+      case LeafKind::kBundle: {
+        const auto bundle = open_leaf<CommitmentBundle>(root, opening);
+        if (!bundle) break;
+        RoundState& round = round_state(bundle->id);
+        if (round.bundle.has_value()) break;
+        round.root = shared_root;
+        round.bundle = opening;
+        opened.insert(bundle->id);
+        break;
+      }
+      case LeafKind::kProviderReveal: {
+        const auto reveal = open_leaf<RevealToProvider>(root, opening);
+        if (!reveal || reveal->provider != config_.asn ||
+            !opened.contains(reveal->id)) {
+          break;
+        }
+        round_state(reveal->id).provider_reveal = opening;
+        break;
+      }
+      case LeafKind::kRecipientReveal: {
+        const auto reveal = open_leaf<RevealToRecipient>(root, opening);
+        if (!reveal || !opened.contains(reveal->id)) break;
+        round_state(reveal->id).recipient_reveal = opening;
+        break;
+      }
+      case LeafKind::kExport: {
+        const auto statement = open_leaf<ExportStatement>(root, opening);
+        if (!statement || !opened.contains(statement->id)) break;
+        round_state(statement->id).export_statement = opening;
+        break;
+      }
     }
   }
   observe_root(sim, message.signed_root, origin, 0);
@@ -390,8 +394,8 @@ void PvrNode::on_message(net::Transport& sim, const net::Message& message) {
   }
 
   if (message.channel == kBundleAggChannel) {
-    // Aggregated bundles come straight from the prover; anything else could
-    // overwrite round state with attacker-chosen batches.
+    // Window messages come straight from the prover; anything else could
+    // overwrite round state with attacker-chosen leaves.
     if (message.from != config_.prover) return;
     try {
       const AggregatedBundleMessage decoded =
@@ -406,40 +410,6 @@ void PvrNode::on_message(net::Transport& sim, const net::Message& message) {
     if (const auto gossip = unwrap_hops(message.payload)) {
       observe_root(sim, gossip->envelope, message.from, gossip->hops);
     }
-    return;
-  }
-
-  // Reveal / export envelopes are only ever sent by the prover itself;
-  // accepting them from anyone else would let any peer overwrite the
-  // stashed slot last-write-wins and manufacture false kMissingReveal /
-  // bad-reveal evidence against an honest prover.
-  auto stash = [&](std::optional<SignedMessage> RoundState::*slot,
-                   auto decode_id) {
-    try {
-      SignedMessage envelope = SignedMessage::decode(message.payload);
-      if (envelope.signer != message.from ||
-          envelope.signer != config_.prover) {
-        return;
-      }
-      const ProtocolId id = decode_id(envelope);
-      if (id.prover != config_.prover) return;
-      round_state(id).*slot = std::move(envelope);
-    } catch (const std::out_of_range&) {
-    }
-  };
-
-  if (message.channel == kRevealProviderChannel) {
-    stash(&RoundState::provider_reveal, [](const SignedMessage& envelope) {
-      return RevealToProvider::decode(envelope.payload).id;
-    });
-  } else if (message.channel == kRevealRecipientChannel) {
-    stash(&RoundState::recipient_reveal, [](const SignedMessage& envelope) {
-      return RevealToRecipient::decode(envelope.payload).id;
-    });
-  } else if (message.channel == kExportChannel) {
-    stash(&RoundState::export_statement, [](const SignedMessage& envelope) {
-      return ExportStatement::decode(envelope.payload).id;
-    });
   }
 }
 
@@ -454,11 +424,6 @@ void fold_round_findings(RoundFindings& into, RoundFindings part) {
 std::vector<PvrNode::RoundCheckPart> PvrNode::enumerate_round_checks(
     const RoundState& round) {
   std::vector<RoundCheckPart> parts;
-  for (std::size_t i = 0; i + 1 < round.observed_bundles.size(); ++i) {
-    for (std::size_t j = i + 1; j < round.observed_bundles.size(); ++j) {
-      parts.push_back({.kind = RoundCheckPart::Kind::kBundlePair, .i = i, .j = j});
-    }
-  }
   for (std::size_t i = 0; i + 1 < round.observed_roots.size(); ++i) {
     for (std::size_t j = i + 1; j < round.observed_roots.size(); ++j) {
       parts.push_back({.kind = RoundCheckPart::Kind::kRootPair, .i = i, .j = j});
@@ -473,20 +438,10 @@ RoundFindings PvrNode::run_round_check(const PvrConfig& config,
                                        const RoundCheckPart& part) {
   RoundFindings findings;
 
-  if (part.kind == RoundCheckPart::Kind::kBundlePair) {
-    // Equivocation check over one pair of bundles the prover sent us.
-    findings.signatures_verified += 2;
-    if (auto conflict = check_equivocation(config.verify_context(), config.asn,
-                                           round.observed_bundles[part.i],
-                                           round.observed_bundles[part.j])) {
-      findings.evidence.push_back(std::move(*conflict));
-    }
-    return findings;
-  }
   if (part.kind == RoundCheckPart::Kind::kRootPair) {
-    // Aggregated wire mode: conflicting signed roots for this round's
-    // aggregation window are equivocation too (root gossip carries no
-    // bundles, so this is how the conflict surfaces).
+    // Conflicting signed roots for this round's window are equivocation:
+    // one root commits to one bundle per round, so this is also how two
+    // bundles for the round surface.
     findings.signatures_verified += 2;
     if (auto conflict = check_root_equivocation(config.verify_context(), config.asn,
                                                 round.observed_roots[part.i],
@@ -511,29 +466,28 @@ RoundFindings PvrNode::run_round_check(const PvrConfig& config,
     return findings;
   }
 
+  // Every leaf hangs off one signed root: one signature check per role.
+  findings.signatures_verified += 1;
+  const auto leaf = [](const std::optional<LeafOpening>& slot) {
+    return slot.has_value() ? &*slot : nullptr;
+  };
   if (config.role == PvrRole::kProvider) {
-    findings.signatures_verified += round.provider_reveal.has_value() ? 2 : 1;
-    auto found = verify_as_provider(
-        config.verify_context(), config.asn, round.own_input, *round.bundle,
-        round.provider_reveal.has_value() ? &*round.provider_reveal : nullptr);
+    auto found = verify_as_provider(config.verify_context(), config.asn,
+                                    round.own_input, *round.root, *round.bundle,
+                                    leaf(round.provider_reveal));
     findings.evidence.insert(findings.evidence.end(), found.begin(), found.end());
   } else if (config.role == PvrRole::kRecipient) {
-    findings.signatures_verified +=
-        1 + (round.recipient_reveal.has_value() ? 1 : 0) +
-        (round.export_statement.has_value() ? 1 : 0);
-    auto found = verify_as_recipient(
-        config.verify_context(), config.asn, *round.bundle,
-        round.recipient_reveal.has_value() ? &*round.recipient_reveal : nullptr,
-        round.export_statement.has_value() ? &*round.export_statement : nullptr);
+    auto found = verify_as_recipient(config.verify_context(), config.asn,
+                                     *round.root, *round.bundle,
+                                     leaf(round.recipient_reveal),
+                                     leaf(round.export_statement));
     findings.evidence.insert(findings.evidence.end(), found.begin(), found.end());
-    // Accept the exported route only when every check passed.
-    if (found.empty() && round.export_statement.has_value()) {
-      try {
-        const ExportStatement statement =
-            ExportStatement::decode(round.export_statement->payload);
-        if (statement.has_route) findings.accepted = statement.route;
-      } catch (const std::out_of_range&) {
-      }
+    // Accept the exported route only when every check passed (which
+    // includes the export leaf decoding under the root).
+    if (found.empty()) {
+      const ExportStatement statement =
+          ExportStatement::decode(round.export_statement->leaf.payload);
+      if (statement.has_route) findings.accepted = statement.route;
     }
   }
   return findings;

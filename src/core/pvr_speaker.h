@@ -8,9 +8,10 @@
 //   1. providers call provide_input() (their signed route for this epoch),
 //   2. the prover's start_round() opens a collection window; every prefix
 //      started inside the window joins one aggregation batch. When the
-//      window closes the prover runs run_prover per prefix and fans out
-//      ONE Merkle-aggregated bundle message per neighbor (pvr.bundle.agg:
-//      the signed root plus per-prefix openings) plus reveals / export,
+//      window closes the prover runs run_prover per prefix, makes every
+//      statement a leaf of one tree, signs its root ONCE, and sends each
+//      neighbor ONE pvr.bundle.agg message: the signed root, every bundle
+//      leaf and that neighbor's own reveal (or reveal + export) leaves,
 //   3. verifiers gossip the small signed roots among themselves
 //      ("pvr.gossip.root"); two signed roots that claim one round are
 //      provable equivocation,
@@ -43,9 +44,6 @@ namespace pvr::core {
 
 inline constexpr const char* kInputChannel = "pvr.input";
 inline constexpr const char* kBundleAggChannel = "pvr.bundle.agg";
-inline constexpr const char* kRevealProviderChannel = "pvr.reveal.n";
-inline constexpr const char* kRevealRecipientChannel = "pvr.reveal.b";
-inline constexpr const char* kExportChannel = "pvr.export";
 inline constexpr const char* kGossipRootChannel = "pvr.gossip.root";
 
 enum class PvrRole : std::uint8_t { kProver, kProvider, kRecipient };
@@ -93,12 +91,11 @@ struct RoundFindings {
 };
 
 // One round's checks split at check granularity: each closure runs one
-// bundle-equivocation pair, one root-equivocation pair, or the role checks
-// over a shared immutable snapshot, so the engine can spread a single
-// round's work across workers. Folding the partial findings in vector
-// order with fold_round_findings reproduces finalize_round byte-for-byte
-// (the split preserves the sequential check order: bundle pairs, then
-// root pairs, then the role checks).
+// root-equivocation pair or the role checks over a shared immutable
+// snapshot, so the engine can spread a single round's work across
+// workers. Folding the partial findings in vector order with
+// fold_round_findings reproduces finalize_round byte-for-byte (the split
+// preserves the sequential check order: root pairs, then the role checks).
 struct DeferredRoundChecks {
   ProtocolId id;
   std::vector<std::function<RoundFindings()>> checks;
@@ -231,19 +228,30 @@ class PvrNode : public net::Node {
   [[nodiscard]] std::uint64_t windows_fired() const noexcept {
     return windows_fired_;
   }
+  // Prover-side signing and proof cost: window roots signed (one per
+  // window when honest, two for an equivocating one), and the encoded
+  // Merkle-proof bytes in the pvr.bundle.agg messages sent — the bandwidth
+  // the single signature per window costs (paper §3.8).
+  [[nodiscard]] std::uint64_t roots_signed() const noexcept {
+    return roots_signed_;
+  }
+  [[nodiscard]] std::uint64_t proof_bytes_sent() const noexcept {
+    return proof_bytes_sent_;
+  }
 
  private:
   struct RoundState {
-    std::optional<SignedMessage> bundle;             // first bundle seen
-    std::optional<SignedMessage> provider_reveal;    // reveal addressed to us
-    std::optional<SignedMessage> recipient_reveal;
-    std::optional<SignedMessage> export_statement;
-    std::optional<InputAnnouncement> own_input;      // what we provided
-    // All distinct signed bundles the prover sent us (two prove
-    // equivocation).
-    std::vector<SignedMessage> observed_bundles;
-    // Aggregated wire mode: every distinct signed root observed whose
-    // window claims this round's prefix. Two entries prove equivocation.
+    // The signed root of the first window message that delivered this
+    // round's bundle leaf, and the round's leaves from that same message.
+    std::shared_ptr<const SignedMessage> root;
+    std::optional<LeafOpening> bundle;
+    std::optional<LeafOpening> provider_reveal;    // reveal addressed to us
+    std::optional<LeafOpening> recipient_reveal;
+    std::optional<LeafOpening> export_statement;
+    std::optional<InputAnnouncement> own_input;    // what we provided
+    // Every distinct signed root observed whose window claims this round's
+    // prefix. Two entries prove equivocation: one root commits to exactly
+    // one bundle per round, so two bundles always mean two roots.
     std::vector<SignedMessage> observed_roots;
     bool finalized = false;
   };
@@ -253,13 +261,13 @@ class PvrNode : public net::Node {
   using RootKey = std::pair<bgp::AsNumber, std::uint64_t>;
 
   // One independently runnable slice of a round's checks. The enumeration
-  // order (all bundle pairs, all root pairs, the role checks) is the
-  // canonical sequential order; both check_round and the engine's reducer
-  // fold partial findings in exactly this order.
+  // order (all root pairs, then the role checks) is the canonical
+  // sequential order; both check_round and the engine's reducer fold
+  // partial findings in exactly this order.
   struct RoundCheckPart {
-    enum class Kind : std::uint8_t { kBundlePair, kRootPair, kRole };
+    enum class Kind : std::uint8_t { kRootPair, kRole };
     Kind kind = Kind::kRole;
-    std::size_t i = 0;  // pair indices into observed_bundles/observed_roots
+    std::size_t i = 0;  // pair indices into observed_roots
     std::size_t j = 0;
   };
   [[nodiscard]] static std::vector<RoundCheckPart> enumerate_round_checks(
@@ -279,7 +287,9 @@ class PvrNode : public net::Node {
   // Records a signed aggregation root and relays it on pvr.gossip.root.
   void observe_root(net::Transport& sim, const SignedMessage& signed_root,
                     bgp::AsNumber origin, std::uint8_t hops);
-  // Unpacks a pvr.bundle.agg message from the prover into per-round state.
+  // Unpacks a pvr.bundle.agg message from the prover into per-round state:
+  // the first message to deliver a round's bundle leaf supplies all of the
+  // round's leaves.
   void open_aggregated(net::Transport& sim, const AggregatedBundleMessage& message,
                        bgp::AsNumber origin);
   // Attaches a verified signed root to the round of every prefix its window
@@ -346,6 +356,8 @@ class PvrNode : public net::Node {
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t rounds_started_ = 0;
   std::uint64_t windows_fired_ = 0;
+  std::uint64_t roots_signed_ = 0;
+  std::uint64_t proof_bytes_sent_ = 0;
   std::size_t peak_open_rounds_ = 0;
 };
 

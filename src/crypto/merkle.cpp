@@ -6,9 +6,9 @@
 namespace pvr::crypto {
 
 void MerkleProof::encode(ByteWriter& writer) const {
-  writer.put_u64(leaf_index);
-  writer.put_u64(leaf_count);
-  writer.put_u32(static_cast<std::uint32_t>(siblings.size()));
+  writer.put_u32(static_cast<std::uint32_t>(leaf_index));
+  writer.put_u32(static_cast<std::uint32_t>(leaf_count));
+  writer.put_u8(static_cast<std::uint8_t>(siblings.size()));
   for (const Digest& sibling : siblings) {
     writer.put_raw(std::span(sibling.data(), sibling.size()));
   }
@@ -16,20 +16,26 @@ void MerkleProof::encode(ByteWriter& writer) const {
 
 MerkleProof MerkleProof::decode(ByteReader& reader) {
   MerkleProof proof;
-  proof.leaf_index = reader.get_u64();
-  proof.leaf_count = reader.get_u64();
-  const std::uint32_t count = reader.get_u32();
-  // A proof is one sibling per tree level; 64 levels covers any leaf count
-  // and keeps a hostile length field from forcing a huge allocation.
-  if (count > 64) throw std::out_of_range("MerkleProof::decode: too many siblings");
+  proof.leaf_index = reader.get_u32();
+  proof.leaf_count = reader.get_u32();
+  const std::uint8_t count = reader.get_u8();
+  // A proof is one sibling per tree level; 32 levels covers any u32 leaf
+  // count and keeps a hostile length field from forcing a big allocation.
+  if (count > 32) throw std::out_of_range("MerkleProof::decode: too many siblings");
   proof.siblings.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
+  for (std::uint8_t i = 0; i < count; ++i) {
     const std::vector<std::uint8_t> raw = reader.get_raw(kSha256DigestSize);
     Digest digest;
     std::copy(raw.begin(), raw.end(), digest.begin());
     proof.siblings.push_back(digest);
   }
   return proof;
+}
+
+std::size_t MerkleTree::depth(std::size_t leaf_count) {
+  std::size_t levels = 0;
+  while ((std::size_t{1} << levels) < leaf_count) ++levels;
+  return levels;
 }
 
 Digest MerkleTree::hash_leaf(std::span<const std::uint8_t> payload) {
@@ -99,6 +105,9 @@ bool MerkleTree::verify(const Digest& root,
                         std::span<const std::uint8_t> leaf_payload,
                         const MerkleProof& proof) {
   if (proof.leaf_index >= proof.leaf_count) return false;
+  // Exactly one sibling per level of a leaf_count-leaf tree: a truncated
+  // or padded sibling list would prove membership in some other tree.
+  if (proof.siblings.size() != depth(proof.leaf_count)) return false;
   Digest current = hash_leaf(leaf_payload);
   std::size_t pos = proof.leaf_index;
   for (const Digest& sibling : proof.siblings) {
@@ -106,7 +115,7 @@ bool MerkleTree::verify(const Digest& root,
                         : hash_interior(current, sibling);
     pos >>= 1;
   }
-  return pos == 0 && current == root;
+  return current == root;
 }
 
 }  // namespace pvr::crypto

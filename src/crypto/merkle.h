@@ -22,9 +22,14 @@ struct MerkleProof {
 
   [[nodiscard]] bool operator==(const MerkleProof&) const = default;
 
-  // Canonical wire form (proofs travel inside aggregated-bundle reveals).
+  // Canonical wire form (proofs travel inside pvr.bundle.agg window
+  // messages and evidence): u32 index, u32 leaf count, u8 sibling count,
+  // then the siblings.
   void encode(ByteWriter& writer) const;
   [[nodiscard]] static MerkleProof decode(ByteReader& reader);
+  [[nodiscard]] std::size_t encoded_size() const noexcept {
+    return 9 + siblings.size() * kSha256DigestSize;
+  }
 };
 
 class MerkleTree {
@@ -40,9 +45,15 @@ class MerkleTree {
   [[nodiscard]] MerkleProof prove(std::size_t index) const;
 
   // Verifies that `leaf_payload` is the leaf at proof.leaf_index under `root`.
+  // The proof must carry exactly depth(proof.leaf_count) siblings. The leaf
+  // count itself is the proof's claim; a caller holding a signed count must
+  // compare it (several leaf counts share one depth).
   [[nodiscard]] static bool verify(const Digest& root,
                                    std::span<const std::uint8_t> leaf_payload,
                                    const MerkleProof& proof);
+
+  // Levels above the leaves of a `leaf_count`-leaf tree: ceil(log2(n)).
+  [[nodiscard]] static std::size_t depth(std::size_t leaf_count);
 
   [[nodiscard]] static Digest hash_leaf(std::span<const std::uint8_t> payload);
   [[nodiscard]] static Digest hash_interior(const Digest& left, const Digest& right);

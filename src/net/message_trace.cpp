@@ -9,7 +9,7 @@ namespace pvr::net {
 namespace {
 
 constexpr std::uint32_t kTraceMagic = 0x50565254;  // "PVRT"
-constexpr std::uint32_t kTraceVersion = 1;
+constexpr std::uint32_t kTraceVersion = 2;
 
 void encode_channel_stats(crypto::ByteWriter& writer, const ChannelStats& stats) {
   writer.put_u64(stats.messages_sent);
@@ -65,12 +65,26 @@ std::vector<std::uint8_t> MessageTrace::encode() const {
     encode_channel_stats(writer, channel_stats);
   }
   writer.put_u64(provers.size());
-  for (const TraceProverMeta& meta : provers) {
-    writer.put_u32(meta.node);
-    writer.put_u64(meta.rounds_started);
-    writer.put_u64(meta.windows_fired);
-  }
+  for (const TraceProverMeta& meta : provers) meta.encode(writer);
   return writer.take();
+}
+
+void TraceProverMeta::encode(crypto::ByteWriter& writer) const {
+  writer.put_u32(node);
+  writer.put_u64(rounds_started);
+  writer.put_u64(windows_fired);
+  writer.put_u64(roots_signed);
+  writer.put_u64(proof_bytes);
+}
+
+TraceProverMeta TraceProverMeta::decode(crypto::ByteReader& reader) {
+  TraceProverMeta meta;
+  meta.node = reader.get_u32();
+  meta.rounds_started = reader.get_u64();
+  meta.windows_fired = reader.get_u64();
+  meta.roots_signed = reader.get_u64();
+  meta.proof_bytes = reader.get_u64();
+  return meta;
 }
 
 MessageTrace MessageTrace::decode(std::span<const std::uint8_t> data) {
@@ -109,14 +123,10 @@ MessageTrace MessageTrace::decode(std::span<const std::uint8_t> data) {
     trace.stats.per_channel[std::move(channel)] = decode_channel_stats(reader);
   }
   const std::uint64_t prover_count = reader.get_u64();
-  reader.require_entries(prover_count, 4 + 8 + 8);
+  reader.require_entries(prover_count, TraceProverMeta::kEncodedSize);
   trace.provers.reserve(prover_count);
   for (std::uint64_t i = 0; i < prover_count; ++i) {
-    TraceProverMeta meta;
-    meta.node = reader.get_u32();
-    meta.rounds_started = reader.get_u64();
-    meta.windows_fired = reader.get_u64();
-    trace.provers.push_back(meta);
+    trace.provers.push_back(TraceProverMeta::decode(reader));
   }
   if (!reader.exhausted()) {
     throw std::invalid_argument("MessageTrace::decode: trailing bytes");

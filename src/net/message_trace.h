@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/encoding.h"
 #include "net/transport.h"
 
 namespace pvr::net {
@@ -31,12 +32,18 @@ struct TraceEntry {
   Message message;
 };
 
-// Per-prover counters the report aggregates (rounds_started/windows_fired
-// are prover-side state the replay's verifier nodes never recompute).
+// Per-prover counters the report aggregates (prover-side state the
+// replay's verifier nodes never recompute).
 struct TraceProverMeta {
   NodeId node = 0;
   std::uint64_t rounds_started = 0;
   std::uint64_t windows_fired = 0;
+  std::uint64_t roots_signed = 0;  // window roots the prover signed
+  std::uint64_t proof_bytes = 0;   // Merkle-proof bytes in its window messages
+
+  static constexpr std::size_t kEncodedSize = 4 + 4 * 8;
+  void encode(crypto::ByteWriter& writer) const;
+  [[nodiscard]] static TraceProverMeta decode(crypto::ByteReader& reader);
 };
 
 class MessageTrace {

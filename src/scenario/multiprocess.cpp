@@ -285,11 +285,7 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
   crypto::ByteWriter result;
   result.put_u64(world.verify_failures());
   result.put_u32(static_cast<std::uint32_t>(provers.size()));
-  for (const net::TraceProverMeta& prover : provers) {
-    result.put_u32(prover.node);
-    result.put_u64(prover.rounds_started);
-    result.put_u64(prover.windows_fired);
-  }
+  for (const net::TraceProverMeta& prover : provers) prover.encode(result);
   std::vector<std::pair<std::size_t, std::size_t>> verifiers;
   for (std::size_t h = 0; h < plan.hoods.size(); ++h) {
     for (std::size_t v = 0; v < plan.hoods[h].verifiers().size(); ++v) {
@@ -516,10 +512,7 @@ void Conductor::collect_results(MultiprocessResult& out) {
     out.report.verify_failures += reader.get_u64();
     const std::uint32_t prover_count = reader.get_u32();
     for (std::uint32_t i = 0; i < prover_count; ++i) {
-      net::TraceProverMeta meta;
-      meta.node = reader.get_u32();
-      meta.rounds_started = reader.get_u64();
-      meta.windows_fired = reader.get_u64();
+      const net::TraceProverMeta meta = net::TraceProverMeta::decode(reader);
       provers.emplace(meta.node, meta);
     }
     const std::uint32_t verifier_count = reader.get_u32();

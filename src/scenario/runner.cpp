@@ -46,13 +46,13 @@ std::string ScenarioReport::fingerprint() const {
       "|windows=%" PRIu64 "|coalesced=%d|attacked=%" PRIu64
       "|detected=%" PRIu64 "|evidence=%" PRIu64 "|false=%" PRIu64
       "|audit_fail=%" PRIu64 "|in=%" PRIu64 "|bundle=%" PRIu64
-      "|gossip=%" PRIu64 "|reveal=%" PRIu64 "|total=%" PRIu64
-      "|gossip_msgs=%" PRIu64,
+      "|gossip=%" PRIu64 "|total=%" PRIu64 "|gossip_msgs=%" PRIu64
+      "|roots=%" PRIu64 "|proof=%" PRIu64,
       scenario.c_str(), adversary.c_str(), seed, as_count, neighborhoods,
       pvr_nodes, rounds_started, windows_fired, coalesced ? 1 : 0,
       attacked_rounds, detected_rounds, evidence_total, false_evidence,
-      audit_failures, bytes_input, bytes_bundle, bytes_gossip,
-      bytes_reveal_export, bytes_total, gossip_messages);
+      audit_failures, bytes_input, bytes_bundle, bytes_gossip, bytes_total,
+      gossip_messages, roots_signed, proof_bytes);
   return buffer;
 }
 
@@ -64,6 +64,7 @@ std::string ScenarioReport::to_json_line() const {
       "\"seed\":%" PRIu64 ",\"workers\":%zu,\"as_count\":%zu,"
       "\"neighborhoods\":%zu,\"rounds_started\":%" PRIu64
       ",\"windows_fired\":%" PRIu64 ",\"coalesced\":%s,"
+      "\"roots_signed\":%" PRIu64 ",\"proof_bytes\":%" PRIu64 ","
       "\"attacked_rounds\":%" PRIu64 ",\"detected_rounds\":%" PRIu64
       ",\"detection_rate\":%.4f,\"evidence_total\":%" PRIu64
       ",\"false_evidence\":%" PRIu64 ",\"audit_failures\":%" PRIu64
@@ -79,7 +80,7 @@ std::string ScenarioReport::to_json_line() const {
       ",\"rounds_per_sec\":%.1f}",
       scenario.c_str(), adversary.c_str(), seed, workers, as_count,
       neighborhoods, rounds_started, windows_fired, coalesced ? "true" : "false",
-      attacked_rounds, detected_rounds, detection_rate, evidence_total,
+      roots_signed, proof_bytes, attacked_rounds, detected_rounds, detection_rate, evidence_total,
       false_evidence, audit_failures, verify_failures,
       online ? "true" : "false", peak_open_rounds, drain_batches,
       p50_settle_us, p99_settle_us, rsa_verifies, sig_cache_hits,

@@ -90,6 +90,13 @@ struct ScenarioReport {
   std::uint64_t rounds_started = 0;
   std::uint64_t windows_fired = 0;
   bool coalesced = false;  // windows_fired < rounds_started
+  // Window roots signed, and the Merkle-proof bytes of the pvr.bundle.agg
+  // messages — what one signature per window costs on the wire (§3.8).
+  std::uint64_t roots_signed = 0;
+  std::uint64_t proof_bytes = 0;
+  // Roots signed per window fired, maxed over the provers that do not
+  // attack: exactly 1 for a correct prover.
+  double honest_signs_per_window = 0;
   // Detection scoring.
   std::uint64_t attacked_rounds = 0;
   std::uint64_t detected_rounds = 0;
@@ -128,7 +135,6 @@ struct ScenarioReport {
   std::uint64_t bytes_input = 0;
   std::uint64_t bytes_bundle = 0;        // pvr.bundle.agg
   std::uint64_t bytes_gossip = 0;        // pvr.gossip.root
-  std::uint64_t bytes_reveal_export = 0;
   std::uint64_t bytes_total = 0;         // all pvr.* channels
   std::uint64_t gossip_messages = 0;
   // Settle latency (online mode): sim-time µs from a round's window close

@@ -15,18 +15,21 @@ namespace pvr::scenario {
 namespace {
 
 // Evidence is self-contained signed artifacts; recovering which rounds an
-// item covers means decoding them. A bundle/reveal/export names its round
-// exactly; an aggregation root names (prover, epoch) plus every claimed
-// prefix. Decoding failures are expected (each payload matches exactly one
-// schema) and simply contribute nothing.
+// item covers means decoding them. Leaf evidence names its round in its
+// bundle leaf; equivocation evidence is two roots, each naming
+// (prover, epoch) plus every claimed prefix. Undecodable items contribute
+// nothing.
 void append_covered_rounds(const core::Evidence& item,
                            std::vector<core::ProtocolId>& out) {
-  for (const core::SignedMessage& message : item.messages) {
+  if (!item.leaves.empty()) {
     try {
-      out.push_back(core::CommitmentBundle::decode(message.payload).id);
-      continue;
+      out.push_back(
+          core::CommitmentBundle::decode(item.leaves.front().leaf.payload).id);
     } catch (const std::out_of_range&) {
     }
+    return;
+  }
+  for (const core::SignedMessage& message : item.messages) {
     try {
       const core::AggregatedBundle root =
           core::AggregatedBundle::decode(message.payload);
@@ -34,21 +37,6 @@ void append_covered_rounds(const core::Evidence& item,
         out.push_back(core::ProtocolId{
             .prover = root.prover, .prefix = prefix, .epoch = root.epoch});
       }
-      continue;
-    } catch (const std::out_of_range&) {
-    }
-    try {
-      out.push_back(core::RevealToProvider::decode(message.payload).id);
-      continue;
-    } catch (const std::out_of_range&) {
-    }
-    try {
-      out.push_back(core::RevealToRecipient::decode(message.payload).id);
-      continue;
-    } catch (const std::out_of_range&) {
-    }
-    try {
-      out.push_back(core::ExportStatement::decode(message.payload).id);
     } catch (const std::out_of_range&) {
     }
   }
@@ -243,6 +231,14 @@ void assemble_report(const ScenarioSpec& spec, const WorldPlan& plan,
   for (const net::TraceProverMeta& prover : provers) {
     report.rounds_started += prover.rounds_started;
     report.windows_fired += prover.windows_fired;
+    report.roots_signed += prover.roots_signed;
+    report.proof_bytes += prover.proof_bytes;
+    if (!plan.attacked_provers.contains(prover.node) && prover.windows_fired > 0) {
+      report.honest_signs_per_window = std::max(
+          report.honest_signs_per_window,
+          static_cast<double>(prover.roots_signed) /
+              static_cast<double>(prover.windows_fired));
+    }
   }
   report.coalesced = report.windows_fired < report.rounds_started;
 
@@ -252,8 +248,6 @@ void assemble_report(const ScenarioSpec& spec, const WorldPlan& plan,
   const net::ChannelStats gossip = stats.channel_group(core::kGossipRootChannel);
   report.bytes_gossip = gossip.bytes_sent;
   report.gossip_messages = gossip.messages_sent;
-  report.bytes_reveal_export = stats.channel_group("pvr.reveal").bytes_sent +
-                               stats.channel_group("pvr.export").bytes_sent;
   report.bytes_total = stats.channel_group("pvr.").bytes_sent;
 
   // Scoring, over every verifier's evidence log in (hood, verifier) order.
@@ -283,6 +277,9 @@ void assemble_report(const ScenarioSpec& spec, const WorldPlan& plan,
         evidence_hasher.update(item.to_string());
         for (const core::SignedMessage& msg : item.messages) {
           evidence_hasher.update(std::span<const std::uint8_t>(msg.payload));
+        }
+        for (const core::LeafOpening& opening : item.leaves) {
+          evidence_hasher.update(opening.leaf.encode());
         }
         if (!plan.attacked_provers.contains(item.accused)) {
           report.false_evidence += 1;
@@ -549,7 +546,9 @@ std::vector<net::TraceProverMeta> World::prover_counters() const {
     provers.push_back(
         net::TraceProverMeta{.node = plan_->hoods[h].prover,
                              .rounds_started = prover->rounds_started(),
-                             .windows_fired = prover->windows_fired()});
+                             .windows_fired = prover->windows_fired(),
+                             .roots_signed = prover->roots_signed(),
+                             .proof_bytes = prover->proof_bytes_sent()});
   }
   return provers;
 }

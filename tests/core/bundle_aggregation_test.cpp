@@ -1,10 +1,13 @@
-// Merkle-aggregated bundles in the form PvrNode ships (pvr.bundle.agg):
-// signed per-prefix bundle envelopes as leaves under one signed root. Each
-// opening must bind its bundle to the signed window statement, and a root
-// whose signature fails must leave a verifier with no round state at all.
+// One signature per prover window, in the form PvrNode ships it
+// (pvr.bundle.agg): every statement of the window is a salted leaf under
+// one signed root. Each leaf must bind to the signed window statement —
+// its kind to its position, its proof to the signed leaf count — and a
+// root whose signature fails must leave a verifier with no round state.
 #include "core/bundle_aggregation.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "core/pvr_speaker.h"
 #include "core/verify_context.h"
@@ -14,32 +17,25 @@ namespace {
 
 constexpr bgp::AsNumber kProver = 1;
 
-// One prover-signed CommitmentBundle per prefix of one epoch window.
-[[nodiscard]] std::vector<SignedMessage> signed_bundles(
-    bgp::AsNumber prover, std::uint64_t epoch, std::size_t prefixes,
-    const crypto::RsaPrivateKey& key) {
+// One round per prefix of one epoch window, nobody providing.
+[[nodiscard]] std::vector<ProverResult> window_rounds(bgp::AsNumber prover,
+                                                      std::uint64_t epoch,
+                                                      std::size_t prefixes) {
   crypto::Drbg rng(12 + epoch, "agg-test-commits");
-  std::vector<SignedMessage> out;
+  std::vector<ProverResult> out;
   for (std::uint32_t p = 0; p < prefixes; ++p) {
-    CommitmentBundle bundle;
-    bundle.id = ProtocolId{
-        .prover = prover,
-        .prefix = bgp::Ipv4Prefix(0x0A000000u + (p << 8), 24),
-        .epoch = epoch};
-    bundle.op = OperatorKind::kMinimum;
-    bundle.max_len = 4;
-    for (std::uint32_t i = 0; i < bundle.max_len; ++i) {
-      bundle.bits.push_back(crypto::commit_bit(i >= 1, rng).first);
-    }
-    out.push_back(sign_message(prover, key, bundle.encode()));
+    const ProtocolId id{.prover = prover,
+                        .prefix = bgp::Ipv4Prefix(0x0A000000u + (p << 8), 24),
+                        .epoch = epoch};
+    out.push_back(run_prover(id, OperatorKind::kMinimum, {}, 4, rng, {}));
   }
   return out;
 }
 
 struct AggregatedWorld {
   AsKeyPairs keys;
-  AggregatedBundleMessage message;
-  AggregatedBundle root;  // decoded message.signed_root.payload
+  AggregatedBundleMessage message;  // the recipient's: every leaf kind
+  AggregatedBundle root;            // decoded message.signed_root.payload
 };
 
 [[nodiscard]] AggregatedWorld make_aggregated(std::size_t prefixes,
@@ -47,52 +43,113 @@ struct AggregatedWorld {
   AggregatedWorld world;
   crypto::Drbg key_rng(11, "agg-test-keys");
   world.keys = generate_keys({kProver, 2}, key_rng, 512);
-  const crypto::RsaPrivateKey& key = world.keys.private_keys.at(kProver).priv;
-  world.message = aggregate_signed_bundles(
-      kProver, epoch, /*batch=*/0, signed_bundles(kProver, epoch, prefixes, key),
-      key);
+  crypto::Drbg salt_rng(40 + epoch, "agg-test-salts");
+  world.message =
+      seal_window(kProver, epoch, /*batch=*/0, 0,
+                  window_rounds(kProver, epoch, prefixes),
+                  world.keys.private_keys.at(kProver).priv, salt_rng)
+          .honest.message_for_recipient();
   world.root = AggregatedBundle::decode(world.message.signed_root.payload);
   return world;
 }
 
+// Whether `opening` opens under `root` as the statement its kind names.
+[[nodiscard]] bool opens(const AggregatedBundle& root,
+                         const LeafOpening& opening) {
+  switch (opening.leaf.kind) {
+    case LeafKind::kBundle:
+      return open_leaf<CommitmentBundle>(root, opening).has_value();
+    case LeafKind::kProviderReveal:
+      return open_leaf<RevealToProvider>(root, opening).has_value();
+    case LeafKind::kRecipientReveal:
+      return open_leaf<RevealToRecipient>(root, opening).has_value();
+    case LeafKind::kExport:
+      return open_leaf<ExportStatement>(root, opening).has_value();
+  }
+  return false;
+}
+
 TEST(AggregatedBundleTest, AllOpeningsVerify) {
   const AggregatedWorld world = make_aggregated(9, 5);
-  ASSERT_EQ(world.message.openings.size(), 9u);
+  // 9 bundles, then a recipient reveal and an export per round.
+  ASSERT_EQ(world.message.openings.size(), 27u);
   EXPECT_TRUE(world.keys.directory.verify_context().verify(
       world.message.signed_root));
   EXPECT_EQ(world.root.prefix_count(), 9u);
-  for (const SignedBundleOpening& opening : world.message.openings) {
-    EXPECT_TRUE(verify_signed_opening(world.root, opening));
+  EXPECT_EQ(world.root.leaf_count, 27u);
+  for (std::size_t i = 0; i < world.message.openings.size(); ++i) {
+    const LeafOpening& opening = world.message.openings[i];
+    EXPECT_TRUE(opens(world.root, opening)) << i;
+    // Bundle leaf i is the bundle of prefixes[i].
+    if (i < 9) {
+      EXPECT_EQ(opening.proof.leaf_index, i);
+      EXPECT_EQ(open_leaf<CommitmentBundle>(world.root, opening)->id.prefix,
+                world.root.prefixes[i]);
+    }
   }
 }
 
 TEST(AggregatedBundleTest, TamperedBundleRejected) {
   const AggregatedWorld world = make_aggregated(4, 1);
-  // Even a bundle the prover itself re-signed after the fact must not
-  // verify: it is not the leaf the root commits to. The tampered bundle
-  // still decodes, names this window's prover and epoch and a covered
-  // prefix, so only the Merkle inclusion proof can reject it.
-  SignedBundleOpening tampered = world.message.openings[2];
-  CommitmentBundle bundle = CommitmentBundle::decode(tampered.bundle.payload);
+  // A bundle with one commitment changed still decodes, names this
+  // window's prover and epoch and the prefix of its slot, so only the
+  // Merkle inclusion proof can reject it.
+  LeafOpening tampered = world.message.openings[2];
+  CommitmentBundle bundle = CommitmentBundle::decode(tampered.leaf.payload);
   bundle.bits[1].digest[0] ^= 1;
-  tampered.bundle = sign_message(
-      kProver, world.keys.private_keys.at(kProver).priv, bundle.encode());
-  ASSERT_TRUE(world.keys.directory.verify_context().verify(tampered.bundle));
-  const CommitmentBundle reopened =
-      CommitmentBundle::decode(tampered.bundle.payload);
+  tampered.leaf.payload = bundle.encode();
+  const CommitmentBundle reopened = CommitmentBundle::decode(tampered.leaf.payload);
   ASSERT_EQ(reopened.id.prover, world.root.prover);
   ASSERT_EQ(reopened.id.epoch, world.root.epoch);
-  ASSERT_TRUE(world.root.covers(reopened.id.prefix));
-  ASSERT_NE(tampered.bundle, world.message.openings[2].bundle);
-  EXPECT_FALSE(verify_signed_opening(world.root, tampered));
+  ASSERT_EQ(reopened.id.prefix, world.root.prefixes[2]);
+  EXPECT_FALSE(open_leaf<CommitmentBundle>(world.root, tampered));
 }
 
 TEST(AggregatedBundleTest, CrossEpochTransplantRejected) {
   // A valid opening from epoch 1 must not verify against epoch 2's root.
   const AggregatedWorld epoch1 = make_aggregated(4, 1);
   const AggregatedWorld epoch2 = make_aggregated(4, 2);
-  ASSERT_TRUE(verify_signed_opening(epoch1.root, epoch1.message.openings[0]));
-  EXPECT_FALSE(verify_signed_opening(epoch2.root, epoch1.message.openings[0]));
+  ASSERT_TRUE(opens(epoch1.root, epoch1.message.openings[0]));
+  EXPECT_FALSE(opens(epoch2.root, epoch1.message.openings[0]));
+}
+
+// A leaf must sit where its kind belongs: a bundle leaf opened as another
+// statement, or a statement leaf opened as a bundle, does not open even
+// though the Merkle proof itself is sound.
+TEST(AggregatedBundleTest, LeafKindMustMatchPosition) {
+  const AggregatedWorld world = make_aggregated(3, 1);
+  const LeafOpening& bundle = world.message.openings[0];
+  const LeafOpening& reveal = world.message.openings[3];
+  ASSERT_EQ(reveal.leaf.kind, LeafKind::kRecipientReveal);
+  EXPECT_FALSE(open_leaf<RevealToRecipient>(world.root, bundle));
+  EXPECT_FALSE(open_leaf<CommitmentBundle>(world.root, reveal));
+  LeafOpening relabelled = bundle;
+  relabelled.leaf.kind = LeafKind::kExport;
+  EXPECT_FALSE(open_leaf<ExportStatement>(world.root, relabelled));
+}
+
+// The proof's leaf count is unauthenticated. 5 and 6 leaves share a depth,
+// so an inflated count still passes MerkleTree::verify — only the signed
+// count in the window statement rejects it.
+TEST(AggregatedBundleTest, InflatedLeafCountRejected) {
+  const AggregatedWorld world = make_aggregated(2, 1);  // 6 leaves
+  ASSERT_EQ(world.root.leaf_count, 6u);
+  LeafOpening inflated = world.message.openings[1];
+  inflated.proof.leaf_count = 7;  // same depth (3) as 6
+  ASSERT_TRUE(crypto::MerkleTree::verify(world.root.root, inflated.leaf.encode(),
+                                         inflated.proof));
+  EXPECT_FALSE(open_leaf<CommitmentBundle>(world.root, inflated));
+  inflated.proof.leaf_count = 9;  // a deeper tree: the sibling count is wrong
+  EXPECT_FALSE(crypto::MerkleTree::verify(world.root.root, inflated.leaf.encode(),
+                                          inflated.proof));
+}
+
+TEST(AggregatedBundleTest, DuplicatePrefixRootRejected) {
+  const AggregatedWorld world = make_aggregated(2, 1);
+  AggregatedBundle duplicated = world.root;
+  duplicated.prefixes[1] = duplicated.prefixes[0];
+  EXPECT_THROW((void)AggregatedBundle::decode(duplicated.encode()),
+               std::out_of_range);
 }
 
 // Node level: the prover itself sends a window whose root signature is
@@ -104,11 +161,12 @@ TEST(AggregatedBundleTest, ForgedRootSignatureRejected) {
   const auto deliver_window = [](bool forge) {
     Figure1Handles handles = make_figure1_world({.seed = 23});
     Figure1World& world = *handles.world;
-    const crypto::RsaPrivateKey& key =
-        handles.keys->private_keys.at(world.prover).priv;
-    AggregatedBundleMessage message = aggregate_signed_bundles(
-        world.prover, 1, /*batch=*/0, signed_bundles(world.prover, 1, 4, key),
-        key);
+    crypto::Drbg salt_rng(5, "forged-root-salts");
+    AggregatedBundleMessage message =
+        seal_window(world.prover, 1, /*batch=*/0, 0,
+                    window_rounds(world.prover, 1, 4),
+                    handles.keys->private_keys.at(world.prover).priv, salt_rng)
+            .honest.message_for_recipient();
     if (forge) message.signed_root.signature[5] ^= 0x10;
     const bgp::AsNumber verifier = world.providers[0];
     world.sim.schedule(0, [&world, verifier, payload = message.encode()] {
@@ -133,17 +191,137 @@ TEST(AggregatedBundleTest, OpeningRoundTripsOnWire) {
       AggregatedBundleMessage::decode(world.message.encode());
   EXPECT_EQ(decoded.signed_root, world.message.signed_root);
   ASSERT_EQ(decoded.openings.size(), world.message.openings.size());
-  const SignedBundleOpening& original = world.message.openings[3];
-  EXPECT_EQ(decoded.openings[3].bundle, original.bundle);
-  EXPECT_EQ(decoded.openings[3].proof, original.proof);
-  EXPECT_TRUE(verify_signed_opening(world.root, decoded.openings[3]));
+  EXPECT_EQ(decoded.openings[3], world.message.openings[3]);
+  EXPECT_TRUE(opens(world.root, decoded.openings[3]));
 
   const AggregatedBundle root2 = AggregatedBundle::decode(world.root.encode());
   EXPECT_EQ(root2.prover, world.root.prover);
   EXPECT_EQ(root2.epoch, world.root.epoch);
   EXPECT_EQ(root2.batch, world.root.batch);
+  EXPECT_EQ(root2.leaf_count, world.root.leaf_count);
   EXPECT_EQ(root2.prefixes, world.root.prefixes);
   EXPECT_EQ(root2.root, world.root.root);
+}
+
+// Confidentiality (§3.2): in a Figure-1 world, what provider Ni receives
+// from the prover holds the window's bundles and its own reveal — no other
+// provider's opening nonce and no export leaf.
+TEST(AggregatedBundleTest, ProviderSeesNoOtherRevealAndNoExport) {
+  Figure1Handles handles = make_figure1_world({.seed = 29, .provider_count = 3});
+  Figure1World& world = *handles.world;
+  std::vector<net::Message> from_prover;
+  world.sim.set_interceptor(
+      [&from_prover, prover = world.prover](net::Transport&,
+                                            const net::Message& message) {
+        if (message.from == prover) from_prover.push_back(message);
+        return net::InterceptDecision{};
+      });
+  // Distinct lengths, so each provider is revealed a different bit (and so
+  // a different nonce).
+  world.sim.schedule(0, [&world, &handles] {
+    for (std::size_t i = 0; i < world.providers.size(); ++i) {
+      std::vector<bgp::AsNumber> hops(i + 1, 64512);
+      hops.front() = world.providers[i];
+      bgp::Route route{.prefix = handles.prefix,
+                       .path = bgp::AsPath(std::move(hops)),
+                       .next_hop = world.providers[i],
+                       .local_pref = 100,
+                       .med = 0,
+                       .origin = bgp::Origin::kIgp,
+                       .communities = {}};
+      world.node(world.providers[i])
+          .provide_input(world.sim.transport(), 1, handles.prefix, route);
+    }
+    world.node(world.prover).start_round(world.sim.transport(), 1, handles.prefix);
+  });
+  world.sim.run();
+
+  // Every provider's opening nonce, from the recipient's message (which
+  // opens every bit).
+  std::map<bgp::AsNumber, AggregatedBundleMessage> received;
+  for (const net::Message& message : from_prover) {
+    received.emplace(message.to, AggregatedBundleMessage::decode(message.payload));
+  }
+  ASSERT_EQ(received.size(), world.providers.size() + 1);
+  const auto contains = [](const std::vector<std::uint8_t>& haystack,
+                           const std::vector<std::uint8_t>& needle) {
+    return std::search(haystack.begin(), haystack.end(), needle.begin(),
+                       needle.end()) != haystack.end();
+  };
+  for (const bgp::AsNumber provider : world.providers) {
+    const AggregatedBundleMessage& own = received.at(provider);
+    const std::vector<std::uint8_t> bytes = own.encode();
+    std::size_t reveals = 0;
+    for (const LeafOpening& opening : own.openings) {
+      EXPECT_NE(opening.leaf.kind, LeafKind::kExport);
+      EXPECT_NE(opening.leaf.kind, LeafKind::kRecipientReveal);
+      if (opening.leaf.kind != LeafKind::kProviderReveal) continue;
+      reveals += 1;
+      EXPECT_EQ(RevealToProvider::decode(opening.leaf.payload).provider, provider);
+    }
+    EXPECT_EQ(reveals, 1u);
+    // No other provider's nonce appears anywhere in the bytes.
+    for (const bgp::AsNumber other : world.providers) {
+      if (other == provider) continue;
+      for (const LeafOpening& opening : received.at(other).openings) {
+        if (opening.leaf.kind != LeafKind::kProviderReveal) continue;
+        const RevealToProvider reveal =
+            RevealToProvider::decode(opening.leaf.payload);
+        EXPECT_FALSE(contains(bytes, reveal.opening.nonce))
+            << "provider " << provider << " holds the nonce of " << other;
+        EXPECT_FALSE(contains(bytes, opening.leaf.encode()));
+      }
+    }
+    // ... nor the export leaf.
+    for (const LeafOpening& opening : received.at(world.recipient).openings) {
+      if (opening.leaf.kind == LeafKind::kExport) {
+        EXPECT_FALSE(contains(bytes, opening.leaf.encode()));
+      }
+    }
+  }
+}
+
+// The salt hides each leaf's digest: the same round sealed under two salt
+// streams gives a provider different sibling digests for identical
+// statements, so it cannot test guesses about its siblings' contents.
+TEST(AggregatedBundleTest, SaltsChangeSiblingDigests) {
+  crypto::Drbg key_rng(11, "agg-test-keys");
+  const AsKeyPairs keys = generate_keys({kProver, 7, 8}, key_rng, 512);
+  const ProtocolId id{.prover = kProver,
+                      .prefix = bgp::Ipv4Prefix::parse("203.0.113.0/24"),
+                      .epoch = 1};
+  std::map<bgp::AsNumber, std::optional<SignedMessage>> inputs;
+  for (const bgp::AsNumber provider : {7u, 8u}) {
+    const InputAnnouncement announcement{
+        .id = id,
+        .provider = provider,
+        .route = bgp::Route{.prefix = id.prefix,
+                            .path = bgp::AsPath{provider},
+                            .next_hop = provider,
+                            .local_pref = 100,
+                            .med = 0,
+                            .origin = bgp::Origin::kIgp,
+                            .communities = {}}};
+    inputs[provider] = sign_message(provider, keys.private_keys.at(provider).priv,
+                                    announcement.encode());
+  }
+  crypto::Drbg prover_rng(3, "agg-test-prover");
+  const ProverResult result =
+      run_prover(id, OperatorKind::kMinimum, inputs, 4, prover_rng, {});
+  const auto reveal_of = [&](std::uint64_t salt_seed) {
+    crypto::Drbg salt_rng(salt_seed, "agg-test-salts");
+    return seal_window(kProver, 1, 0, 0, std::span(&result, 1),
+                       keys.private_keys.at(kProver).priv, salt_rng)
+        .honest.rounds.front()
+        .provider_reveals.at(7);
+  };
+  const LeafOpening a = reveal_of(1);
+  const LeafOpening b = reveal_of(2);
+  EXPECT_EQ(a.leaf.payload, b.leaf.payload);
+  ASSERT_EQ(a.proof.siblings.size(), b.proof.siblings.size());
+  for (std::size_t level = 0; level < a.proof.siblings.size(); ++level) {
+    EXPECT_NE(a.proof.siblings[level], b.proof.siblings[level]) << level;
+  }
 }
 
 }  // namespace

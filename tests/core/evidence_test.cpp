@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/bundle_aggregation.h"
 #include "core/min_protocol.h"
+#include "core/verify_context.h"
 
 namespace pvr::core {
 namespace {
@@ -68,31 +70,46 @@ class AuditorTest : public ::testing::Test {
     return {{kN1, make(kN1, 3)}, {kN2, make(kN2, 2)}};
   }
 
-  [[nodiscard]] static ProverResult run(const ProverMisbehavior& misbehavior) {
+  // The round sealed as a one-prefix window: statements as leaves under
+  // one signed root (plus the variant root when equivocating).
+  [[nodiscard]] static SealedWindow run(const ProverMisbehavior& misbehavior) {
     crypto::Drbg rng(5, "auditor-prover");
-    return run_prover(round_id(), OperatorKind::kMinimum, canonical_inputs(),
-                      kMaxLen, key_of(kProver), rng, misbehavior);
+    const ProverResult result =
+        run_prover(round_id(), OperatorKind::kMinimum, canonical_inputs(),
+                   kMaxLen, rng, misbehavior);
+    return seal_window(kProver, 1, 0, 0, std::span(&result, 1), key_of(kProver),
+                       rng);
   }
 
-  // First evidence of a given kind produced by the full verifier sweep.
+  // First evidence of a given kind produced by the full verifier sweep (or,
+  // for kEquivocation, by the honest and variant roots).
   [[nodiscard]] static Evidence evidence_for(const ProverMisbehavior& misbehavior,
                                              ViolationKind kind) {
-    const ProverResult result = run(misbehavior);
+    const SealedWindow sealed = run(misbehavior);
+    if (kind == ViolationKind::kEquivocation) {
+      const auto conflict = check_root_equivocation(
+          directory().verify_context(), kN1, sealed.honest.signed_root,
+          sealed.variant->signed_root);
+      if (conflict) return *conflict;
+      ADD_FAILURE() << "expected equivocation evidence";
+      return {};
+    }
+    const SignedWindow& window = sealed.honest;
+    const SignedWindow::Round& round = window.rounds.front();
     std::vector<Evidence> all;
     for (const auto& [provider, length] :
          std::vector<std::pair<bgp::AsNumber, std::size_t>>{{kN1, 3}, {kN2, 2}}) {
       const InputAnnouncement own{.id = round_id(), .provider = provider,
                                   .route = route_len(length, provider)};
-      const auto it = result.provider_reveals.find(provider);
+      const auto it = round.provider_reveals.find(provider);
       auto found = verify_as_provider(
-          directory(), provider, own, result.signed_bundle,
-          it == result.provider_reveals.end() ? nullptr : &it->second);
+          directory(), provider, own, window.signed_root, round.bundle,
+          it == round.provider_reveals.end() ? nullptr : &it->second);
       all.insert(all.end(), found.begin(), found.end());
     }
-    auto found = verify_as_recipient(directory(), kRecipient,
-                                     result.signed_bundle,
-                                     &result.recipient_reveal,
-                                     &result.export_statement);
+    auto found = verify_as_recipient(directory(), kRecipient, window.signed_root,
+                                     round.bundle, &round.recipient_reveal,
+                                     &round.export_statement);
     all.insert(all.end(), found.begin(), found.end());
     for (const Evidence& e : all) {
       if (e.kind == kind) return e;
@@ -114,11 +131,9 @@ TEST_F(AuditorTest, RejectsNullDirectory) {
 // ---- Genuine evidence convinces the auditor ----
 
 TEST_F(AuditorTest, ValidatesEquivocation) {
-  const ProverResult result = run({.equivocate = true});
-  const auto conflict = check_equivocation(directory(), kN1, result.signed_bundle,
-                                           *result.equivocating_bundle);
-  ASSERT_TRUE(conflict.has_value());
-  EXPECT_TRUE(Auditor(&directory()).validate(*conflict));
+  const Evidence evidence =
+      evidence_for({.equivocate = true}, ViolationKind::kEquivocation);
+  EXPECT_TRUE(Auditor(&directory()).validate(evidence));
 }
 
 TEST_F(AuditorTest, ValidatesBadOpening) {
@@ -163,7 +178,8 @@ TEST_F(AuditorTest, ValidatesSuppressedOutput) {
 TEST_F(AuditorTest, RejectsAccusationAgainstHonestProver) {
   // Take an honest round and try to frame the prover with every provable
   // violation kind using its genuine messages.
-  const ProverResult result = run({});
+  const SignedWindow window = run({}).honest;
+  const SignedWindow::Round& round = window.rounds.front();
   const Auditor auditor(&directory());
   for (const ViolationKind kind :
        {ViolationKind::kEquivocation, ViolationKind::kBadOpening,
@@ -175,8 +191,8 @@ TEST_F(AuditorTest, RejectsAccusationAgainstHonestProver) {
         .accused = kProver,
         .reporter = kN1,
         .index = 2,
-        .messages = {result.signed_bundle, result.recipient_reveal,
-                     result.export_statement},
+        .messages = {window.signed_root, window.signed_root},
+        .leaves = {round.bundle, round.recipient_reveal, round.export_statement},
         .detail = "framed",
     };
     EXPECT_FALSE(auditor.validate(framed)) << to_string(kind);
@@ -187,7 +203,7 @@ TEST_F(AuditorTest, RejectsEvidenceWithTamperedMessages) {
   Evidence evidence =
       evidence_for({.export_nonminimal = true}, ViolationKind::kOutputNotMinimal);
   ASSERT_FALSE(evidence.messages.empty());
-  evidence.messages[0].payload[15] ^= 1;  // break the bundle signature
+  evidence.messages[0].payload[15] ^= 1;  // break the root signature
   EXPECT_FALSE(Auditor(&directory()).validate(evidence));
 }
 
@@ -211,14 +227,55 @@ TEST_F(AuditorTest, RejectsEmptyEvidence) {
 TEST_F(AuditorTest, RejectsLivenessKinds) {
   // Missing reveals are detectable but not third-party provable; validate()
   // must never convict on them.
-  const ProverResult result = run({.skip_reveal_for = kN2});
+  const SignedWindow window = run({.skip_reveal_for = kN2}).honest;
   const Evidence liveness{.kind = ViolationKind::kMissingReveal,
                           .accused = kProver,
                           .reporter = kN2,
                           .index = 0,
-                          .messages = {result.signed_bundle},
+                          .messages = {window.signed_root},
+                          .leaves = {window.rounds.front().bundle},
                           .detail = "no reveal"};
   EXPECT_FALSE(Auditor(&directory()).validate(liveness));
+}
+
+// Evidence is self-contained: every provable kind validates from its wire
+// bytes alone, and one flipped byte in a leaf, a proof sibling or the root
+// signature makes it fail.
+TEST_F(AuditorTest, EveryKindValidatesFromWireBytesAndNotAfterAFlip) {
+  const Auditor auditor(&directory());
+  const std::vector<std::pair<ProverMisbehavior, ViolationKind>> cases = {
+      {{.equivocate = true}, ViolationKind::kEquivocation},
+      {{.wrong_opening_for = kN1}, ViolationKind::kBadOpening},
+      {{.export_nonminimal = true, .bits_match_lie = true},
+       ViolationKind::kBitNotSet},
+      {{.nonmonotone_bits = true}, ViolationKind::kNonMonotoneBits},
+      {{.export_nonminimal = true}, ViolationKind::kOutputNotMinimal},
+      {{.fabricate_route = true}, ViolationKind::kOutputWithoutInput},
+      {{.suppress_export = true}, ViolationKind::kSuppressedOutput},
+  };
+  for (const auto& [misbehavior, kind] : cases) {
+    const Evidence original = evidence_for(misbehavior, kind);
+    const Evidence decoded = Evidence::decode(original.encode());
+    EXPECT_TRUE(auditor.validate(decoded)) << to_string(kind);
+
+    Evidence bad_signature = decoded;
+    bad_signature.messages.back().signature[3] ^= 0x20;
+    EXPECT_FALSE(auditor.validate(bad_signature)) << to_string(kind);
+    if (kind == ViolationKind::kEquivocation) {
+      EXPECT_TRUE(decoded.leaves.empty());
+      continue;
+    }
+    Evidence bad_leaf = decoded;
+    bad_leaf.leaves.back().leaf.payload[5] ^= 0x01;
+    EXPECT_FALSE(auditor.validate(bad_leaf)) << to_string(kind);
+    Evidence bad_salt = decoded;
+    bad_salt.leaves.front().leaf.salt[0] ^= 0x01;
+    EXPECT_FALSE(auditor.validate(bad_salt)) << to_string(kind);
+    Evidence bad_sibling = decoded;
+    ASSERT_FALSE(bad_sibling.leaves.back().proof.siblings.empty());
+    bad_sibling.leaves.back().proof.siblings[0][7] ^= 0x01;
+    EXPECT_FALSE(auditor.validate(bad_sibling)) << to_string(kind);
+  }
 }
 
 TEST_F(AuditorTest, EvidenceToStringNamesParties) {

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 
+#include "core/bundle_aggregation.h"
+#include "core/verify_context.h"
+
 namespace pvr::core {
 namespace {
 
@@ -79,8 +82,16 @@ class MinProtocolTest : public ::testing::Test {
   [[nodiscard]] static ProverResult run(const ProverMisbehavior& misbehavior = {},
                                         OperatorKind op = OperatorKind::kMinimum) {
     crypto::Drbg rng(99, "min-protocol-prover");
-    return run_prover(round_id(), op, canonical_inputs(), kMaxLen,
-                      key_of(kProver), rng, misbehavior);
+    return run_prover(round_id(), op, canonical_inputs(), kMaxLen, rng,
+                      misbehavior);
+  }
+
+  // The round as the prover ships it: its statements as leaves of a
+  // one-prefix window under one signed root.
+  [[nodiscard]] static SealedWindow seal(const ProverResult& result) {
+    crypto::Drbg rng(98, "min-protocol-salts");
+    return seal_window(kProver, 1, 0, 0, std::span(&result, 1), key_of(kProver),
+                       rng);
   }
 
   [[nodiscard]] static InputAnnouncement own_input_of(bgp::AsNumber provider,
@@ -89,23 +100,25 @@ class MinProtocolTest : public ::testing::Test {
             .route = route_len(length, provider)};
   }
 
-  // Runs both verifier roles over a prover result; returns all evidence.
+  // Seals a prover result and runs both verifier roles over it; returns
+  // all evidence.
   [[nodiscard]] static std::vector<Evidence> verify_everything(
       const ProverResult& result) {
+    const SignedWindow window = seal(result).honest;
+    const SignedWindow::Round& round = window.rounds.front();
     std::vector<Evidence> all;
     for (const auto& [provider, length] :
          std::vector<std::pair<bgp::AsNumber, std::size_t>>{{kN1, 3}, {kN2, 2}}) {
-      const auto it = result.provider_reveals.find(provider);
+      const auto it = round.provider_reveals.find(provider);
       auto found = verify_as_provider(
           directory(), provider, own_input_of(provider, length),
-          result.signed_bundle,
-          it == result.provider_reveals.end() ? nullptr : &it->second);
+          window.signed_root, round.bundle,
+          it == round.provider_reveals.end() ? nullptr : &it->second);
       all.insert(all.end(), found.begin(), found.end());
     }
-    auto found = verify_as_recipient(directory(), kRecipient,
-                                     result.signed_bundle,
-                                     &result.recipient_reveal,
-                                     &result.export_statement);
+    auto found = verify_as_recipient(directory(), kRecipient, window.signed_root,
+                                     round.bundle, &round.recipient_reveal,
+                                     &round.export_statement);
     all.insert(all.end(), found.begin(), found.end());
     return all;
   }
@@ -155,25 +168,22 @@ TEST(ComputeBitsTest, ExistentialSingleBit) {
 
 TEST_F(MinProtocolTest, WirePayloadsRoundTrip) {
   const ProverResult result = run();
-  const CommitmentBundle bundle =
-      CommitmentBundle::decode(result.signed_bundle.payload);
+  const CommitmentBundle& bundle = result.bundle;
   EXPECT_EQ(bundle.id, round_id());
   EXPECT_EQ(bundle.max_len, kMaxLen);
   EXPECT_EQ(bundle.bits.size(), kMaxLen);
   EXPECT_EQ(CommitmentBundle::decode(bundle.encode()).bits, bundle.bits);
 
-  const RevealToProvider reveal = RevealToProvider::decode(
-      result.provider_reveals.at(kN1).payload);
+  const RevealToProvider& reveal = result.provider_reveals.at(kN1);
   EXPECT_EQ(reveal.provider, kN1);
   EXPECT_EQ(reveal.bit_index, 3u);
   EXPECT_EQ(RevealToProvider::decode(reveal.encode()).bit_index, 3u);
 
   const RevealToRecipient recipient =
-      RevealToRecipient::decode(result.recipient_reveal.payload);
+      RevealToRecipient::decode(result.recipient_reveal.encode());
   EXPECT_EQ(recipient.openings.size(), kMaxLen);
 
-  const ExportStatement statement =
-      ExportStatement::decode(result.export_statement.payload);
+  const ExportStatement& statement = result.export_statement;
   EXPECT_TRUE(statement.has_route);
   const ExportStatement redecoded = ExportStatement::decode(statement.encode());
   EXPECT_EQ(redecoded.route, statement.route);
@@ -189,8 +199,7 @@ TEST_F(MinProtocolTest, HonestProverPassesAllChecks) {
   ASSERT_TRUE(result.honest_output.has_value());
   EXPECT_EQ(result.honest_output->path.length(), 2u);
   // The exported route is that route with the prover prepended.
-  const ExportStatement statement =
-      ExportStatement::decode(result.export_statement.payload);
+  const ExportStatement& statement = result.export_statement;
   EXPECT_EQ(statement.route.path.length(), 3u);
   EXPECT_EQ(statement.route.path.first(), kProver);
 }
@@ -204,14 +213,13 @@ TEST_F(MinProtocolTest, HonestEmptyRoundExportsNothing) {
   crypto::Drbg rng(1, "empty-round");
   const ProverResult result =
       run_prover(round_id(), OperatorKind::kMinimum,
-                 {{kN1, std::nullopt}, {kN2, std::nullopt}}, kMaxLen,
-                 key_of(kProver), rng, {});
-  const ExportStatement statement =
-      ExportStatement::decode(result.export_statement.payload);
-  EXPECT_FALSE(statement.has_route);
-  auto found = verify_as_recipient(directory(), kRecipient, result.signed_bundle,
-                                   &result.recipient_reveal,
-                                   &result.export_statement);
+                 {{kN1, std::nullopt}, {kN2, std::nullopt}}, kMaxLen, rng, {});
+  EXPECT_FALSE(result.export_statement.has_route);
+  const SignedWindow window = seal(result).honest;
+  const SignedWindow::Round& round = window.rounds.front();
+  auto found = verify_as_recipient(directory(), kRecipient, window.signed_root,
+                                   round.bundle, &round.recipient_reveal,
+                                   &round.export_statement);
   EXPECT_TRUE(found.empty());
 }
 
@@ -269,56 +277,64 @@ TEST_F(MinProtocolTest, DetectsSkippedReveal) {
   EXPECT_TRUE(detected(evidence, ViolationKind::kMissingReveal));
 }
 
+// Equivocation: the variant bundles go under a second signed root, and the
+// two roots are the proof.
 TEST_F(MinProtocolTest, DetectsEquivocation) {
-  const ProverResult result = run({.equivocate = true});
-  ASSERT_TRUE(result.equivocating_bundle.has_value());
-  const auto conflict = check_equivocation(
-      directory(), kN1, result.signed_bundle, *result.equivocating_bundle);
+  const SealedWindow window = seal(run({.equivocate = true}));
+  ASSERT_TRUE(window.variant.has_value());
+  const auto conflict = check_root_equivocation(
+      directory().verify_context(), kN1, window.honest.signed_root,
+      window.variant->signed_root);
   ASSERT_TRUE(conflict.has_value());
   EXPECT_EQ(conflict->kind, ViolationKind::kEquivocation);
   EXPECT_EQ(conflict->accused, kProver);
 }
 
 TEST_F(MinProtocolTest, NoFalseEquivocationOnIdenticalBundles) {
-  const ProverResult result = run();
-  EXPECT_FALSE(check_equivocation(directory(), kN1, result.signed_bundle,
-                                  result.signed_bundle)
+  const SealedWindow window = seal(run());
+  EXPECT_FALSE(window.variant.has_value());
+  EXPECT_FALSE(check_root_equivocation(directory().verify_context(), kN1,
+                                       window.honest.signed_root,
+                                       window.honest.signed_root)
                    .has_value());
 }
 
 TEST_F(MinProtocolTest, EquivocationRequiresValidSignatures) {
-  const ProverResult result = run({.equivocate = true});
-  SignedMessage forged = *result.equivocating_bundle;
+  const SealedWindow window = seal(run({.equivocate = true}));
+  SignedMessage forged = window.variant->signed_root;
   forged.signature[0] ^= 1;
-  EXPECT_FALSE(check_equivocation(directory(), kN1, result.signed_bundle, forged)
+  EXPECT_FALSE(check_root_equivocation(directory().verify_context(), kN1,
+                                       window.honest.signed_root, forged)
                    .has_value());
 }
 
 // ---- Tampered-message handling ----
 
 TEST_F(MinProtocolTest, TamperedBundleFlaggedAsBadSignature) {
-  ProverResult result = run();
-  result.signed_bundle.payload[20] ^= 1;
+  const SignedWindow window = seal(run()).honest;
+  LeafOpening bundle = window.rounds.front().bundle;
+  bundle.leaf.payload[20] ^= 1;
   const auto evidence =
       verify_as_provider(directory(), kN1, own_input_of(kN1, 3),
-                         result.signed_bundle, nullptr);
+                         window.signed_root, bundle, nullptr);
   ASSERT_FALSE(evidence.empty());
   EXPECT_EQ(evidence.front().kind, ViolationKind::kBadSignature);
 }
 
 TEST_F(MinProtocolTest, ProviderOutsideDomainChecksNothing) {
   // A provider whose route is longer than max_len is outside the promise.
-  const ProverResult result = run();
+  const SignedWindow window = seal(run()).honest;
   const auto evidence = verify_as_provider(
-      directory(), kN3, own_input_of(kN3, kMaxLen + 5), result.signed_bundle,
-      nullptr);
+      directory(), kN3, own_input_of(kN3, kMaxLen + 5), window.signed_root,
+      window.rounds.front().bundle, nullptr);
   EXPECT_TRUE(evidence.empty());
 }
 
 TEST_F(MinProtocolTest, SilentProviderChecksNothing) {
-  const ProverResult result = run();
-  const auto evidence = verify_as_provider(directory(), kN3, std::nullopt,
-                                           result.signed_bundle, nullptr);
+  const SignedWindow window = seal(run()).honest;
+  const auto evidence =
+      verify_as_provider(directory(), kN3, std::nullopt, window.signed_root,
+                         window.rounds.front().bundle, nullptr);
   EXPECT_TRUE(evidence.empty());
 }
 
@@ -328,8 +344,7 @@ TEST_F(MinProtocolTest, ProviderRevealLeaksOnlyOneBit) {
   // The reveal to Ni contains exactly the opening of b_{|r_i|} — one bit —
   // and nothing derived from other providers' routes.
   const ProverResult result = run();
-  const RevealToProvider reveal =
-      RevealToProvider::decode(result.provider_reveals.at(kN1).payload);
+  const RevealToProvider& reveal = result.provider_reveals.at(kN1);
   EXPECT_EQ(reveal.opening.value.size(), 1u);
   EXPECT_EQ(reveal.bit_index, 3u);  // N1's own route length, nothing else
   // No reveal at all goes to the silent provider.
@@ -338,15 +353,13 @@ TEST_F(MinProtocolTest, ProviderRevealLeaksOnlyOneBit) {
 
 TEST_F(MinProtocolTest, RecipientLearnsOnlyBitsAndChosenRoute) {
   const ProverResult result = run();
-  const RevealToRecipient reveal =
-      RevealToRecipient::decode(result.recipient_reveal.payload);
+  const RevealToRecipient& reveal = result.recipient_reveal;
   // L single-bit openings; the recipient cannot reconstruct which neighbor
   // provided what, only the length profile the promise already implies.
   for (const auto& opening : reveal.openings) {
     EXPECT_EQ(opening.value.size(), 1u);
   }
-  const ExportStatement statement =
-      ExportStatement::decode(result.export_statement.payload);
+  const ExportStatement& statement = result.export_statement;
   // Provenance names the winning provider — exactly what the BGP AS path
   // already reveals (the paper's confidentiality baseline).
   ASSERT_TRUE(statement.provenance.has_value());

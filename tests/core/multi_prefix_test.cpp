@@ -262,19 +262,19 @@ TEST(MultiPrefixTest, BatchSplitEquivocationEscalatesToProvableEvidence) {
   const std::map<bgp::AsNumber, std::optional<SignedMessage>> no_inputs;
   crypto::Drbg rng_a(71, "batch-split-a");
   crypto::Drbg rng_b(72, "batch-split-b");
-  const ProverResult variant_a = run_prover(
-      id, OperatorKind::kMinimum, no_inputs, 16, prover_key, rng_a, {});
-  const ProverResult variant_b = run_prover(
-      id, OperatorKind::kMinimum, no_inputs, 16, prover_key, rng_b, {});
-  ASSERT_NE(variant_a.signed_bundle.payload, variant_b.signed_bundle.payload);
-  const std::vector<SignedMessage> bundles_a = {variant_a.signed_bundle};
-  const std::vector<SignedMessage> bundles_b = {variant_b.signed_bundle};
+  const ProverResult variant_a =
+      run_prover(id, OperatorKind::kMinimum, no_inputs, 16, rng_a, {});
+  const ProverResult variant_b =
+      run_prover(id, OperatorKind::kMinimum, no_inputs, 16, rng_b, {});
+  ASSERT_NE(variant_a.bundle.encode(), variant_b.bundle.encode());
   const AggregatedBundleMessage agg_a =
-      aggregate_signed_bundles(world.prover, 1, /*batch=*/0, bundles_a,
-                               prover_key);
+      seal_window(world.prover, 1, /*batch=*/0, 0, std::span(&variant_a, 1),
+                  prover_key, rng_a)
+          .honest.message_for_recipient();
   const AggregatedBundleMessage agg_b =
-      aggregate_signed_bundles(world.prover, 1, /*batch=*/1, bundles_b,
-                               prover_key);
+      seal_window(world.prover, 1, /*batch=*/1, 1, std::span(&variant_b, 1),
+                  prover_key, rng_b)
+          .honest.message_for_recipient();
 
   world.sim.schedule(0, [&world, &agg_a, &agg_b] {
     for (std::size_t i = 0; i < world.providers.size(); ++i) {
@@ -307,8 +307,8 @@ TEST(MultiPrefixTest, BatchSplitEquivocationEscalatesToProvableEvidence) {
   }
 }
 
-// A forged aggregation message (claimed prover signer, garbage root and
-// bundle signatures) injected before the real one must neither claim the
+// A forged aggregation message (claimed prover signer, garbage root
+// signature) injected before the real one must neither claim the
 // first-seen bundle slot nor produce evidence: the honest round's route is
 // still accepted.
 TEST(MultiPrefixTest, ForgedBundleCannotPoisonHonestRound) {
@@ -317,17 +317,16 @@ TEST(MultiPrefixTest, ForgedBundleCannotPoisonHonestRound) {
   const ProtocolId id = handles.round_id(1);
   const auto& prover_key = handles.keys->private_keys.at(world.prover).priv;
 
-  // A well-formed bundle for the round, wrapped in a well-formed window,
-  // with both signatures replaced by garbage.
+  // Well-formed statements for the round, sealed in a well-formed window,
+  // with the root signature replaced by garbage.
   const std::map<bgp::AsNumber, std::optional<SignedMessage>> no_inputs;
   crypto::Drbg rng(74, "forged-agg");
-  SignedMessage forged = run_prover(id, OperatorKind::kMinimum, no_inputs, 16,
-                                    prover_key, rng, {})
-                             .signed_bundle;
-  forged.signature = {0xde, 0xad, 0xbe, 0xef};
-  const std::vector<SignedMessage> forged_bundles = {forged};
-  AggregatedBundleMessage forged_agg = aggregate_signed_bundles(
-      world.prover, 1, /*batch=*/0, forged_bundles, prover_key);
+  const ProverResult forged =
+      run_prover(id, OperatorKind::kMinimum, no_inputs, 16, rng, {});
+  AggregatedBundleMessage forged_agg =
+      seal_window(world.prover, 1, /*batch=*/0, 0, std::span(&forged, 1),
+                  prover_key, rng)
+          .honest.message_for_recipient();
   forged_agg.signed_root.signature = {0xde, 0xad, 0xbe, 0xef};
 
   world.sim.schedule(0, [&world, &handles, &forged_agg] {
@@ -354,10 +353,10 @@ TEST(MultiPrefixTest, ForgedBundleCannotPoisonHonestRound) {
   EXPECT_EQ(accepted->path.length(), 3u);
 }
 
-// An opening whose bundle round is NOT in the window's signed prefix list
-// must be rejected: otherwise a prover could hide a round inside the tree
-// while omitting it from every window's list, and no two windows would
-// ever provably conflict over it.
+// A leaf whose round is NOT in the window's signed prefix list must be
+// rejected: otherwise a prover could hide a round inside the tree while
+// omitting it from every window's list, and no two windows would ever
+// provably conflict over it.
 TEST(MultiPrefixTest, OpeningOutsideSignedPrefixListIsRejected) {
   Figure1Handles handles = make_figure1_world({.seed = 30});
   Figure1World& world = *handles.world;
@@ -366,21 +365,26 @@ TEST(MultiPrefixTest, OpeningOutsideSignedPrefixListIsRejected) {
 
   const std::map<bgp::AsNumber, std::optional<SignedMessage>> no_inputs;
   crypto::Drbg rng(73, "hidden-prefix");
-  const ProverResult result = run_prover(
-      id, OperatorKind::kMinimum, no_inputs, 16, prover_key, rng, {});
+  const ProverResult result =
+      run_prover(id, OperatorKind::kMinimum, no_inputs, 16, rng, {});
 
-  // A properly aggregated message verifies; the same message with the
-  // round's prefix swapped out of the signed list must not.
-  const std::vector<SignedMessage> bundles = {result.signed_bundle};
+  // A properly sealed message opens; the same message with the round's
+  // prefix swapped out of the signed list must not — neither the bundle
+  // leaf nor the statements after it.
   const AggregatedBundleMessage honest =
-      aggregate_signed_bundles(world.prover, 1, 0, bundles, prover_key);
+      seal_window(world.prover, 1, 0, 0, std::span(&result, 1), prover_key, rng)
+          .honest.message_for_recipient();
   const AggregatedBundle honest_root =
       AggregatedBundle::decode(honest.signed_root.payload);
-  ASSERT_TRUE(verify_signed_opening(honest_root, honest.openings[0]));
+  ASSERT_EQ(honest.openings.size(), 3u);  // bundle, reveal, export
+  ASSERT_TRUE(open_leaf<CommitmentBundle>(honest_root, honest.openings[0]));
+  ASSERT_TRUE(open_leaf<ExportStatement>(honest_root, honest.openings[2]));
 
   AggregatedBundle hiding_root = honest_root;
   hiding_root.prefixes = {bgp::Ipv4Prefix::parse("198.51.100.0/24")};
-  EXPECT_FALSE(verify_signed_opening(hiding_root, honest.openings[0]));
+  EXPECT_FALSE(open_leaf<CommitmentBundle>(hiding_root, honest.openings[0]));
+  EXPECT_FALSE(open_leaf<RevealToRecipient>(hiding_root, honest.openings[1]));
+  EXPECT_FALSE(open_leaf<ExportStatement>(hiding_root, honest.openings[2]));
 
   // End to end: a node receiving the hiding window stashes nothing for the
   // round, so nothing is accepted and no bundle state exists to verify.
@@ -420,7 +424,7 @@ TEST(MultiPrefixTest, OrphanedRoundStillProvesGossipedRootConflict) {
   });
 
   // Cut the prover->providers[3] link before the prover's window closes,
-  // so that node gets neither its agg message nor reveals — only gossip.
+  // so that node gets no window message — only gossip.
   world.sim.schedule(5'000, [&world] {
     world.sim.disconnect(world.prover, world.providers[3]);
   });

@@ -283,13 +283,14 @@ TEST(PvrNodeTest, ForgedHugeGossipRootIsDroppedWithoutAbortingTheRun) {
   root.put_u32(world.prover);
   root.put_u64(1);            // epoch
   root.put_u32(0);            // batch
+  root.put_u32(0xFFFFFFFFu);  // leaf count
   root.put_u32(0xFFFFFFFFu);  // prefix count, with no prefixes following
   const SignedMessage forged{
       .signer = world.prover, .payload = root.take(), .signature = {}};
   std::vector<std::uint8_t> payload{0};  // relay hop count
   const std::vector<std::uint8_t> envelope = forged.encode();
   payload.insert(payload.end(), envelope.begin(), envelope.end());
-  ASSERT_EQ(payload.size(), 58u);
+  ASSERT_EQ(payload.size(), 62u);
 
   const bgp::AsNumber receiver = world.providers[0];
   world.sim.schedule(0, [&world, receiver, payload] {
@@ -297,6 +298,50 @@ TEST(PvrNodeTest, ForgedHugeGossipRootIsDroppedWithoutAbortingTheRun) {
                                 .to = receiver,
                                 .channel = kGossipRootChannel,
                                 .payload = payload});
+  });
+  world.sim.run();
+  EXPECT_EQ(world.node(receiver).open_rounds(), 0u);
+  EXPECT_EQ(world.node(receiver).seen_root_epochs(), 0u);
+}
+
+// The same for a window message from the prover's own address: an opening
+// count, a leaf length and a sibling count that each claim far more than
+// the bytes hold are rejected by the decoder before anything is reserved.
+TEST(PvrNodeTest, ForgedHugeWindowMessageIsDroppedWithoutAbortingTheRun) {
+  Figure1Handles handles = make_figure1_world({.seed = 13});
+  Figure1World& world = *handles.world;
+  const std::vector<std::uint8_t> root =
+      SignedMessage{.signer = world.prover, .payload = {1, 2, 3}, .signature = {}}
+          .encode();
+  const auto window_message = [&root](auto&& body) {
+    crypto::ByteWriter writer;
+    writer.put_string("pvr.bundle.agg");
+    writer.put_bytes(root);
+    body(writer);
+    return writer.take();
+  };
+  const std::vector<std::vector<std::uint8_t>> forged = {
+      window_message([](crypto::ByteWriter& w) { w.put_u32(0xFFFFFFFFu); }),
+      window_message([](crypto::ByteWriter& w) {
+        w.put_u32(1);            // one opening
+        w.put_u32(0xFFFFFFF0u);  // whose leaf claims ~4 GiB
+      }),
+      window_message([](crypto::ByteWriter& w) {
+        w.put_u32(1);
+        w.put_bytes(WindowLeaf{}.encode());
+        w.put_u32(0);
+        w.put_u32(1);
+        w.put_u8(0xFF);  // 255 siblings, none following
+      }),
+  };
+  const bgp::AsNumber receiver = world.providers[0];
+  world.sim.schedule(0, [&world, receiver, &forged] {
+    for (const std::vector<std::uint8_t>& payload : forged) {
+      world.sim.send(net::Message{.from = world.prover,
+                                  .to = receiver,
+                                  .channel = kBundleAggChannel,
+                                  .payload = payload});
+    }
   });
   world.sim.run();
   EXPECT_EQ(world.node(receiver).open_rounds(), 0u);

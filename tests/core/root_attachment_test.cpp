@@ -62,15 +62,11 @@ struct RootConflictWorld {
   const std::map<bgp::AsNumber, std::optional<SignedMessage>> no_inputs;
   const auto make_window = [&](std::uint64_t rng_seed) {
     crypto::Drbg rng(rng_seed, "root-attach");
-    const std::vector<SignedMessage> bundles = {
-        run_prover(out.target_id, OperatorKind::kMinimum, no_inputs, 16,
-                   prover_key, rng, {})
-            .signed_bundle,
-        run_prover(out.orphan_id, OperatorKind::kMinimum, no_inputs, 16,
-                   prover_key, rng, {})
-            .signed_bundle};
-    return aggregate_signed_bundles(world.prover, 1, /*batch=*/0, bundles,
-                                    prover_key);
+    const std::vector<ProverResult> rounds = {
+        run_prover(out.target_id, OperatorKind::kMinimum, no_inputs, 16, rng, {}),
+        run_prover(out.orphan_id, OperatorKind::kMinimum, no_inputs, 16, rng, {})};
+    return seal_window(world.prover, 1, /*batch=*/0, 0, rounds, prover_key, rng)
+        .honest.message_for_recipient();
   };
   const AggregatedBundleMessage window_a = make_window(81);
   const AggregatedBundleMessage window_b = make_window(82);

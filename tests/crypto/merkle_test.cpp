@@ -60,6 +60,46 @@ TEST(MerkleTest, TruncatedProofFailsVerification) {
   EXPECT_FALSE(MerkleTree::verify(tree.root(), leaves[2], proof));
 }
 
+// A sibling list must be exactly as deep as the claimed tree. A proof for
+// leaf 2 of an 8-leaf tree, relabelled as a 4-leaf proof, carries one
+// sibling too many: the old walk still reached the root, so a 4-leaf claim
+// was provable from an 8-leaf tree.
+TEST(MerkleTest, PaddedProofFailsVerification) {
+  const auto leaves = make_leaves(8);
+  const MerkleTree tree = MerkleTree::build(leaves);
+  MerkleProof padded = tree.prove(2);
+  ASSERT_EQ(padded.siblings.size(), 3u);
+  padded.leaf_count = 4;
+  EXPECT_FALSE(MerkleTree::verify(tree.root(), leaves[2], padded));
+  MerkleProof extra = tree.prove(2);
+  extra.siblings.push_back(tree.root());
+  EXPECT_FALSE(MerkleTree::verify(tree.root(), leaves[2], extra));
+}
+
+TEST(MerkleTest, TruncatedProofRelabelledAsSmallerTreeFails) {
+  // Dropping the top sibling and claiming a 4-leaf tree matches the depth,
+  // but reaches the left subtree's root, not the tree's.
+  const auto leaves = make_leaves(8);
+  const MerkleTree tree = MerkleTree::build(leaves);
+  MerkleProof truncated = tree.prove(2);
+  truncated.siblings.pop_back();
+  truncated.leaf_count = 4;
+  EXPECT_FALSE(MerkleTree::verify(tree.root(), leaves[2], truncated));
+}
+
+TEST(MerkleTest, DepthMatchesPaddedTreeHeight) {
+  EXPECT_EQ(MerkleTree::depth(1), 0u);
+  EXPECT_EQ(MerkleTree::depth(2), 1u);
+  EXPECT_EQ(MerkleTree::depth(5), 3u);
+  EXPECT_EQ(MerkleTree::depth(8), 3u);
+  EXPECT_EQ(MerkleTree::depth(9), 4u);
+  for (const std::size_t n : {1u, 3u, 6u, 8u, 13u}) {
+    EXPECT_EQ(MerkleTree::build(make_leaves(n)).prove(0).siblings.size(),
+              MerkleTree::depth(n))
+        << n;
+  }
+}
+
 TEST(MerkleTest, PaddingLeafNotProvable) {
   // 5 leaves pad to 8; indices 5..7 are padding and must be rejected.
   const auto leaves = make_leaves(5);

@@ -153,16 +153,16 @@ TEST(MultiPrefixParityTest, SplitChecksFoldToSequentialFindings) {
   }
 }
 
-// Chunked pair enumeration: a round with huge observed-bundle and
-// observed-root sets has O(pairs) equivocation checks; defer_finalize_checks
-// must bound the task count at ceil(pairs / 32) per kind while the fold
-// stays byte-identical to the sequential path.
+// Chunked pair enumeration: a round with a huge observed-root set has
+// O(pairs) equivocation checks; defer_finalize_checks must bound the task
+// count at ceil(pairs / 32) while the fold stays byte-identical to the
+// sequential path.
 TEST(MultiPrefixParityTest, ChunkedPairChecksBoundTasksAndFoldIdentically) {
-  // + the honest window = 11 bundles and 11 roots -> 55 pairs of each.
+  // + the honest window = 11 roots -> 55 pairs.
   constexpr std::size_t kVariants = 10;
   constexpr bgp::AsNumber kVerifier = 300;
 
-  // Crafts kVariants distinct prover-signed bundles for round `id`, each
+  // Crafts kVariants distinct statement sets for round `id`, each sealed
   // under its own signed window root, and injects them into the verifier
   // on pvr.bundle.agg as if an equivocating prover had sent them; identical
   // seeds make the two worlds' states byte-identical.
@@ -170,17 +170,14 @@ TEST(MultiPrefixParityTest, ChunkedPairChecksBoundTasksAndFoldIdentically) {
                                   const ProtocolId& id) {
     crypto::Drbg rng(99, "chunk-test-variants");
     core::PvrNode& node = handles.world->node(kVerifier);
+    const auto& prover_key = handles.keys->private_keys.at(id.prover).priv;
     for (std::size_t v = 0; v < kVariants; ++v) {
-      core::CommitmentBundle bundle{
-          .id = id, .op = core::OperatorKind::kMinimum, .max_len = 4, .bits = {}};
-      for (std::size_t b = 0; b < 4; ++b) {
-        bundle.bits.push_back(crypto::commit_bit(true, rng).first);
-      }
-      const auto& prover_key = handles.keys->private_keys.at(id.prover).priv;
-      const std::vector<core::SignedMessage> signed_bundles = {
-          core::sign_message(id.prover, prover_key, bundle.encode())};
-      const core::AggregatedBundleMessage agg = core::aggregate_signed_bundles(
-          id.prover, id.epoch, /*batch=*/0, signed_bundles, prover_key);
+      const core::ProverResult variant = core::run_prover(
+          id, core::OperatorKind::kMinimum, {}, 4, rng, {});
+      const core::AggregatedBundleMessage agg =
+          core::seal_window(id.prover, id.epoch, /*batch=*/0, 0,
+                            std::span(&variant, 1), prover_key, rng)
+              .honest.message_for_recipient();
       node.on_message(handles.world->sim.transport(),
                       net::Message{.from = id.prover,
                                    .to = kVerifier,
@@ -212,13 +209,12 @@ TEST(MultiPrefixParityTest, ChunkedPairChecksBoundTasksAndFoldIdentically) {
   sequential.world->node(kVerifier).finalize_round(id);
   ASSERT_FALSE(sequential.world->node(kVerifier).evidence().empty());
 
-  // 11 observed bundles and 11 observed roots -> 55 pairs each:
-  // ceil(55/32) = 2 chunks per kind + the role check.
+  // 11 observed roots -> 55 pairs: ceil(55/32) = 2 chunks + the role check.
   core::PvrNode& node = chunked.world->node(kVerifier);
   std::optional<core::DeferredRoundChecks> checks =
       node.defer_finalize_checks(id);
   ASSERT_TRUE(checks.has_value());
-  EXPECT_EQ(checks->checks.size(), 5u);
+  EXPECT_EQ(checks->checks.size(), 3u);
   core::RoundFindings folded;
   for (auto& check : checks->checks) {
     core::fold_round_findings(folded, check());

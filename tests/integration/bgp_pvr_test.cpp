@@ -6,6 +6,7 @@
 #include <set>
 
 #include "bgp/speaker.h"
+#include "core/bundle_aggregation.h"
 #include "core/min_protocol.h"
 
 namespace pvr {
@@ -137,20 +138,24 @@ TEST(BgpPvrIntegration, PvrRoundOverRealRibInVerifiesCleanly) {
 
   crypto::Drbg rng(6, "bgp-pvr-round");
   const core::ProverResult result =
-      core::run_prover(id, core::OperatorKind::kMinimum, inputs, 16,
-                       keys.private_keys.at(prover).priv, rng, {});
+      core::run_prover(id, core::OperatorKind::kMinimum, inputs, 16, rng, {});
+  const core::SignedWindow window =
+      core::seal_window(prover, id.epoch, 0, 0, std::span(&result, 1),
+                        keys.private_keys.at(prover).priv, rng)
+          .honest;
+  const core::SignedWindow::Round& round = window.rounds.front();
 
   // All providers and one recipient verify with zero findings.
   for (const auto& [provider, announcement] : announcements) {
-    const auto it = result.provider_reveals.find(provider);
+    const auto it = round.provider_reveals.find(provider);
     const auto evidence = core::verify_as_provider(
-        keys.directory, provider, announcement, result.signed_bundle,
-        it == result.provider_reveals.end() ? nullptr : &it->second);
+        keys.directory, provider, announcement, window.signed_root,
+        round.bundle, it == round.provider_reveals.end() ? nullptr : &it->second);
     EXPECT_TRUE(evidence.empty()) << evidence.front().to_string();
   }
   const auto evidence = core::verify_as_recipient(
-      keys.directory, participants.front(), result.signed_bundle,
-      &result.recipient_reveal, &result.export_statement);
+      keys.directory, participants.front(), window.signed_root, round.bundle,
+      &round.recipient_reveal, &round.export_statement);
   EXPECT_TRUE(evidence.empty()) << evidence.front().to_string();
 
   // The protocol's honest output is a shortest candidate.

@@ -178,20 +178,20 @@ TEST(DecoderRobustness, HugeEntryCountsRejectedBeforeReserve) {
   EXPECT_THROW((void)obs::MetricsSnapshot::decode(snapshot.data()),
                std::out_of_range);
 
-  // Tag, prover, epoch, batch, then prefix_count = 2^32 - 1 and no
-  // prefixes (each would be 5 bytes).
+  // Tag, prover, epoch, batch, leaf count, then prefix_count = 2^32 - 1
+  // and no prefixes (each would be 5 bytes).
   crypto::ByteWriter root;
   root.put_string("pvr-aggregated-bundle");
   root.put_u32(1);
   root.put_u64(1);
   root.put_u32(0);
   root.put_u32(0xFFFFFFFFu);
+  root.put_u32(0xFFFFFFFFu);
   EXPECT_THROW((void)core::AggregatedBundle::decode(root.data()),
                std::out_of_range);
 
   // Tag, an empty signed root, then opening_count = 2^32 - 1 and no
-  // openings (each at least a 4-byte length prefix + the 20-byte proof
-  // header).
+  // openings (each at least LeafOpening::kMinEncodedSize bytes).
   crypto::ByteWriter agg;
   agg.put_string("pvr.bundle.agg");
   agg.put_bytes(core::SignedMessage{}.encode());
@@ -209,6 +209,55 @@ TEST(DecoderRobustness, HugeEntryCountsRejectedBeforeReserve) {
   evidence.put_u32(0xFFFFFFFFu);
   EXPECT_THROW((void)core::Evidence::decode(evidence.data()),
                std::out_of_range);
+
+  // The same with no messages, then leaf count = 2^32 - 1 and no leaves.
+  crypto::ByteWriter leaf_evidence;
+  leaf_evidence.put_u8(1);
+  leaf_evidence.put_u32(1);
+  leaf_evidence.put_u32(2);
+  leaf_evidence.put_u32(1);
+  leaf_evidence.put_u32(0);
+  leaf_evidence.put_u32(0xFFFFFFFFu);
+  EXPECT_THROW((void)core::Evidence::decode(leaf_evidence.data()),
+               std::out_of_range);
+}
+
+// A sealed window message, its leaves, its root statement and leaf-carrying
+// evidence, truncated, corrupted and replaced by junk.
+TEST(DecoderRobustness, WindowMessageLeavesAndEvidence) {
+  crypto::Drbg rng(12, "fuzz-window");
+  crypto::Drbg key_rng(13, "fuzz-window-keys");
+  const core::AsKeyPairs keys = core::generate_keys({7, 11}, key_rng, 512);
+  const core::ProverResult result = core::run_prover(
+      sample_id(), core::OperatorKind::kMinimum,
+      {{11, core::sign_message(11, keys.private_keys.at(11).priv,
+                               core::InputAnnouncement{.id = sample_id(),
+                                                       .provider = 11,
+                                                       .route = sample_route()}
+                                   .encode())}},
+      4, rng);
+  const core::SignedWindow window =
+      core::seal_window(7, sample_id().epoch, 0, 0, std::span(&result, 1),
+                        keys.private_keys.at(7).priv, rng)
+          .honest;
+  const core::AggregatedBundleMessage message = window.message_for_provider(11);
+  ASSERT_EQ(message.openings.size(), 2u);
+  expect_robust(
+      [](const auto& b) { (void)core::AggregatedBundleMessage::decode(b); },
+      message.encode(), rng);
+  expect_robust([](const auto& b) { (void)core::WindowLeaf::decode(b); },
+                message.openings[1].leaf.encode(), rng);
+  expect_robust([](const auto& b) { (void)core::AggregatedBundle::decode(b); },
+                message.signed_root.payload, rng);
+  const core::Evidence evidence{.kind = core::ViolationKind::kBitNotSet,
+                                .accused = 7,
+                                .reporter = 11,
+                                .index = 1,
+                                .messages = {message.signed_root},
+                                .leaves = message.openings,
+                                .detail = "sample"};
+  expect_robust([](const auto& b) { (void)core::Evidence::decode(b); },
+                evidence.encode(), rng);
 }
 
 // The verifier entry points must likewise survive adversarial envelopes:
@@ -225,16 +274,23 @@ TEST(DecoderRobustness, VerifiersSurviveGarbageEnvelopes) {
         .payload = rng.bytes(rng.uniform(200)),
         .signature = rng.bytes(64),
     };
+    core::LeafOpening leaf{.leaf = {.kind = core::LeafKind::kBundle,
+                                    .salt = {},
+                                    .payload = rng.bytes(rng.uniform(200))},
+                           .proof = {.leaf_index = rng.uniform(4),
+                                     .leaf_count = rng.uniform(4),
+                                     .siblings = {crypto::sha256("x")}}};
     const auto provider_findings = core::verify_as_provider(
         keys.directory, 11,
         core::InputAnnouncement{.id = sample_id(), .provider = 11,
                                 .route = sample_route()},
-        garbage, &garbage);
+        garbage, leaf, &leaf);
     EXPECT_FALSE(provider_findings.empty());  // at least bad-signature
     const auto recipient_findings = core::verify_as_recipient(
-        keys.directory, 2, garbage, &garbage, &garbage);
+        keys.directory, 2, garbage, leaf, &leaf, &leaf);
     EXPECT_FALSE(recipient_findings.empty());
-    EXPECT_FALSE(core::check_equivocation(keys.directory, 11, garbage, garbage)
+    EXPECT_FALSE(core::check_root_equivocation(keys.directory.verify_context(),
+                                               11, garbage, garbage)
                      .has_value());
   }
 }

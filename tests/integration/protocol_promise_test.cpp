@@ -12,6 +12,7 @@
 
 #include <algorithm>
 
+#include "core/bundle_aggregation.h"
 #include "core/evidence.h"
 #include "core/min_protocol.h"
 #include "core/promise.h"
@@ -89,26 +90,33 @@ struct RandomRound {
   return round;
 }
 
+// Seals the round as a one-prefix window and runs every verifier over it.
 [[nodiscard]] std::vector<Evidence> verify_all(const AsKeyPairs& keys,
                                                const RandomRound& round,
                                                const ProverResult& result) {
+  crypto::Drbg salt_rng(round.id.epoch, "protocol-promise-salts");
+  const SignedWindow window =
+      seal_window(kProver, round.id.epoch, 0, 0, std::span(&result, 1),
+                  keys.private_keys.at(kProver).priv, salt_rng)
+          .honest;
+  const SignedWindow::Round& sealed = window.rounds.front();
   std::vector<Evidence> all;
   for (const bgp::AsNumber provider : round.providers) {
     const auto announcement = round.announcements.find(provider);
-    const auto reveal = result.provider_reveals.find(provider);
+    const auto reveal = sealed.provider_reveals.find(provider);
     auto found = verify_as_provider(
         keys.directory, provider,
         announcement == round.announcements.end()
             ? std::nullopt
             : std::optional(announcement->second),
-        result.signed_bundle,
-        reveal == result.provider_reveals.end() ? nullptr : &reveal->second);
+        window.signed_root, sealed.bundle,
+        reveal == sealed.provider_reveals.end() ? nullptr : &reveal->second);
     all.insert(all.end(), found.begin(), found.end());
   }
   auto found = verify_as_recipient(keys.directory, kRecipient,
-                                   result.signed_bundle,
-                                   &result.recipient_reveal,
-                                   &result.export_statement);
+                                   window.signed_root, sealed.bundle,
+                                   &sealed.recipient_reveal,
+                                   &sealed.export_statement);
   all.insert(all.end(), found.begin(), found.end());
   return all;
 }
@@ -117,8 +125,7 @@ struct RandomRound {
 // exported route with the prover's prepended hop removed).
 [[nodiscard]] std::optional<bgp::Route> semantic_output(
     const ProverResult& result) {
-  const ExportStatement statement =
-      ExportStatement::decode(result.export_statement.payload);
+  const ExportStatement& statement = result.export_statement;
   if (!statement.has_route || !statement.provenance.has_value()) {
     return std::nullopt;
   }
@@ -133,7 +140,7 @@ TEST_P(ProtocolPromiseProperty, HonestProverSatisfiesPromiseAndPassesChecks) {
     const RandomRound round = make_round(keys(), rng, epoch);
     const ProverResult result =
         run_prover(round.id, OperatorKind::kMinimum, round.inputs, kMaxLen,
-                   keys().private_keys.at(kProver).priv, rng, {});
+                   rng, {});
     // Soundness: the honest export satisfies the §2 promise semantics.
     EXPECT_TRUE(promise.holds(round.semantic_inputs, semantic_output(result)))
         << "epoch " << epoch;
@@ -161,7 +168,7 @@ TEST_P(ProtocolPromiseProperty, SemanticViolationsAreAlwaysDetected) {
         strategies[rng.uniform(std::size(strategies))];
     const ProverResult result =
         run_prover(round.id, OperatorKind::kMinimum, round.inputs, kMaxLen,
-                   keys().private_keys.at(kProver).priv, rng, strategy);
+                   rng, strategy);
 
     // Ground truth: did the prover actually violate the promise this round?
     // (A "lie" that coincides with the honest answer is not a violation.)
@@ -210,7 +217,7 @@ TEST_P(ProtocolPromiseProperty, HandCraftedTranscriptsCannotCheatTheMinimum) {
           .export_nonminimal = true, .bits_match_lie = forge_bits};
       const ProverResult result =
           run_prover(round.id, OperatorKind::kMinimum, round.inputs, kMaxLen,
-                     keys().private_keys.at(kProver).priv, rng, strategy);
+                     rng, strategy);
       const auto evidence = verify_all(keys(), round, result);
       ASSERT_FALSE(evidence.empty()) << "forge_bits=" << forge_bits;
       // And the evidence (when of a safety kind) convinces the auditor.

@@ -52,8 +52,8 @@ namespace {
 constexpr char kGoldenFingerprint[] =
     "obs_golden|equivocator|seed=21|ases=400|hoods=2|nodes=12|started=16|"
     "windows=9|coalesced=1|attacked=8|detected=8|evidence=56|false=0|"
-    "audit_fail=0|in=12064|bundle=64435|gossip=47910|reveal=29640|"
-    "total=154049|gossip_msgs=250";
+    "audit_fail=0|in=12064|bundle=99119|gossip=48910|total=160093|"
+    "gossip_msgs=250|roots=14|proof=24112";
 
 TEST(ObsDeterminismTest, SimMetricsIdenticalAcrossWorkerCounts) {
   std::string fingerprint_at_1;
