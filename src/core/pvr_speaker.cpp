@@ -461,6 +461,7 @@ RoundFindings PvrNode::run_round_check(const PvrConfig& config,
                    .reporter = config.asn,
                    .index = 0,
                    .messages = {},
+                   .leaves = {},
                    .detail = "no commitment bundle received"});
     }
     return findings;

@@ -220,6 +220,7 @@ TEST_F(AuditorTest, RejectsEmptyEvidence) {
                        .reporter = kN1,
                        .index = 0,
                        .messages = {},
+                       .leaves = {},
                        .detail = ""};
   EXPECT_FALSE(Auditor(&directory()).validate(empty));
 }

@@ -197,6 +197,7 @@ TEST(EngineIntegrationTest, FailedRoundDoesNotCorruptNextBatch) {
         .reporter = 2,
         .index = 1,
         .messages = {},
+        .leaves = {},
         .detail = "post-error round"});
     return findings;
   });

@@ -35,6 +35,7 @@ namespace {
       .reporter = prefix_index,
       .index = static_cast<std::uint32_t>(epoch),
       .messages = {},
+      .leaves = {},
       .detail = "round " + std::to_string(prefix_index) + "/" +
                 std::to_string(epoch)});
   return findings;
