@@ -1,6 +1,7 @@
 #include "crypto/merkle.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace pvr::crypto {
@@ -33,9 +34,7 @@ MerkleProof MerkleProof::decode(ByteReader& reader) {
 }
 
 std::size_t MerkleTree::depth(std::size_t leaf_count) {
-  std::size_t levels = 0;
-  while ((std::size_t{1} << levels) < leaf_count) ++levels;
-  return levels;
+  return leaf_count <= 1 ? 0 : static_cast<std::size_t>(std::bit_width(leaf_count - 1));
 }
 
 Digest MerkleTree::hash_leaf(std::span<const std::uint8_t> payload) {
