@@ -7,7 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
+#include <map>
 
 #include "core/pvr_speaker.h"
 #include "core/verify_context.h"
