@@ -243,9 +243,10 @@ int main(int argc, char** argv) {
         report.pipeline_overlap_ratio > 0.0 &&
         (report.hw_threads <= 1 ||
          report.wall_ms < report.sim_ms + report.verify_ms);
-    // One signature per window (DESIGN.md §8.3): a prover that does not
-    // attack signs exactly one root per window it fires.
-    const bool signs_ok = report.honest_signs_per_window <= 1.0;
+    // One signature per window (DESIGN.md §8.3): every prover that does
+    // not attack signs exactly one root per window it fires, and at least
+    // one of them fired a window.
+    const bool signs_ok = report.honest_signs_per_window == 1.0;
     const double proof_bytes_per_round =
         report.rounds_started == 0
             ? 0.0

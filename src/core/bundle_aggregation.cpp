@@ -64,8 +64,8 @@ AggregatedBundle AggregatedBundle::decode(std::span<const std::uint8_t> data) {
 }
 
 template <typename Statement>
-std::optional<Statement> open_leaf(const AggregatedBundle& root,
-                                   const LeafOpening& opening) {
+std::optional<Statement> decode_leaf(const AggregatedBundle& root,
+                                     const LeafOpening& opening) {
   if (opening.leaf.kind != Statement::kLeafKind) return std::nullopt;
   // The proof's leaf count is unauthenticated; several counts share one
   // depth, so only the signed count pins the tree the proof is for.
@@ -92,18 +92,33 @@ std::optional<Statement> open_leaf(const AggregatedBundle& root,
                   : !root.covers(statement.id.prefix)) {
     return std::nullopt;
   }
-  if (!crypto::MerkleTree::verify(root.root, opening.leaf.encode(),
-                                  opening.proof)) {
+  return statement;
+}
+
+template <typename Statement>
+std::optional<Statement> open_leaf(const AggregatedBundle& root,
+                                   const LeafOpening& opening) {
+  auto statement = decode_leaf<Statement>(root, opening);
+  if (!statement || !crypto::MerkleTree::verify(root.root, opening.leaf.encode(),
+                                                opening.proof)) {
     return std::nullopt;
   }
   return statement;
 }
 
+template std::optional<CommitmentBundle> decode_leaf(const AggregatedBundle&,
+                                                     const LeafOpening&);
 template std::optional<CommitmentBundle> open_leaf(const AggregatedBundle&,
                                                    const LeafOpening&);
+template std::optional<RevealToProvider> decode_leaf(const AggregatedBundle&,
+                                                     const LeafOpening&);
 template std::optional<RevealToProvider> open_leaf(const AggregatedBundle&,
                                                    const LeafOpening&);
+template std::optional<RevealToRecipient> decode_leaf(const AggregatedBundle&,
+                                                      const LeafOpening&);
 template std::optional<RevealToRecipient> open_leaf(const AggregatedBundle&,
+                                                    const LeafOpening&);
+template std::optional<ExportStatement> decode_leaf(const AggregatedBundle&,
                                                     const LeafOpening&);
 template std::optional<ExportStatement> open_leaf(const AggregatedBundle&,
                                                   const LeafOpening&);
@@ -228,9 +243,21 @@ SealedWindow seal_window(bgp::AsNumber prover, std::uint64_t epoch,
   bool equivocating = false;
   for (std::size_t r = 0; r < rounds.size(); ++r) {
     const ProverResult& round = rounds[r];
-    for (const auto& [provider, reveal] : round.provider_reveals) {
+    // One reveal slot per configured provider, so leaf_count and every
+    // leaf's index follow from the provider list alone: a provider that is
+    // not revealed to (no valid input, or a skipped reveal) gets a salted
+    // leaf with no statement, which no neighbor is ever sent.
+    for (const bgp::AsNumber provider : round.providers) {
+      const auto it = round.provider_reveals.find(provider);
+      if (it == round.provider_reveals.end()) {
+        add_leaf(LeafKind::kProviderReveal, {});
+        continue;
+      }
       slots[r].provider_reveals.emplace(
-          provider, add_leaf(LeafKind::kProviderReveal, reveal.encode()));
+          provider, add_leaf(LeafKind::kProviderReveal, it->second.encode()));
+    }
+    if (slots[r].provider_reveals.size() != round.provider_reveals.size()) {
+      throw std::invalid_argument("seal_window: reveal to an unlisted provider");
     }
     slots[r].recipient_reveal =
         add_leaf(LeafKind::kRecipientReveal, round.recipient_reveal.encode());

@@ -3,8 +3,12 @@
 // A prover signs ONE statement per collection window: an AggregatedBundle
 // naming the window's rounds and the Merkle root over every statement it
 // makes in them. The leaves (window_leaf.h) are, in order, the
-// CommitmentBundle of prefixes[0..P), then per round each RevealToProvider,
-// the RevealToRecipient and the ExportStatement. Each neighbor gets one
+// CommitmentBundle of prefixes[0..P), then per round one RevealToProvider
+// slot per configured provider, the RevealToRecipient and the
+// ExportStatement. A provider that is not revealed to still fills its slot
+// with a salted leaf that holds no statement, so the leaf count and every
+// leaf's index follow from the public provider list, never from how many
+// providers supplied a route. Each neighbor gets one
 // "pvr.bundle.agg" message: the signed root, every bundle leaf, and only
 // its own reveal leaf — or, for the recipient, the recipient-reveal and
 // export leaves — each with its inclusion proof. Verifiers gossip only the
@@ -57,13 +61,20 @@ struct AggregatedBundle {
   [[nodiscard]] static AggregatedBundle decode(std::span<const std::uint8_t> data);
 };
 
-// Hash-only check of one leaf against an already-decoded root statement
-// (the root signature is the caller's concern — verified once per window).
-// The leaf must be of Statement's kind, its proof must be for the signed
-// leaf count, a bundle leaf must sit at the index of its own prefix and
-// every other statement after the bundles, naming a round the window
-// covers. Returns the decoded statement, or nullopt. Instantiated for the
-// four leaf statements of min_protocol.h.
+// What one leaf claims under an already-decoded root statement, without
+// its inclusion proof: the leaf must be of Statement's kind, its proof
+// must be for the signed leaf count, a bundle leaf must sit at the index
+// of its own prefix and every other statement after the bundles, naming a
+// round the window covers. Returns the decoded statement, or nullopt.
+// Receivers file leaves by it; the statement is not yet bound to the root.
+template <typename Statement>
+[[nodiscard]] std::optional<Statement> decode_leaf(const AggregatedBundle& root,
+                                                   const LeafOpening& opening);
+
+// decode_leaf plus the hash-only inclusion check: the statement as the
+// root's signer made it (the root signature is the caller's concern —
+// verified once per window). Both are instantiated for the four leaf
+// statements of min_protocol.h.
 template <typename Statement>
 [[nodiscard]] std::optional<Statement> open_leaf(const AggregatedBundle& root,
                                                  const LeafOpening& opening);

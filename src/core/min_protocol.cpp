@@ -282,6 +282,7 @@ ProverResult run_prover(
   ProverResult result;
   result.bundle = CommitmentBundle{
       .id = id, .op = op, .max_len = max_len, .bits = commitments};
+  for (const auto& entry : inputs) result.providers.push_back(entry.first);
 
   if (misbehavior.equivocate) {
     // Fresh nonces -> different commitments -> a second, conflicting bundle.

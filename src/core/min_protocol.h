@@ -158,7 +158,12 @@ struct ProverMisbehavior {
 struct ProverResult {
   CommitmentBundle bundle;
   std::optional<CommitmentBundle> equivocating_bundle;  // if equivocating
-  std::map<bgp::AsNumber, RevealToProvider> provider_reveals;
+  // Every configured provider (the keys of run_prover's inputs), in AS
+  // order. Each has a reveal slot in the window tree whether or not it is
+  // revealed to, so the tree's shape shows no neighbor how many providers
+  // supplied a route (§3.2 confidentiality).
+  std::vector<bgp::AsNumber> providers;
+  std::map<bgp::AsNumber, RevealToProvider> provider_reveals;  // keys in providers
   RevealToRecipient recipient_reveal;
   ExportStatement export_statement;
   // The honest decision (for experiment bookkeeping).

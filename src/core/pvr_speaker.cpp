@@ -329,13 +329,15 @@ void PvrNode::open_aggregated(net::Transport& sim,
   const auto shared_root = std::make_shared<const SignedMessage>(message.signed_root);
   // Rounds whose bundle leaf THIS message delivered first: only their other
   // leaves are taken from it, so a round's leaves all hang off one root.
+  // Leaves are filed by what they claim; the one inclusion check of each
+  // runs at finalize (verify_as_provider / verify_as_recipient), and a
+  // leaf that fails it is reported there against the root's signer, the
+  // only node that can send on this channel.
   std::set<ProtocolId> opened;
   for (const LeafOpening& opening : message.openings) {
-    // Only leaves proven under the signed root are usable — an unproven
-    // statement could not support evidence later.
     switch (opening.leaf.kind) {
       case LeafKind::kBundle: {
-        const auto bundle = open_leaf<CommitmentBundle>(root, opening);
+        const auto bundle = decode_leaf<CommitmentBundle>(root, opening);
         if (!bundle) break;
         RoundState& round = round_state(bundle->id);
         if (round.bundle.has_value()) break;
@@ -345,7 +347,7 @@ void PvrNode::open_aggregated(net::Transport& sim,
         break;
       }
       case LeafKind::kProviderReveal: {
-        const auto reveal = open_leaf<RevealToProvider>(root, opening);
+        const auto reveal = decode_leaf<RevealToProvider>(root, opening);
         if (!reveal || reveal->provider != config_.asn ||
             !opened.contains(reveal->id)) {
           break;
@@ -354,13 +356,13 @@ void PvrNode::open_aggregated(net::Transport& sim,
         break;
       }
       case LeafKind::kRecipientReveal: {
-        const auto reveal = open_leaf<RevealToRecipient>(root, opening);
+        const auto reveal = decode_leaf<RevealToRecipient>(root, opening);
         if (!reveal || !opened.contains(reveal->id)) break;
         round_state(reveal->id).recipient_reveal = opening;
         break;
       }
       case LeafKind::kExport: {
-        const auto statement = open_leaf<ExportStatement>(root, opening);
+        const auto statement = decode_leaf<ExportStatement>(root, opening);
         if (!statement || !opened.contains(statement->id)) break;
         round_state(statement->id).export_statement = opening;
         break;

@@ -94,8 +94,9 @@ struct ScenarioReport {
   // messages — what one signature per window costs on the wire (§3.8).
   std::uint64_t roots_signed = 0;
   std::uint64_t proof_bytes = 0;
-  // Roots signed per window fired, maxed over the provers that do not
-  // attack: exactly 1 for a correct prover.
+  // Roots signed per window fired by each prover that does not attack, the
+  // ratio farthest from 1 of them: exactly 1 when every such prover signed
+  // one root per window, 0 when none fired a window.
   double honest_signs_per_window = 0;
   // Detection scoring.
   std::uint64_t attacked_rounds = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -228,16 +229,20 @@ void assemble_report(const ScenarioSpec& spec, const WorldPlan& plan,
   report.neighborhoods = plan.hoods.size();
   report.pvr_nodes = plan.participants.size();
   report.hw_threads = std::thread::hardware_concurrency();
+  bool honest_window_seen = false;
   for (const net::TraceProverMeta& prover : provers) {
     report.rounds_started += prover.rounds_started;
     report.windows_fired += prover.windows_fired;
     report.roots_signed += prover.roots_signed;
     report.proof_bytes += prover.proof_bytes;
     if (!plan.attacked_provers.contains(prover.node) && prover.windows_fired > 0) {
-      report.honest_signs_per_window = std::max(
-          report.honest_signs_per_window,
-          static_cast<double>(prover.roots_signed) /
-              static_cast<double>(prover.windows_fired));
+      const double ratio = static_cast<double>(prover.roots_signed) /
+                           static_cast<double>(prover.windows_fired);
+      if (!honest_window_seen ||
+          std::abs(ratio - 1.0) > std::abs(report.honest_signs_per_window - 1.0)) {
+        report.honest_signs_per_window = ratio;
+      }
+      honest_window_seen = true;
     }
   }
   report.coalesced = report.windows_fired < report.rounds_started;

@@ -54,6 +54,28 @@ struct AggregatedWorld {
   return world;
 }
 
+// Provider `provider`'s signed input for round `id`: a route of `length`
+// hops starting at the provider.
+[[nodiscard]] SignedMessage signed_input(const AsKeyPairs& keys,
+                                         const ProtocolId& id,
+                                         bgp::AsNumber provider,
+                                         std::size_t length) {
+  std::vector<bgp::AsNumber> hops(length, 64512);
+  hops.front() = provider;
+  const InputAnnouncement announcement{
+      .id = id,
+      .provider = provider,
+      .route = bgp::Route{.prefix = id.prefix,
+                          .path = bgp::AsPath(std::move(hops)),
+                          .next_hop = provider,
+                          .local_pref = 100,
+                          .med = 0,
+                          .origin = bgp::Origin::kIgp,
+                          .communities = {}}};
+  return sign_message(provider, keys.private_keys.at(provider).priv,
+                      announcement.encode());
+}
+
 // Whether `opening` opens under `root` as the statement its kind names.
 [[nodiscard]] bool opens(const AggregatedBundle& root,
                          const LeafOpening& opening) {
@@ -186,6 +208,60 @@ TEST(AggregatedBundleTest, ForgedRootSignatureRejected) {
                                                        std::size_t{0}));
 }
 
+// Node level: a verifier files the leaves of a window message by what
+// they claim and checks each one's inclusion once, at finalize. A reveal
+// whose opening was altered after the root was signed still decodes and
+// names the provider's round, so it is filed — and finalize reports it
+// against the prover. The same run without the alteration is clean.
+TEST(AggregatedBundleTest, LeafFailingInclusionIsReportedAtFinalize) {
+  const auto run = [](bool alter) {
+    Figure1Handles handles = make_figure1_world({.seed = 31, .provider_count = 2});
+    Figure1World& world = *handles.world;
+    const bgp::AsNumber provider = world.providers[0];
+    bool altered = false;
+    world.sim.set_interceptor([&](net::Transport& sim, const net::Message& message) {
+      if (!alter || altered || message.from != world.prover ||
+          message.to != provider || message.channel != kBundleAggChannel) {
+        return net::InterceptDecision{};
+      }
+      altered = true;
+      AggregatedBundleMessage window = AggregatedBundleMessage::decode(message.payload);
+      for (LeafOpening& opening : window.openings) {
+        if (opening.leaf.kind != LeafKind::kProviderReveal) continue;
+        RevealToProvider reveal = RevealToProvider::decode(opening.leaf.payload);
+        reveal.opening.nonce[0] ^= 0x01;
+        opening.leaf.payload = reveal.encode();
+      }
+      net::Message copy = message;
+      copy.payload = window.encode();
+      sim.send(std::move(copy));
+      return net::InterceptDecision{.drop = true, .extra_delay = 0};
+    });
+    world.sim.schedule(0, [&world, &handles, provider] {
+      const bgp::Route route{.prefix = handles.prefix,
+                             .path = bgp::AsPath{provider, 64512},
+                             .next_hop = provider,
+                             .local_pref = 100,
+                             .med = 0,
+                             .origin = bgp::Origin::kIgp,
+                             .communities = {}};
+      world.node(provider).provide_input(world.sim.transport(), 1,
+                                         handles.prefix, route);
+      world.node(world.prover).start_round(world.sim.transport(), 1,
+                                           handles.prefix);
+    });
+    world.sim.run();
+    EXPECT_EQ(altered, alter);
+    world.node(provider).finalize_round(handles.round_id(1));
+    return world.node(provider).evidence();
+  };
+  EXPECT_TRUE(run(/*alter=*/false).empty());
+  const std::vector<Evidence> found = run(/*alter=*/true);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found.front().kind, ViolationKind::kBadSignature);
+  EXPECT_EQ(found.front().detail, "provider reveal not a leaf of the signed root");
+}
+
 TEST(AggregatedBundleTest, OpeningRoundTripsOnWire) {
   const AggregatedWorld world = make_aggregated(5, 3);
   const AggregatedBundleMessage decoded =
@@ -293,18 +369,7 @@ TEST(AggregatedBundleTest, SaltsChangeSiblingDigests) {
                       .epoch = 1};
   std::map<bgp::AsNumber, std::optional<SignedMessage>> inputs;
   for (const bgp::AsNumber provider : {7u, 8u}) {
-    const InputAnnouncement announcement{
-        .id = id,
-        .provider = provider,
-        .route = bgp::Route{.prefix = id.prefix,
-                            .path = bgp::AsPath{provider},
-                            .next_hop = provider,
-                            .local_pref = 100,
-                            .med = 0,
-                            .origin = bgp::Origin::kIgp,
-                            .communities = {}}};
-    inputs[provider] = sign_message(provider, keys.private_keys.at(provider).priv,
-                                    announcement.encode());
+    inputs[provider] = signed_input(keys, id, provider, 1);
   }
   crypto::Drbg prover_rng(3, "agg-test-prover");
   const ProverResult result =
@@ -323,6 +388,71 @@ TEST(AggregatedBundleTest, SaltsChangeSiblingDigests) {
   for (std::size_t level = 0; level < a.proof.siblings.size(); ++level) {
     EXPECT_NE(a.proof.siblings[level], b.proof.siblings[level]) << level;
   }
+}
+
+// Confidentiality (§3.2): the signed root is gossiped to the whole
+// neighborhood and every proof repeats its leaf count and the leaf's index,
+// so the tree's shape must follow from the configured provider list alone.
+// Rounds in which three, one or no providers supplied a route, or in which
+// the prover skipped a reveal, give the same leaf count and the same index
+// for a given provider's reveal.
+TEST(AggregatedBundleTest, TreeShapeIsFixedByTheProviderList) {
+  crypto::Drbg key_rng(11, "agg-test-keys");
+  const AsKeyPairs keys = generate_keys({kProver, 7, 8, 9}, key_rng, 512);
+  const ProtocolId id{.prover = kProver,
+                      .prefix = bgp::Ipv4Prefix::parse("203.0.113.0/24"),
+                      .epoch = 1};
+  using Inputs = std::map<bgp::AsNumber, std::optional<SignedMessage>>;
+  const Inputs all{{7, signed_input(keys, id, 7, 2)},
+                   {8, signed_input(keys, id, 8, 3)},
+                   {9, signed_input(keys, id, 9, 1)}};
+  // Provider 8's route is longer than L = 4: outside the promise's domain.
+  const Inputs only_nine{{7, std::nullopt},
+                         {8, signed_input(keys, id, 8, 6)},
+                         {9, signed_input(keys, id, 9, 1)}};
+  const Inputs none{{7, std::nullopt}, {8, std::nullopt}, {9, std::nullopt}};
+  struct Shape {
+    std::uint32_t leaf_count = 0;
+    std::optional<std::uint32_t> index_of_nine;
+    std::size_t reveals = 0;
+  };
+  const auto shape = [&](const Inputs& inputs, const ProverMisbehavior& misbehavior) {
+    crypto::Drbg prover_rng(3, "agg-test-prover");
+    const ProverResult result =
+        run_prover(id, OperatorKind::kMinimum, inputs, 4, prover_rng, misbehavior);
+    crypto::Drbg salt_rng(1, "agg-test-salts");
+    const SignedWindow window =
+        seal_window(kProver, 1, 0, 0, std::span(&result, 1),
+                    keys.private_keys.at(kProver).priv, salt_rng)
+            .honest;
+    Shape out{.leaf_count = AggregatedBundle::decode(window.signed_root.payload)
+                                .leaf_count,
+              .index_of_nine = std::nullopt,
+              .reveals = window.rounds.front().provider_reveals.size()};
+    const auto& reveals = window.rounds.front().provider_reveals;
+    if (const auto it = reveals.find(9); it != reveals.end()) {
+      out.index_of_nine = it->second.proof.leaf_index;
+      EXPECT_EQ(it->second.proof.leaf_count, out.leaf_count);
+    }
+    return out;
+  };
+  const Shape full = shape(all, {});
+  const Shape sparse = shape(only_nine, {});
+  const Shape skipped = shape(all, {.skip_reveal_for = 7});
+  const Shape empty = shape(none, {});
+  // The reveals do differ: 3, 1, 2 and 0 providers are revealed to.
+  ASSERT_EQ(full.reveals, 3u);
+  ASSERT_EQ(sparse.reveals, 1u);
+  ASSERT_EQ(skipped.reveals, 2u);
+  ASSERT_EQ(empty.reveals, 0u);
+  // One bundle, three reveal slots, the recipient reveal and the export.
+  EXPECT_EQ(full.leaf_count, 6u);
+  EXPECT_EQ(sparse.leaf_count, full.leaf_count);
+  EXPECT_EQ(skipped.leaf_count, full.leaf_count);
+  EXPECT_EQ(empty.leaf_count, full.leaf_count);
+  ASSERT_TRUE(full.index_of_nine.has_value());
+  EXPECT_EQ(sparse.index_of_nine, full.index_of_nine);
+  EXPECT_EQ(skipped.index_of_nine, full.index_of_nine);
 }
 
 }  // namespace
