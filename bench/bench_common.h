@@ -6,9 +6,12 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "core/bundle_aggregation.h"
 #include "core/keys.h"
 #include "core/min_protocol.h"
 #include "core/pvr_speaker.h"
@@ -114,9 +117,19 @@ inline void emit_obs_snapshot(const char* bench_name) {
       .honest;
 }
 
+// The window root as one verifier accepts it. Every window a bench seals
+// is genuine, so a root that does not open is a harness bug.
+[[nodiscard]] inline core::VerifiedWindow open_sealed(
+    const core::KeyDirectory& directory, const core::SignedWindow& window) {
+  auto opened = core::open_window(directory.verify_context(), window.signed_root);
+  if (!opened) throw std::logic_error("bench: sealed window does not open");
+  return std::move(*opened);
+}
+
 // The canonical neighborhood check used by the experiment harnesses: every
 // announcing provider verifies its reveal, every recipient verifies the
-// reveal + export, all as leaves of one sealed round. One shared
+// reveal + export, all as leaves of one sealed round. Each verifier opens
+// the window root itself, as each node of a deployment does. One shared
 // definition keeps the sequential and engine-backed measurement paths
 // comparing identical work.
 [[nodiscard]] inline core::RoundFindings verify_neighborhood(
@@ -128,16 +141,15 @@ inline void emit_obs_snapshot(const char* bench_name) {
   for (const auto& [provider, announcement] : announcements) {
     const auto it = round.provider_reveals.find(provider);
     auto found = core::verify_as_provider(
-        directory, provider, announcement, window.signed_root, round.bundle,
+        provider, announcement, open_sealed(directory, window), round.bundle,
         it == round.provider_reveals.end() ? nullptr : &it->second);
     findings.evidence.insert(findings.evidence.end(), found.begin(),
                              found.end());
   }
   for (const bgp::AsNumber recipient : recipients) {
-    auto found = core::verify_as_recipient(directory, recipient,
-                                           window.signed_root, round.bundle,
-                                           &round.recipient_reveal,
-                                           &round.export_statement);
+    auto found = core::verify_as_recipient(
+        directory.verify_context(), recipient, open_sealed(directory, window),
+        round.bundle, &round.recipient_reveal, &round.export_statement);
     findings.evidence.insert(findings.evidence.end(), found.begin(),
                              found.end());
   }

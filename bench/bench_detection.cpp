@@ -97,8 +97,8 @@ struct Tally {
     std::vector<core::Evidence>& evidence = findings.evidence;
     if (sealed.variant.has_value()) {
       if (auto conflict = core::check_root_equivocation(
-              keys.directory.verify_context(), providers.front(),
-              sealed.honest.signed_root, sealed.variant->signed_root)) {
+              providers.front(), open_sealed(keys.directory, sealed.honest),
+              open_sealed(keys.directory, *sealed.variant))) {
         evidence.push_back(std::move(*conflict));
       }
     }

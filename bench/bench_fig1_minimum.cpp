@@ -52,9 +52,10 @@ void BM_Fig1_VerifyAsProvider(benchmark::State& state) {
   const core::SignedWindow::Round& round = window.rounds.front();
   const core::LeafOpening& reveal = round.provider_reveals.at(provider);
 
+  // The timed round includes the verifier opening the window root.
   for (auto _ : state) {
     const auto evidence = core::verify_as_provider(
-        instance.keys.directory, provider, own, window.signed_root,
+        provider, own, open_sealed(instance.keys.directory, window),
         round.bundle, &reveal);
     benchmark::DoNotOptimize(evidence);
   }
@@ -76,7 +77,8 @@ void BM_Fig1_VerifyAsRecipient(benchmark::State& state) {
 
   for (auto _ : state) {
     const auto evidence = core::verify_as_recipient(
-        instance.keys.directory, 2, window.signed_root, round.bundle,
+        instance.keys.directory.verify_context(), 2,
+        open_sealed(instance.keys.directory, window), round.bundle,
         &round.recipient_reveal, &round.export_statement);
     benchmark::DoNotOptimize(evidence);
   }

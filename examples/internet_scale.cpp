@@ -126,21 +126,32 @@ int main() {
 
   // 6. Verify as every participating neighbor.
   const auto t_verify = std::chrono::steady_clock::now();
+  // Each neighbor first accepts the window root itself; a root that does
+  // not open counts as a violation.
+  const core::VerifyContext& ctx = keys.directory.verify_context();
   std::size_t violations = 0;
   for (const auto& [provider, input] : inputs) {
     const auto announcement = core::InputAnnouncement::decode(input->payload);
     const auto it = round.provider_reveals.find(provider);
+    const auto opened = core::open_window(ctx, window.signed_root);
+    if (!opened) {
+      violations += 1;
+      continue;
+    }
     violations += core::verify_as_provider(
-                      keys.directory, provider, announcement, window.signed_root,
-                      round.bundle,
+                      provider, announcement, *opened, round.bundle,
                       it == round.provider_reveals.end() ? nullptr : &it->second)
                       .size();
   }
   // Every customer of the prover acts as a recipient B.
   for (const bgp::AsNumber customer : customers) {
     if (!keys.directory.contains(customer)) continue;
-    violations += core::verify_as_recipient(keys.directory, customer,
-                                            window.signed_root, round.bundle,
+    const auto opened = core::open_window(ctx, window.signed_root);
+    if (!opened) {
+      violations += 1;
+      continue;
+    }
+    violations += core::verify_as_recipient(ctx, customer, *opened, round.bundle,
                                             &round.recipient_reveal,
                                             &round.export_statement)
                       .size();

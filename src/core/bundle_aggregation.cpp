@@ -291,30 +291,34 @@ bool roots_conflict(const AggregatedBundle& a, const AggregatedBundle& b) {
                      [&](const bgp::Ipv4Prefix& prefix) { return b.covers(prefix); });
 }
 
-std::optional<Evidence> check_root_equivocation(const VerifyContext& ctx,
-                                                bgp::AsNumber reporter,
-                                                const SignedMessage& first,
-                                                const SignedMessage& second) {
-  if (!ctx.verify(first) || !ctx.verify(second)) {
-    return std::nullopt;
-  }
-  if (first.signer != second.signer) return std::nullopt;
-  AggregatedBundle a;
-  AggregatedBundle b;
+std::optional<VerifiedWindow> open_window(const VerifyContext& ctx,
+                                          const SignedMessage& signed_root) {
+  // Decode first: a malformed or misattributed root is rejected before it
+  // costs an RSA verify.
+  AggregatedBundle root;
   try {
-    a = AggregatedBundle::decode(first.payload);
-    b = AggregatedBundle::decode(second.payload);
+    root = AggregatedBundle::decode(signed_root.payload);
   } catch (const std::out_of_range&) {
     return std::nullopt;
   }
-  if (a.prover != first.signer || b.prover != second.signer) return std::nullopt;
+  if (root.prover != signed_root.signer || !ctx.verify(signed_root)) {
+    return std::nullopt;
+  }
+  return VerifiedWindow(signed_root, std::move(root));
+}
+
+std::optional<Evidence> check_root_equivocation(bgp::AsNumber reporter,
+                                                const VerifiedWindow& first,
+                                                const VerifiedWindow& second) {
+  const AggregatedBundle& a = first.root();
+  const AggregatedBundle& b = second.root();
   if (!roots_conflict(a, b)) return std::nullopt;
   return Evidence{
       .kind = ViolationKind::kEquivocation,
-      .accused = first.signer,
+      .accused = a.prover,
       .reporter = reporter,
       .index = 0,
-      .messages = {first, second},
+      .messages = {first.signed_root(), second.signed_root()},
       .leaves = {},
       .detail = a.batch == b.batch
                     ? "two conflicting signed bundle roots for one aggregation window"

@@ -19,6 +19,10 @@
 // bundle per round: two bundles for one round always mean two signed
 // roots, and check_root_equivocation is the only equivocation proof.
 //
+// A verifier accepts a signed root in one place, open_window, and from
+// then on holds the VerifiedWindow it returns: every later check on that
+// window is hashing and comparing, with no signature verify or decode.
+//
 // Wire formats are specified in DESIGN.md §"Engine".
 #pragma once
 
@@ -26,6 +30,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/evidence.h"
@@ -128,6 +133,35 @@ struct SealedWindow {
                                        const crypto::RsaPrivateKey& key,
                                        crypto::Drbg& rng);
 
+class VerifiedWindow;
+
+// The one acceptance rule for a signed window root: the payload decodes as
+// an AggregatedBundle, its prover is the signer, and the signature
+// verifies. Returns nullopt for anything else.
+[[nodiscard]] std::optional<VerifiedWindow> open_window(
+    const VerifyContext& ctx, const SignedMessage& signed_root);
+
+// A signed window root that open_window accepted, with its decoded
+// statement. open_window is the only way to make one. It is immutable, so
+// a verifier shares one instance across every round the window claims and
+// with the engine workers that check those rounds.
+class VerifiedWindow {
+ public:
+  [[nodiscard]] const SignedMessage& signed_root() const noexcept {
+    return signed_root_;
+  }
+  [[nodiscard]] const AggregatedBundle& root() const noexcept { return root_; }
+
+ private:
+  friend std::optional<VerifiedWindow> open_window(const VerifyContext&,
+                                                   const SignedMessage&);
+  VerifiedWindow(SignedMessage signed_root, AggregatedBundle root)
+      : signed_root_(std::move(signed_root)), root_(std::move(root)) {}
+
+  SignedMessage signed_root_;
+  AggregatedBundle root_;
+};
+
 // The shared conflict predicate behind both evidence creation
 // (check_root_equivocation) and third-party validation (Auditor): two
 // content-distinct statements by one prover for one epoch conflict when
@@ -135,13 +169,14 @@ struct SealedWindow {
 [[nodiscard]] bool roots_conflict(const AggregatedBundle& a,
                                   const AggregatedBundle& b);
 
-// Two verifiably signed, content-distinct roots for the same
-// (prover, epoch) prove equivocation when they either belong to the same
-// batch window or both claim a common prefix (the same round committed in
-// two windows — the batch-split evasion). The evidence is the two signed
-// root envelopes, validatable by core::Auditor.
+// Two content-distinct windows of the same (prover, epoch) prove
+// equivocation when they either belong to the same batch or both claim a
+// common prefix (the same round committed in two windows — the
+// batch-split evasion). Both windows are already verified, so this only
+// compares. The evidence is the two signed root envelopes, validatable by
+// core::Auditor.
 [[nodiscard]] std::optional<Evidence> check_root_equivocation(
-    const VerifyContext& ctx, bgp::AsNumber reporter,
-    const SignedMessage& first, const SignedMessage& second);
+    bgp::AsNumber reporter, const VerifiedWindow& first,
+    const VerifiedWindow& second);
 
 }  // namespace pvr::core

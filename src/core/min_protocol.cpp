@@ -363,38 +363,18 @@ namespace {
   return evidence;
 }
 
-// The round's signed window statement and its bundle leaf, both checked:
-// the root signature (a cache hit after the window's first verify), the
-// statement's signer, and the bundle's inclusion. Appends evidence and
-// returns nullopt on failure.
-struct CheckedBundle {
-  AggregatedBundle root;
-  CommitmentBundle bundle;
-};
-
-[[nodiscard]] std::optional<CheckedBundle> checked_bundle(
-    const VerifyContext& ctx, bgp::AsNumber reporter,
-    const SignedMessage& signed_root, const LeafOpening& bundle_leaf,
-    std::vector<Evidence>& out) {
-  const auto fail = [&](const char* detail) {
-    out.push_back(make_evidence(ViolationKind::kBadSignature, signed_root.signer,
-                                reporter, detail));
-    return std::nullopt;
-  };
-  if (!ctx.verify(signed_root)) return fail("window root signature invalid");
-  CheckedBundle checked;
-  try {
-    checked.root = AggregatedBundle::decode(signed_root.payload);
-  } catch (const std::out_of_range&) {
-    return fail("window root malformed");
+// The round's bundle, opened under its window's root. Appends evidence and
+// returns nullopt when the leaf does not open.
+[[nodiscard]] std::optional<CommitmentBundle> checked_bundle(
+    bgp::AsNumber reporter, const VerifiedWindow& window,
+    const LeafOpening& bundle_leaf, std::vector<Evidence>& out) {
+  auto bundle = open_leaf<CommitmentBundle>(window.root(), bundle_leaf);
+  if (!bundle) {
+    out.push_back(make_evidence(ViolationKind::kBadSignature,
+                                window.signed_root().signer, reporter,
+                                "commitment bundle not a leaf of the signed root"));
   }
-  if (checked.root.prover != signed_root.signer) {
-    return fail("window root prover != signer");
-  }
-  auto bundle = open_leaf<CommitmentBundle>(checked.root, bundle_leaf);
-  if (!bundle) return fail("commitment bundle not a leaf of the signed root");
-  checked.bundle = std::move(*bundle);
-  return checked;
+  return bundle;
 }
 
 [[nodiscard]] bool opened_bit(const crypto::CommitmentOpening& opening) {
@@ -404,14 +384,14 @@ struct CheckedBundle {
 }  // namespace
 
 std::vector<Evidence> verify_as_provider(
-    const VerifyContext& ctx, bgp::AsNumber self,
-    const std::optional<InputAnnouncement>& own_input,
-    const SignedMessage& signed_root, const LeafOpening& bundle_leaf,
+    bgp::AsNumber self, const std::optional<InputAnnouncement>& own_input,
+    const VerifiedWindow& window, const LeafOpening& bundle_leaf,
     const LeafOpening* reveal) {
   std::vector<Evidence> out;
-  const auto checked = checked_bundle(ctx, self, signed_root, bundle_leaf, out);
+  const auto checked = checked_bundle(self, window, bundle_leaf, out);
   if (!checked) return out;
-  const CommitmentBundle& bundle = checked->bundle;
+  const CommitmentBundle& bundle = *checked;
+  const SignedMessage& signed_root = window.signed_root();
   const bgp::AsNumber prover = bundle.id.prover;
 
   if (!own_input.has_value()) return out;  // provided nothing: nothing to check
@@ -429,7 +409,7 @@ std::vector<Evidence> verify_as_provider(
                                 "no reveal received for provided route"));
     return out;
   }
-  const auto decoded = open_leaf<RevealToProvider>(checked->root, *reveal);
+  const auto decoded = open_leaf<RevealToProvider>(window.root(), *reveal);
   if (!decoded) {
     out.push_back(make_evidence(ViolationKind::kBadSignature, prover, self,
                                 "provider reveal not a leaf of the signed root"));
@@ -462,14 +442,15 @@ std::vector<Evidence> verify_as_provider(
 
 std::vector<Evidence> verify_as_recipient(const VerifyContext& ctx,
                                           bgp::AsNumber self,
-                                          const SignedMessage& signed_root,
+                                          const VerifiedWindow& window,
                                           const LeafOpening& bundle_leaf,
                                           const LeafOpening* recipient_reveal,
                                           const LeafOpening* export_statement) {
   std::vector<Evidence> out;
-  const auto checked = checked_bundle(ctx, self, signed_root, bundle_leaf, out);
+  const auto checked = checked_bundle(self, window, bundle_leaf, out);
   if (!checked) return out;
-  const CommitmentBundle& bundle = checked->bundle;
+  const CommitmentBundle& bundle = *checked;
+  const SignedMessage& signed_root = window.signed_root();
   const bgp::AsNumber prover = bundle.id.prover;
 
   if (recipient_reveal == nullptr || export_statement == nullptr) {
@@ -477,8 +458,8 @@ std::vector<Evidence> verify_as_recipient(const VerifyContext& ctx,
                                 "recipient reveal or export statement missing"));
     return out;
   }
-  const auto reveal = open_leaf<RevealToRecipient>(checked->root, *recipient_reveal);
-  const auto statement = open_leaf<ExportStatement>(checked->root, *export_statement);
+  const auto reveal = open_leaf<RevealToRecipient>(window.root(), *recipient_reveal);
+  const auto statement = open_leaf<ExportStatement>(window.root(), *export_statement);
   if (!reveal || !statement) {
     out.push_back(make_evidence(ViolationKind::kBadSignature, prover, self,
                                 "recipient-side leaf not under the signed root"));
@@ -578,27 +559,6 @@ std::vector<Evidence> verify_as_recipient(const VerifyContext& ctx,
         "bits claim a route exists but none was exported"));
   }
   return out;
-}
-
-// ---- KeyDirectory convenience wrappers ----
-
-std::vector<Evidence> verify_as_provider(
-    const KeyDirectory& directory, bgp::AsNumber self,
-    const std::optional<InputAnnouncement>& own_input,
-    const SignedMessage& signed_root, const LeafOpening& bundle,
-    const LeafOpening* reveal) {
-  return verify_as_provider(directory.verify_context(), self, own_input,
-                            signed_root, bundle, reveal);
-}
-
-std::vector<Evidence> verify_as_recipient(const KeyDirectory& directory,
-                                          bgp::AsNumber self,
-                                          const SignedMessage& signed_root,
-                                          const LeafOpening& bundle,
-                                          const LeafOpening* recipient_reveal,
-                                          const LeafOpening* export_statement) {
-  return verify_as_recipient(directory.verify_context(), self, signed_root,
-                             bundle, recipient_reveal, export_statement);
 }
 
 }  // namespace pvr::core

@@ -45,6 +45,8 @@
 
 namespace pvr::core {
 
+class VerifiedWindow;  // bundle_aggregation.h
+
 enum class OperatorKind : std::uint8_t { kExistential = 0, kMinimum = 1 };
 
 // Identifies one protocol round. Totally ordered (prover, prefix, epoch)
@@ -181,39 +183,25 @@ struct ProverResult {
 
 // ---- Verifiers (each returns the violations it detected) ----
 //
-// Every prover statement arrives as a LeafOpening under `signed_root`, the
-// prover-signed AggregatedBundle of the round's window. Each check verifies
-// that root's signature (one RSA verify per window once the VerifyContext
-// caches verdicts) and each leaf's inclusion with hashes only.
-//
-// Each check exists in two flavors: the VerifyContext one (the engine /
-// world-shared path, amortized per-key precompute plus the optional
-// verdict cache) and a KeyDirectory convenience wrapper that forwards to
-// directory.verify_context(). Verdicts are identical by construction.
+// Every prover statement arrives as a LeafOpening under `window`, the
+// round's window root as open_window (bundle_aggregation.h) accepted it.
+// The root's signature is therefore already checked; these checks open
+// each leaf with hashes only.
 
 // Ni-side checks (§3.2 condition 2 / §3.3 condition 3). `own_input` is what
 // the provider actually sent this round; `reveal` is the RevealToProvider
 // leaf received from the prover (nullptr if none arrived).
 [[nodiscard]] std::vector<Evidence> verify_as_provider(
-    const VerifyContext& ctx, bgp::AsNumber self,
-    const std::optional<InputAnnouncement>& own_input,
-    const SignedMessage& signed_root, const LeafOpening& bundle,
-    const LeafOpening* reveal);
-[[nodiscard]] std::vector<Evidence> verify_as_provider(
-    const KeyDirectory& directory, bgp::AsNumber self,
-    const std::optional<InputAnnouncement>& own_input,
-    const SignedMessage& signed_root, const LeafOpening& bundle,
+    bgp::AsNumber self, const std::optional<InputAnnouncement>& own_input,
+    const VerifiedWindow& window, const LeafOpening& bundle,
     const LeafOpening* reveal);
 
-// B-side checks (§3.2 condition 1 plus the §3.3 bit-vector checks).
+// B-side checks (§3.2 condition 1 plus the §3.3 bit-vector checks). `ctx`
+// verifies the export's provenance, the winning provider's signed input.
 [[nodiscard]] std::vector<Evidence> verify_as_recipient(
-    const VerifyContext& ctx, bgp::AsNumber self,
-    const SignedMessage& signed_root, const LeafOpening& bundle,
-    const LeafOpening* recipient_reveal, const LeafOpening* export_statement);
-[[nodiscard]] std::vector<Evidence> verify_as_recipient(
-    const KeyDirectory& directory, bgp::AsNumber self,
-    const SignedMessage& signed_root, const LeafOpening& bundle,
-    const LeafOpening* recipient_reveal, const LeafOpening* export_statement);
+    const VerifyContext& ctx, bgp::AsNumber self, const VerifiedWindow& window,
+    const LeafOpening& bundle, const LeafOpening* recipient_reveal,
+    const LeafOpening* export_statement);
 
 // Honest-bit computation (exposed for tests and benches): bits_of returns
 // b_1..b_L for the given input routes.

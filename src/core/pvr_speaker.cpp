@@ -12,11 +12,6 @@ namespace pvr::core {
 
 namespace {
 
-// Max equivocation-pair checks defer_finalize_checks folds into one engine
-// task. A round with R observed roots has R(R-1)/2 pair checks, and one
-// task per pair would explode the engine task count.
-constexpr std::size_t kFinalizeChunkPairs = 32;
-
 // Gossip payloads carry a 1-byte relay hop count ahead of the signed
 // envelope so the flood is bounded by PvrConfig::gossip_hop_budget.
 [[nodiscard]] std::vector<std::uint8_t> wrap_hops(
@@ -44,18 +39,6 @@ struct UnwrappedGossip {
   } catch (const std::out_of_range&) {
     return std::nullopt;
   }
-}
-
-// Appends `envelope` to `store` unless an identical payload is already
-// present. Returns true when the envelope is new.
-bool remember_distinct(std::vector<SignedMessage>& store,
-                       const SignedMessage& envelope) {
-  const bool is_new =
-      std::none_of(store.begin(), store.end(), [&](const SignedMessage& seen) {
-        return seen.payload == envelope.payload;
-      });
-  if (is_new) store.push_back(envelope);
-  return is_new;
 }
 
 }  // namespace
@@ -251,54 +234,44 @@ void PvrNode::run_prover_batch(net::Transport& sim, std::uint64_t epoch,
 }
 
 void PvrNode::observe_root(net::Transport& sim, const SignedMessage& signed_root,
-                           bgp::AsNumber origin, std::uint8_t hops) {
-  AggregatedBundle root;
-  try {
-    root = AggregatedBundle::decode(signed_root.payload);
-  } catch (const std::out_of_range&) {
-    return;
-  }
-  if (root.prover != config_.prover || signed_root.signer != config_.prover) {
-    return;
-  }
-  // Dedup BEFORE the signature check: every relayed/replayed copy of an
-  // already-seen root costs one digest lookup instead of an RSA verify (a
-  // mesh of V verifiers delivers each root O(V) times). The first copy of
-  // a payload still has to prove itself — a forged root (claimed signer,
-  // garbage signature) is dropped before it can enter the dedup set,
-  // pollute round state, or get relayed onward. The lookup must not create
-  // the per-epoch map entry either: seen_roots_ is pruned only by
-  // gc_epoch_roots, which retires the epochs of settled rounds, so an entry
-  // for an attacker-chosen epoch would grow memory on unverified traffic
-  // and never be retired.
-  const RootKey key{root.prover, root.epoch};
+                           bgp::AsNumber origin, std::uint8_t hops,
+                           std::shared_ptr<const VerifiedWindow> window) {
+  if (signed_root.signer != config_.prover) return;
+  // Dedup BEFORE decoding or verifying: every relayed/replayed copy of an
+  // already-seen root costs one hash and one lookup (a mesh of V verifiers
+  // delivers each root O(V) times). The first copy of a payload still has
+  // to open — a forged root (claimed signer, garbage signature) is dropped
+  // before it can enter the dedup, pollute round state, or get relayed
+  // onward, so seen_roots_, which only gc_epoch_roots prunes, never grows
+  // on unverified traffic.
   const crypto::Digest digest = crypto::sha256(std::span(signed_root.payload));
-  const auto seen_it = seen_roots_.find(key);
-  if (seen_it != seen_roots_.end() && seen_it->second.contains(digest)) {
+  if (seen_roots_.contains(digest)) {
     PVR_OBS_COUNT(crypto_sig_cache_hits, 1);
     return;
   }
-  if (!config_.verify_context().verify(signed_root)) return;
-  if (seen_roots_[key].insert(digest).second) {
-    seen_root_digests_ += 1;
-    peak_seen_root_digests_ =
-        std::max(peak_seen_root_digests_, seen_root_digests_);
+  if (window == nullptr) {
+    auto opened = open_window(config_.verify_context(), signed_root);
+    if (!opened) return;
+    window = std::make_shared<const VerifiedWindow>(std::move(*opened));
   }
-  attach_root(signed_root, root);
+  const AggregatedBundle& root = window->root();
+  seen_roots_.emplace(digest, RootKey{root.prover, root.epoch});
+  peak_seen_root_digests_ = std::max(peak_seen_root_digests_, seen_roots_.size());
+  attach_root(window);
   if (hops < config_.gossip_hop_budget) {
+    // One encoding serves every peer: the relayed bytes are the same.
+    const std::vector<std::uint8_t> relayed =
+        wrap_hops(static_cast<std::uint8_t>(hops + 1), signed_root.encode());
     for (const bgp::AsNumber peer : gossip_peers()) {
       if (peer == origin) continue;
       if (sim.connected(config_.asn, peer)) {
-        send(sim, peer, kGossipRootChannel,
-             wrap_hops(static_cast<std::uint8_t>(hops + 1),
-                       signed_root.encode()));
+        send(sim, peer, kGossipRootChannel, relayed);
       }
     }
   }
 }
 
-void PvrNode::attach_root(const SignedMessage& signed_root,
-                          const AggregatedBundle& root) {
+void PvrNode::attach_root(const std::shared_ptr<const VerifiedWindow>& window) {
   // Attach to the round of every prefix this window claims. The signed
   // prefix list names those rounds exactly, so each is one map lookup —
   // with thousands of simultaneously open rounds per node this must never
@@ -308,32 +281,28 @@ void PvrNode::attach_root(const SignedMessage& signed_root,
   // witnessed root conflict is provable at finalize without any deferred
   // scan — the old finalize-time walk over every root the epoch ever saw
   // was O(windows) per round and unusable on long traces.
+  const AggregatedBundle& root = window->root();
   for (const bgp::Ipv4Prefix& prefix : root.prefixes) {
     const ProtocolId id{
         .prover = root.prover, .prefix = prefix, .epoch = root.epoch};
-    remember_distinct(round_state(id).observed_roots, signed_root);
+    round_state(id).observed_windows.push_back(window);
   }
 }
 
 void PvrNode::open_aggregated(net::Transport& sim,
                               const AggregatedBundleMessage& message,
                               bgp::AsNumber origin) {
-  AggregatedBundle root;
-  try {
-    root = AggregatedBundle::decode(message.signed_root.payload);
-  } catch (const std::out_of_range&) {
-    return;
-  }
-  if (root.prover != config_.prover) return;
-  if (!config_.verify_context().verify(message.signed_root)) return;
-  const auto shared_root = std::make_shared<const SignedMessage>(message.signed_root);
+  auto opened = open_window(config_.verify_context(), message.signed_root);
+  if (!opened) return;
+  const auto window = std::make_shared<const VerifiedWindow>(std::move(*opened));
+  const AggregatedBundle& root = window->root();
   // Rounds whose bundle leaf THIS message delivered first: only their other
   // leaves are taken from it, so a round's leaves all hang off one root.
   // Leaves are filed by what they claim; the one inclusion check of each
   // runs at finalize (verify_as_provider / verify_as_recipient), and a
   // leaf that fails it is reported there against the root's signer, the
   // only node that can send on this channel.
-  std::set<ProtocolId> opened;
+  std::set<ProtocolId> opened_rounds;
   for (const LeafOpening& opening : message.openings) {
     switch (opening.leaf.kind) {
       case LeafKind::kBundle: {
@@ -341,15 +310,15 @@ void PvrNode::open_aggregated(net::Transport& sim,
         if (!bundle) break;
         RoundState& round = round_state(bundle->id);
         if (round.bundle.has_value()) break;
-        round.root = shared_root;
+        round.window = window;
         round.bundle = opening;
-        opened.insert(bundle->id);
+        opened_rounds.insert(bundle->id);
         break;
       }
       case LeafKind::kProviderReveal: {
         const auto reveal = decode_leaf<RevealToProvider>(root, opening);
         if (!reveal || reveal->provider != config_.asn ||
-            !opened.contains(reveal->id)) {
+            !opened_rounds.contains(reveal->id)) {
           break;
         }
         round_state(reveal->id).provider_reveal = opening;
@@ -357,19 +326,19 @@ void PvrNode::open_aggregated(net::Transport& sim,
       }
       case LeafKind::kRecipientReveal: {
         const auto reveal = decode_leaf<RevealToRecipient>(root, opening);
-        if (!reveal || !opened.contains(reveal->id)) break;
+        if (!reveal || !opened_rounds.contains(reveal->id)) break;
         round_state(reveal->id).recipient_reveal = opening;
         break;
       }
       case LeafKind::kExport: {
         const auto statement = decode_leaf<ExportStatement>(root, opening);
-        if (!statement || !opened.contains(statement->id)) break;
+        if (!statement || !opened_rounds.contains(statement->id)) break;
         round_state(statement->id).export_statement = opening;
         break;
       }
     }
   }
-  observe_root(sim, message.signed_root, origin, 0);
+  observe_root(sim, message.signed_root, origin, 0, window);
 }
 
 void PvrNode::on_message(net::Transport& sim, const net::Message& message) {
@@ -415,42 +384,20 @@ void PvrNode::on_message(net::Transport& sim, const net::Message& message) {
   }
 }
 
-void fold_round_findings(RoundFindings& into, RoundFindings part) {
-  into.evidence.insert(into.evidence.end(),
-                       std::make_move_iterator(part.evidence.begin()),
-                       std::make_move_iterator(part.evidence.end()));
-  into.signatures_verified += part.signatures_verified;
-  if (part.accepted.has_value()) into.accepted = std::move(part.accepted);
-}
-
-std::vector<PvrNode::RoundCheckPart> PvrNode::enumerate_round_checks(
-    const RoundState& round) {
-  std::vector<RoundCheckPart> parts;
-  for (std::size_t i = 0; i + 1 < round.observed_roots.size(); ++i) {
-    for (std::size_t j = i + 1; j < round.observed_roots.size(); ++j) {
-      parts.push_back({.kind = RoundCheckPart::Kind::kRootPair, .i = i, .j = j});
-    }
-  }
-  parts.push_back({.kind = RoundCheckPart::Kind::kRole});
-  return parts;
-}
-
-RoundFindings PvrNode::run_round_check(const PvrConfig& config,
-                                       const RoundState& round,
-                                       const RoundCheckPart& part) {
+RoundFindings PvrNode::check_round(const PvrConfig& config,
+                                   const RoundState& round) {
   RoundFindings findings;
-
-  if (part.kind == RoundCheckPart::Kind::kRootPair) {
-    // Conflicting signed roots for this round's window are equivocation:
-    // one root commits to one bundle per round, so this is also how two
-    // bundles for the round surface.
-    findings.signatures_verified += 2;
-    if (auto conflict = check_root_equivocation(config.verify_context(), config.asn,
-                                                round.observed_roots[part.i],
-                                                round.observed_roots[part.j])) {
-      findings.evidence.push_back(std::move(*conflict));
+  // Conflicting windows for this round are equivocation: one root commits
+  // to one bundle per round, so this is also how two bundles for the round
+  // surface. Both windows are verified already; each pair is a compare.
+  const auto& windows = round.observed_windows;
+  for (std::size_t i = 0; i + 1 < windows.size(); ++i) {
+    for (std::size_t j = i + 1; j < windows.size(); ++j) {
+      if (auto conflict =
+              check_root_equivocation(config.asn, *windows[i], *windows[j])) {
+        findings.evidence.push_back(std::move(*conflict));
+      }
     }
-    return findings;
   }
 
   if (!round.bundle.has_value()) {
@@ -469,19 +416,16 @@ RoundFindings PvrNode::run_round_check(const PvrConfig& config,
     return findings;
   }
 
-  // Every leaf hangs off one signed root: one signature check per role.
-  findings.signatures_verified += 1;
   const auto leaf = [](const std::optional<LeafOpening>& slot) {
     return slot.has_value() ? &*slot : nullptr;
   };
   if (config.role == PvrRole::kProvider) {
-    auto found = verify_as_provider(config.verify_context(), config.asn,
-                                    round.own_input, *round.root, *round.bundle,
-                                    leaf(round.provider_reveal));
+    auto found = verify_as_provider(config.asn, round.own_input, *round.window,
+                                    *round.bundle, leaf(round.provider_reveal));
     findings.evidence.insert(findings.evidence.end(), found.begin(), found.end());
   } else if (config.role == PvrRole::kRecipient) {
     auto found = verify_as_recipient(config.verify_context(), config.asn,
-                                     *round.root, *round.bundle,
+                                     *round.window, *round.bundle,
                                      leaf(round.recipient_reveal),
                                      leaf(round.export_statement));
     findings.evidence.insert(findings.evidence.end(), found.begin(), found.end());
@@ -496,18 +440,6 @@ RoundFindings PvrNode::run_round_check(const PvrConfig& config,
   return findings;
 }
 
-RoundFindings PvrNode::check_round(const PvrConfig& config,
-                                   const RoundState& round) {
-  // The sequential path IS the split path folded in enumeration order —
-  // identical code on both sides is what makes the engine's intra-round
-  // reduction byte-identical to this by construction.
-  RoundFindings findings;
-  for (const RoundCheckPart& part : enumerate_round_checks(round)) {
-    fold_round_findings(findings, run_round_check(config, round, part));
-  }
-  return findings;
-}
-
 void PvrNode::finalize_round(const ProtocolId& id) {
   RoundState& round = round_state(id);
   if (round.finalized) return;
@@ -515,42 +447,17 @@ void PvrNode::finalize_round(const ProtocolId& id) {
   apply_round_findings(id, check_round(config_, round));
 }
 
-std::optional<DeferredRoundChecks> PvrNode::defer_finalize_checks(
+std::function<RoundFindings()> PvrNode::defer_finalize_checks(
     const ProtocolId& id) {
   RoundState& round = round_state(id);
-  if (round.finalized) return std::nullopt;
+  if (round.finalized) return {};
   round.finalized = true;
-
-  // One immutable snapshot shared by every check closure: the parts only
-  // ever read it, so they can run on any workers concurrently. Pair checks
-  // are grouped into chunks of at most kFinalizeChunkPairs (never mixing
-  // kinds, so enumeration order survives), and each chunk folds its parts
-  // in enumeration order, so the engine's per-round reduction is
-  // byte-identical to check_round.
-  const auto snapshot = std::make_shared<const RoundState>(round);
-  const std::vector<RoundCheckPart> parts = enumerate_round_checks(*snapshot);
-  DeferredRoundChecks deferred{.id = id, .checks = {}};
-  std::size_t begin = 0;
-  while (begin < parts.size()) {
-    std::size_t end = begin + 1;
-    if (parts[begin].kind != RoundCheckPart::Kind::kRole) {
-      while (end < parts.size() && parts[end].kind == parts[begin].kind &&
-             end - begin < kFinalizeChunkPairs) {
-        ++end;
-      }
-    }
-    std::vector<RoundCheckPart> slice(parts.begin() + begin, parts.begin() + end);
-    deferred.checks.push_back(
-        [config = &config_, snapshot, slice = std::move(slice)]() {
-          RoundFindings findings;
-          for (const RoundCheckPart& part : slice) {
-            fold_round_findings(findings, run_round_check(*config, *snapshot, part));
-          }
-          return findings;
-        });
-    begin = end;
-  }
-  return deferred;
+  // The closure checks its own copy of the round, so the simulator can keep
+  // mutating live state while a worker runs it. The copy shares the
+  // immutable windows rather than duplicating them.
+  return [config = &config_, snapshot = round] {
+    return check_round(*config, snapshot);
+  };
 }
 
 void PvrNode::apply_round_findings(const ProtocolId& id, RoundFindings findings) {
@@ -575,12 +482,20 @@ bool PvrNode::gc_finalized(const ProtocolId& id) {
 }
 
 bool PvrNode::gc_epoch_roots(bgp::AsNumber prover, std::uint64_t epoch) {
-  const auto it = seen_roots_.find(RootKey{prover, epoch});
-  if (it == seen_roots_.end()) return false;
-  seen_root_digests_ -= it->second.size();
-  seen_roots_.erase(it);
+  const RootKey key{prover, epoch};
+  if (std::erase_if(seen_roots_, [&](const auto& seen) {
+        return seen.second == key;
+      }) == 0) {
+    return false;
+  }
   PVR_OBS_COUNT(node_root_epochs_gced, 1);
   return true;
+}
+
+std::size_t PvrNode::seen_root_epochs() const {
+  std::set<RootKey> epochs;
+  for (const auto& seen : seen_roots_) epochs.insert(seen.second);
+  return epochs.size();
 }
 
 std::optional<bgp::Route> PvrNode::accepted_route(const ProtocolId& id) const {

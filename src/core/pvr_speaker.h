@@ -87,24 +87,7 @@ struct PvrConfig {
 struct RoundFindings {
   std::vector<Evidence> evidence;
   std::optional<bgp::Route> accepted;  // recipient-side accepted route
-  std::uint64_t signatures_verified = 0;
 };
-
-// One round's checks split at check granularity: each closure runs one
-// root-equivocation pair or the role checks over a shared immutable
-// snapshot, so the engine can spread a single round's work across
-// workers. Folding the partial findings in vector order with
-// fold_round_findings reproduces finalize_round byte-for-byte (the split
-// preserves the sequential check order: root pairs, then the role checks).
-struct DeferredRoundChecks {
-  ProtocolId id;
-  std::vector<std::function<RoundFindings()>> checks;
-};
-
-// Deterministic reducer for split round checks: evidence concatenates in
-// fold order, signature counts add, and the role check's accepted route
-// wins (it is the only part that sets one).
-void fold_round_findings(RoundFindings& into, RoundFindings part);
 
 // Prover-side notification that one collection window just fired: the
 // epoch and the prefixes whose rounds were run and fanned out as one
@@ -148,13 +131,12 @@ class PvrNode : public net::Node {
   void finalize_round(const ProtocolId& id);
 
   // Engine-backed finalize: packages the checks for round `id` as one
-  // closure per check part over a shared snapshot (see
-  // DeferredRoundChecks), safe to run on worker threads, and marks the
-  // round finalized so a later finalize_round is a no-op. Returns nullopt
-  // if the round is already finalized. The engine folds the partial
-  // findings back together in order and delivers them via
-  // apply_round_findings exactly once per round.
-  [[nodiscard]] std::optional<DeferredRoundChecks> defer_finalize_checks(
+  // closure over a copy of the round's state, safe to run on a worker
+  // thread, and marks the round finalized so a later finalize_round is a
+  // no-op. Returns an empty function if the round is already finalized.
+  // The closure computes exactly what finalize_round would; the engine
+  // delivers its findings via apply_round_findings.
+  [[nodiscard]] std::function<RoundFindings()> defer_finalize_checks(
       const ProtocolId& id);
 
   // Delivers the outcome of a deferred round back into this node's evidence
@@ -174,7 +156,7 @@ class PvrNode : public net::Node {
   // the round's state was released.
   bool gc_finalized(const ProtocolId& id);
 
-  // Epoch-keyed GC of the verified-root dedup sets (the last unbounded
+  // Epoch-keyed GC of the verified-root dedup (the last unbounded
   // per-window residual): releases every seen-root digest of
   // (prover, epoch) at once. Only safe when the CALLER knows the epoch has
   // fully settled — every one of its rounds past the settle horizon, which
@@ -186,14 +168,12 @@ class PvrNode : public net::Node {
   // when the epoch held digests.
   bool gc_epoch_roots(bgp::AsNumber prover, std::uint64_t epoch);
 
-  // Root-dedup footprint: epochs currently holding digest sets, digests
-  // held across them, and the high-water digest count since construction —
-  // the numbers the epoch-GC test bounds by open epochs on a long trace.
-  [[nodiscard]] std::size_t seen_root_epochs() const noexcept {
-    return seen_roots_.size();
-  }
+  // Root-dedup footprint: epochs currently holding digests, digests held
+  // across them, and the high-water digest count since construction — the
+  // numbers the epoch-GC test bounds by open epochs on a long trace.
+  [[nodiscard]] std::size_t seen_root_epochs() const;
   [[nodiscard]] std::size_t seen_root_digests() const noexcept {
-    return seen_root_digests_;
+    return seen_roots_.size();
   }
   [[nodiscard]] std::size_t peak_seen_root_digests() const noexcept {
     return peak_seen_root_digests_;
@@ -241,63 +221,47 @@ class PvrNode : public net::Node {
 
  private:
   struct RoundState {
-    // The signed root of the first window message that delivered this
-    // round's bundle leaf, and the round's leaves from that same message.
-    std::shared_ptr<const SignedMessage> root;
+    // The window whose message first delivered this round's bundle leaf,
+    // and the round's leaves from that same message.
+    std::shared_ptr<const VerifiedWindow> window;
     std::optional<LeafOpening> bundle;
     std::optional<LeafOpening> provider_reveal;    // reveal addressed to us
     std::optional<LeafOpening> recipient_reveal;
     std::optional<LeafOpening> export_statement;
     std::optional<InputAnnouncement> own_input;    // what we provided
-    // Every distinct signed root observed whose window claims this round's
-    // prefix. Two entries prove equivocation: one root commits to exactly
-    // one bundle per round, so two bundles always mean two roots.
-    std::vector<SignedMessage> observed_roots;
+    // Every verified window whose signed prefix list claims this round, in
+    // arrival order. The node's root dedup attaches each distinct root
+    // once, and the round shares the window with every other round it
+    // claims. Two conflicting entries prove equivocation: one root commits
+    // to exactly one bundle per round, so two bundles always mean two
+    // roots.
+    std::vector<std::shared_ptr<const VerifiedWindow>> observed_windows;
     bool finalized = false;
   };
 
-  // Roots are deduplicated per (prover, epoch); batch/window identity lives
-  // inside the signed statements themselves.
-  using RootKey = std::pair<bgp::AsNumber, std::uint64_t>;
-
-  // One independently runnable slice of a round's checks. The enumeration
-  // order (all root pairs, then the role checks) is the canonical
-  // sequential order; both check_round and the engine's reducer fold
-  // partial findings in exactly this order.
-  struct RoundCheckPart {
-    enum class Kind : std::uint8_t { kRootPair, kRole };
-    Kind kind = Kind::kRole;
-    std::size_t i = 0;  // pair indices into observed_roots
-    std::size_t j = 0;
-  };
-  [[nodiscard]] static std::vector<RoundCheckPart> enumerate_round_checks(
-      const RoundState& round);
-  [[nodiscard]] static RoundFindings run_round_check(const PvrConfig& config,
-                                                     const RoundState& round,
-                                                     const RoundCheckPart& part);
-
-  // Pure check logic of finalize_round: folds every RoundCheckPart of the
-  // round in enumeration order — the same reduction the engine performs
-  // across workers.
+  // Every check of finalize_round, as a pure function of the round's
+  // state: the root pairs in arrival order, then the role checks.
   [[nodiscard]] static RoundFindings check_round(const PvrConfig& config,
                                                  const RoundState& round);
 
   void send(net::Transport& sim, bgp::AsNumber to, const char* channel,
             std::vector<std::uint8_t> payload);
   // Records a signed aggregation root and relays it on pvr.gossip.root.
+  // Copies already seen cost one hash and one lookup; only a first copy is
+  // opened, unless the caller already opened it (`window`).
   void observe_root(net::Transport& sim, const SignedMessage& signed_root,
-                    bgp::AsNumber origin, std::uint8_t hops);
+                    bgp::AsNumber origin, std::uint8_t hops,
+                    std::shared_ptr<const VerifiedWindow> window = nullptr);
   // Unpacks a pvr.bundle.agg message from the prover into per-round state:
   // the first message to deliver a round's bundle leaf supplies all of the
   // round's leaves.
   void open_aggregated(net::Transport& sim, const AggregatedBundleMessage& message,
                        bgp::AsNumber origin);
-  // Attaches a verified signed root to the round of every prefix its window
-  // claims, creating round state as needed (the claimed rounds are exactly
-  // the rounds this neighborhood's prover ran, so creation is bounded by
-  // the prover's own signing rate and GC'd like any other round state).
-  void attach_root(const SignedMessage& signed_root,
-                   const AggregatedBundle& root);
+  // Attaches a verified window to the round of every prefix it claims,
+  // creating round state as needed (the claimed rounds are exactly the
+  // rounds this neighborhood's prover ran, so creation is bounded by the
+  // prover's own signing rate and GC'd like any other round state).
+  void attach_root(const std::shared_ptr<const VerifiedWindow>& window);
   void run_prover_batch(net::Transport& sim, std::uint64_t epoch,
                         const std::vector<bgp::Ipv4Prefix>& prefixes);
   [[nodiscard]] std::vector<bgp::AsNumber> gossip_peers() const;
@@ -334,21 +298,21 @@ class PvrNode : public net::Node {
   // Prover-side: rounds already run, so a re-announced prefix can never
   // make an honest prover commit to one round twice.
   std::set<ProtocolId> rounds_run_;
-  // Verifier-side first-seen dedup of signed roots per (prover, epoch),
-  // keyed by the SHA-256 of the root payload. Roots attach to their claimed
-  // rounds ON ARRIVAL (attach_root creates round state as needed), so this
-  // holds digests only — one dedup membership check replaces both the old
-  // linear distinct-scan per gossiped copy and the finalize-time decode
-  // scan over every root the epoch ever saw. NOT pruned per round by
+  // Verifier-side first-seen dedup of signed roots: the SHA-256 of each
+  // verified root payload, mapped to the (prover, epoch) its window
+  // belongs to. The digest names the payload, so a relayed or replayed
+  // copy is recognized before anything is decoded or verified. Roots
+  // attach to their claimed rounds ON ARRIVAL (attach_root creates round
+  // state as needed), so this keeps no windows. NOT pruned per round by
   // gc_finalized: a stale replayed root must keep hitting the dedup (and
   // not re-create state or re-gossip) while any of its epoch's rounds can
-  // still legally receive messages. Instead the sets retire a whole epoch
-  // at a time via gc_epoch_roots, once the caller has waited out the
-  // settle horizon (which bounds replay lag) for ALL of that epoch's
-  // rounds — so the dedup footprint tracks OPEN epochs, not trace length
+  // still legally receive messages. Instead gc_epoch_roots retires a whole
+  // epoch at a time, once the caller has waited out the settle horizon
+  // (which bounds replay lag) for ALL of that epoch's rounds — so the
+  // dedup footprint tracks OPEN epochs, not trace length
   // (peak_seen_root_digests() gates it alongside peak_open_rounds()).
-  std::map<RootKey, std::set<crypto::Digest>> seen_roots_;
-  std::size_t seen_root_digests_ = 0;       // live digests across epochs
+  using RootKey = std::pair<bgp::AsNumber, std::uint64_t>;
+  std::map<crypto::Digest, RootKey> seen_roots_;
   std::size_t peak_seen_root_digests_ = 0;
   std::vector<Evidence> evidence_;
   std::map<ProtocolId, bgp::Route> accepted_;

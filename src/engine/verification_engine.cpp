@@ -30,7 +30,7 @@ VerificationEngine::VerificationEngine(std::size_t workers) {
 
 VerificationEngine::~VerificationEngine() {
   // Join in the body, while every member is still alive: the worker that
-  // finishes a sealed batch's last task folds it into done_ on its way
+  // finishes a sealed batch's last task publishes it into done_ on its way
   // out.
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -51,39 +51,30 @@ void VerificationEngine::throw_if_pending(const char* where) const {
 bool VerificationEngine::submit_node_round(core::PvrNode& node,
                                            const core::ProtocolId& id) {
   throw_if_pending("submit_node_round");
-  // One task per check, all over one shared snapshot, so this round's
-  // checks run concurrently; the fold puts the parts back in order.
-  std::optional<core::DeferredRoundChecks> deferred =
-      node.defer_finalize_checks(id);
-  if (!deferred.has_value()) return false;
-  TaskGroup group{.node = &node,
-                  .id = id,
-                  .first_ticket = 0,
-                  .parts = deferred->checks.size()};
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    group.first_ticket = tasks_.size();
-    for (auto& check : deferred->checks) tasks_.push_back(std::move(check));
-    results_.resize(tasks_.size());
-  }
-  work_cv_.notify_all();
-  groups_.push_back(group);
+  std::function<core::RoundFindings()> check = node.defer_finalize_checks(id);
+  if (!check) return false;
+  (void)enqueue(id, std::move(check), &node);
   return true;
 }
 
 std::size_t VerificationEngine::submit(
     const core::ProtocolId& id, std::function<core::RoundFindings()> work) {
   throw_if_pending("submit");
+  return enqueue(id, std::move(work), nullptr);
+}
+
+std::size_t VerificationEngine::enqueue(const core::ProtocolId& id,
+                                        std::function<core::RoundFindings()> work,
+                                        core::PvrNode* node) {
   std::size_t ticket;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     ticket = tasks_.size();
     tasks_.push_back(std::move(work));
-    results_.emplace_back();
+    results_.push_back(RoundOutcome{.id = id, .findings = {}, .error = nullptr});
   }
   work_cv_.notify_one();
-  groups_.push_back(TaskGroup{
-      .node = nullptr, .id = id, .first_ticket = ticket, .parts = 1});
+  nodes_.push_back(node);
   return ticket;
 }
 
@@ -100,66 +91,42 @@ void VerificationEngine::worker_loop() {
     const std::size_t ticket = next_ticket_++;
     std::function<core::RoundFindings()> work = std::move(tasks_[ticket]);
     lock.unlock();
-    RoundOutcome outcome;
+    core::RoundFindings findings;
+    std::exception_ptr error;
     {
       // The span brackets only the work closure: one lane per worker
       // thread, so an open trace shows engine occupancy directly.
       const obs::TraceSpan span("engine.task", "engine");
       const std::uint64_t start_us = obs::wall_clock_us();
       try {
-        outcome.findings = work();
+        findings = work();
       } catch (...) {
-        outcome.error = std::current_exception();
+        error = std::current_exception();
       }
       PVR_OBS_COUNT(engine_tasks, 1);
       PVR_OBS_RECORD(engine_task_us, obs::wall_clock_us() - start_us);
     }
     work = nullptr;  // release the closure's snapshot outside the lock
     lock.lock();
-    results_[ticket] = std::move(outcome);
+    // A failed round contributes no findings (its node stays finalized
+    // with none).
+    results_[ticket].findings = std::move(findings);
+    results_[ticket].error = error;
     completed_ += 1;
-    if (sealed_ && completed_ == tasks_.size()) fold_sealed_batch(lock);
+    if (sealed_ && completed_ == tasks_.size()) publish_sealed_batch();
   }
 }
 
-void VerificationEngine::fold_sealed_batch(std::unique_lock<std::mutex>& lock) {
+void VerificationEngine::publish_sealed_batch() {
   Batch batch = std::move(*sealed_);
   sealed_.reset();
-  std::vector<RoundOutcome> raw = std::move(results_);
+  batch.outcomes = std::move(results_);
   tasks_.clear();
   results_.clear();
   next_ticket_ = 0;
   completed_ = 0;
-  lock.unlock();
-
-  // Runs on whichever worker finished the batch's last task (or on the
-  // submitting thread when the batch had already quiesced). Only touches
-  // the self-contained task outputs — nodes stay with collect().
-  batch.folded.reserve(batch.groups.size());
-  for (const TaskGroup& group : batch.groups) {
-    // Deterministic per-round reducer: fold the group's partial findings
-    // in ticket order — the enumeration order check_round uses — so the
-    // folded round is byte-identical to the sequential path regardless
-    // of which workers ran which parts.
-    RoundOutcome folded{.id = group.id, .findings = {}, .error = nullptr};
-    for (std::size_t part = 0; part < group.parts; ++part) {
-      RoundOutcome& outcome = raw[group.first_ticket + part];
-      if (outcome.error) {
-        if (!folded.error) folded.error = outcome.error;
-        continue;
-      }
-      core::fold_round_findings(folded.findings, std::move(outcome.findings));
-    }
-    if (folded.error) {
-      // A failed round contributes no findings (its node stays finalized
-      // with none) — even the parts that succeeded.
-      folded.findings = core::RoundFindings{};
-    }
-    batch.folded.push_back(std::move(folded));
-  }
   batch.done_ms = now_ms();
 
-  lock.lock();
   done_ = std::move(batch);
   // Notify while still holding the mutex: the waiter in collect() may
   // destroy this engine the moment it returns, and it cannot reacquire the
@@ -172,19 +139,19 @@ void VerificationEngine::begin_drain() {
   throw_if_pending("begin_drain");
   pending_ = true;
   PVR_OBS_COUNT(engine_drains, 1);
-  PVR_OBS_RECORD(scenario_drain_rounds, groups_.size());
-  // Group bookkeeping must never survive into the next batch (tickets
+  PVR_OBS_RECORD(scenario_drain_rounds, nodes_.size());
+  // Node bookkeeping must never survive into the next batch (tickets
   // restart at 0) — the sealed batch owns it from here on.
-  Batch batch{.groups = std::move(groups_),
-              .folded = {},
+  Batch batch{.nodes = std::move(nodes_),
+              .outcomes = {},
               .begin_ms = now_ms(),
               .done_ms = 0};
-  groups_.clear();
-  std::unique_lock<std::mutex> lock(mutex_);
+  nodes_.clear();
+  const std::lock_guard<std::mutex> lock(mutex_);
   sealed_ = std::move(batch);
-  // Already quiesced (or empty): fold here. Otherwise the worker that
+  // Already quiesced (or empty): publish here. Otherwise the worker that
   // finishes the last task does.
-  if (completed_ == tasks_.size()) fold_sealed_batch(lock);
+  if (completed_ == tasks_.size()) publish_sealed_batch();
 }
 
 EngineReport VerificationEngine::collect(bool rethrow_errors) {
@@ -205,23 +172,20 @@ EngineReport VerificationEngine::collect(bool rethrow_errors) {
 
   const obs::TraceSpan collect_span("engine.collect", "engine");
   EngineReport report;
-  report.outcomes.reserve(batch.folded.size());
   std::exception_ptr first_error;
-  for (std::size_t i = 0; i < batch.folded.size(); ++i) {
-    const TaskGroup& group = batch.groups[i];
-    RoundOutcome& folded = batch.folded[i];
-    if (folded.error) {
+  for (std::size_t i = 0; i < batch.outcomes.size(); ++i) {
+    const RoundOutcome& outcome = batch.outcomes[i];
+    if (outcome.error) {
       report.failed_rounds += 1;
-      if (!first_error) first_error = folded.error;
+      if (!first_error) first_error = outcome.error;
     } else {
-      report.violations += folded.findings.evidence.size();
-      report.signatures_verified += folded.findings.signatures_verified;
-      if (group.node != nullptr) {
-        group.node->apply_round_findings(group.id, folded.findings);
+      report.violations += outcome.findings.evidence.size();
+      if (batch.nodes[i] != nullptr) {
+        batch.nodes[i]->apply_round_findings(outcome.id, outcome.findings);
       }
     }
-    report.outcomes.push_back(std::move(folded));
   }
+  report.outcomes = std::move(batch.outcomes);
   report.rounds = report.outcomes.size();
   PVR_OBS_COUNT(engine_rounds_folded, report.rounds);
 

@@ -1,5 +1,5 @@
 // The parallel verification engine: one flat worker pool that runs round
-// checks off the simulator thread and folds them back per round.
+// checks off the simulator thread and hands each round's findings back.
 //
 // This is the DEFAULT verification path for simulator-driven rounds
 // (sequential PvrNode::finalize_round is the fallback):
@@ -19,14 +19,12 @@
 // epoch) for submission and findings delivery, so concurrent rounds for
 // different prefixes or provers in the same epoch never collide.
 //
-// Intra-round parallelism (DESIGN.md §8.1): submit_node_round splits a
-// round into one task per check (PvrNode::defer_finalize_checks). Every
-// task goes into one FIFO indexed by its ticket and any idle worker takes
-// the next one, so even a single round's n+1 verifier checks run
-// concurrently. The fold reduces each round's partial findings in ticket
-// order (core::fold_round_findings) — the same reduction the sequential
-// check_round performs — so Evidence is byte-identical to the sequential
-// path at any worker count.
+// One task per round (DESIGN.md §8.1): submit_node_round packages a
+// node's round as one closure (PvrNode::defer_finalize_checks). Every task
+// goes into one FIFO indexed by its ticket and any idle worker takes the
+// next one, so a batch's rounds run concurrently. Each closure computes
+// exactly what the sequential finalize_round would, so Evidence is
+// byte-identical to the sequential path at any worker count.
 //
 // Determinism: findings are applied in submission order on the calling
 // thread, so node evidence logs and EngineReport::outcomes are
@@ -34,8 +32,8 @@
 //
 // Pipelined (two-phase) drain — DESIGN.md §12: begin_drain() seals the
 // current batch WITHOUT blocking; the worker that finishes the batch's
-// last task folds every round's partial findings into a completed-batch
-// slot. collect() then blocks only until that fold is ready and performs
+// last task publishes the batch's outcomes into a completed-batch slot.
+// collect() then blocks only until that batch is complete and performs
 // the thread-owning half — node apply_round_findings — on the calling
 // thread. drain() is the blocking composition begin_drain() + collect().
 // At most one batch is in flight: submit/begin_drain while one is pending
@@ -65,17 +63,16 @@ struct RoundOutcome {
 };
 
 struct EngineReport {
-  // One outcome per ROUND (split checks are folded back), submission order.
+  // One outcome per round, submission order.
   std::vector<RoundOutcome> outcomes;
   std::uint64_t rounds = 0;
   std::uint64_t violations = 0;
-  std::uint64_t signatures_verified = 0;
   // Rounds whose closure threw (their outcomes carry the exception and no
   // findings). Long-lived online pipelines drain with rethrow_errors =
   // false and GATE on this count instead of unwinding mid-simulation.
   std::uint64_t failed_rounds = 0;
   // Wall-clock profile of the batch's async window (begin_drain to the
-  // last fold), and the portion of it that elapsed BEFORE the caller came
+  // last task), and the portion of it that elapsed BEFORE the caller came
   // back to collect — i.e. verification that overlapped whatever the
   // caller did in between. A blocking drain() reports ~0 overlap; the
   // pipelined runner sums these into pipeline_overlap_ratio.
@@ -89,7 +86,7 @@ class VerificationEngine {
   // verify through whatever context their closures captured.
   explicit VerificationEngine(std::size_t workers);
   // Stops and joins the pool before any other member goes away; tasks
-  // already submitted still run, and a sealed batch is still folded.
+  // already submitted still run, and a sealed batch is still published.
   ~VerificationEngine();
 
   VerificationEngine(const VerificationEngine&) = delete;
@@ -119,13 +116,13 @@ class VerificationEngine {
   EngineReport drain(bool rethrow_errors = true);
 
   // Phase one of the pipelined drain: seals the submitted batch and
-  // returns immediately. The submission-ordered fold runs on the worker
-  // that completes the batch's last task. Throws std::logic_error if a
+  // returns immediately. The worker that completes the batch's last task
+  // publishes it. Throws std::logic_error if a
   // batch is already in flight. Safe on an empty batch (collect() then
   // returns an empty report).
   void begin_drain();
 
-  // Phase two: blocks until the in-flight batch's fold is ready, then — on
+  // Phase two: blocks until the in-flight batch is complete, then — on
   // the calling thread, which must be the thread that owns the submitted
   // nodes — applies findings back to their nodes (submission order) and
   // returns the batch's report. Error semantics match drain(). Throws
@@ -136,41 +133,35 @@ class VerificationEngine {
   [[nodiscard]] bool has_pending() const noexcept { return pending_; }
 
  private:
-  // One submitted round: `parts` consecutive tickets starting at
-  // `first_ticket`, folded back into one RoundOutcome and delivered to
-  // `node` (nullptr for free-standing rounds).
-  struct TaskGroup {
-    core::PvrNode* node = nullptr;
-    core::ProtocolId id;
-    std::size_t first_ticket = 0;
-    std::size_t parts = 1;
-  };
-
-  // A sealed batch on its way from begin_drain through the worker-side
-  // fold to collect(). `folded` holds one fully-reduced RoundOutcome per
-  // group (same order as `groups`) once the fold ran.
+  // A sealed batch on its way from begin_drain through its workers to
+  // collect(): the node each round's findings go back to (nullptr for
+  // free-standing rounds), indexed by ticket, and once every task has run,
+  // the outcomes in the same order.
   struct Batch {
-    std::vector<TaskGroup> groups;
-    std::vector<RoundOutcome> folded;
+    std::vector<core::PvrNode*> nodes;
+    std::vector<RoundOutcome> outcomes;
     double begin_ms = 0;  // wall clock at begin_drain
-    double done_ms = 0;   // wall clock when the fold finished
+    double done_ms = 0;   // wall clock when the last task finished
   };
 
   void worker_loop();
   void throw_if_pending(const char* where) const;
+  // Queues one round's closure; `node` receives its findings at collect().
+  std::size_t enqueue(const core::ProtocolId& id,
+                      std::function<core::RoundFindings()> work,
+                      core::PvrNode* node);
   // Takes the sealed batch and its task outputs, resets the task vector
-  // for the next batch, folds with the lock released, and publishes the
-  // result to collect(). Caller holds `lock`, a batch is sealed, and all
-  // of its tasks have finished.
-  void fold_sealed_batch(std::unique_lock<std::mutex>& lock);
+  // for the next batch, and publishes the batch to collect(). Caller holds
+  // `mutex_`, a batch is sealed, and all of its tasks have finished.
+  void publish_sealed_batch();
 
-  // Submitting-thread state: the open batch's rounds, and whether a
-  // sealed batch awaits collect().
-  std::vector<TaskGroup> groups_;
+  // Submitting-thread state: the open batch's destination nodes, and
+  // whether a sealed batch awaits collect().
+  std::vector<core::PvrNode*> nodes_;
   bool pending_ = false;
 
   // Everything below crosses threads under `mutex_`: the task vector
-  // (indexed by ticket), its outputs, the next ticket a worker takes, and
+  // (indexed by ticket), its outcomes, the next ticket a worker takes, and
   // the sealed and completed batch slots.
   std::mutex mutex_;
   std::condition_variable work_cv_;

@@ -174,7 +174,7 @@ struct ScenarioReport {
   // overlapped the simulation), wall_ms the measured end-to-end elapsed
   // time. With pipelining doing real work on a multi-core host,
   // wall_ms < sim_ms + verify_ms — the bench-gated inequality; on any
-  // host, pipeline_overlap_ratio (overlapped fold time / total fold
+  // host, pipeline_overlap_ratio (overlapped verify time / total batch
   // window) is > 0 whenever batches verified while the simulator advanced.
   double sim_ms = 0;
   double verify_ms = 0;

@@ -469,10 +469,10 @@ void World::consume(const engine::EngineReport& drained) {
   verify_failures_ += drained.failed_rounds;
   drain_batches_ += 1;
   overlapped_ms_ += drained.overlapped_ms;
-  fold_window_ms_ += drained.verify_wall_ms;
+  batch_window_ms_ += drained.verify_wall_ms;
 }
 
-// Harvest the in-flight batch: collect() applies its folded findings to
+// Harvest the in-flight batch: collect() applies its findings to
 // the nodes (one tick after submission), then the settled state is GC'd
 // and fully-harvested epochs retire their root-dedup digests.
 void World::harvest() {
@@ -506,7 +506,7 @@ void World::harvest() {
 // Gather every settled round and seal them as the next batch: submit all
 // verifier rounds, then begin_drain hands the batch to the workers WITHOUT
 // blocking (the next tick harvests it). Entries are immutable after
-// sealing — the engine verifies over the shared_ptr RoundState snapshots
+// sealing — the engine verifies over the RoundState copies
 // defer_finalize_checks took at submit time, so the simulator mutating
 // live node state in between cannot race the checks.
 void World::submit_settled(bool flush_all) {
@@ -576,7 +576,7 @@ void World::fill_report(const net::SimStats& stats,
   report.p99_settle_us = settle_hist_.quantile(0.99);
   report.verify_ms = verify_blocked_ms_ + overlapped_ms_;
   report.pipeline_overlap_ratio =
-      fold_window_ms_ > 0 ? overlapped_ms_ / fold_window_ms_ : 0.0;
+      batch_window_ms_ > 0 ? overlapped_ms_ / batch_window_ms_ : 0.0;
   for (const auto& [asn, node] : nodes_) {
     report.peak_open_rounds =
         std::max(report.peak_open_rounds,

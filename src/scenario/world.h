@@ -215,8 +215,8 @@ class World {
   std::uint64_t verify_failures_ = 0;
   std::uint64_t drain_batches_ = 0;
   double verify_blocked_ms_ = 0;  // sim-thread wall time spent verifying
-  double overlapped_ms_ = 0;      // fold time that overlapped the simulation
-  double fold_window_ms_ = 0;     // total async fold window across batches
+  double overlapped_ms_ = 0;      // verify time that overlapped the simulation
+  double batch_window_ms_ = 0;    // total async batch window across batches
   // Settle latencies aggregate here so the report carries them in both obs
   // build flavors.
   obs::Histogram settle_hist_;

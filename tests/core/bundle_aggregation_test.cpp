@@ -175,6 +175,36 @@ TEST(AggregatedBundleTest, DuplicatePrefixRootRejected) {
                std::out_of_range);
 }
 
+// open_window is the one acceptance rule for a signed root. A payload the
+// prover really signed but that is no window statement, and a genuine
+// window statement signed by a key other than its prover's, both verify
+// as signatures and are still refused. The genuine root is the control.
+TEST(AggregatedBundleTest, OpenWindowRejectsMalformedPayload) {
+  const AggregatedWorld world = make_aggregated(2, 1);
+  const VerifyContext& ctx = world.keys.directory.verify_context();
+  ASSERT_TRUE(open_window(ctx, world.message.signed_root).has_value());
+  std::vector<std::uint8_t> truncated = world.message.signed_root.payload;
+  truncated.pop_back();
+  const SignedMessage malformed = sign_message(
+      kProver, world.keys.private_keys.at(kProver).priv, truncated);
+  ASSERT_TRUE(ctx.verify(malformed));
+  EXPECT_FALSE(open_window(ctx, malformed).has_value());
+}
+
+TEST(AggregatedBundleTest, OpenWindowRejectsProverOtherThanSigner) {
+  const AggregatedWorld world = make_aggregated(2, 1);
+  const VerifyContext& ctx = world.keys.directory.verify_context();
+  // AS 2 signs the statement that names kProver as its prover.
+  const SignedMessage resigned = sign_message(
+      2, world.keys.private_keys.at(2).priv, world.message.signed_root.payload);
+  ASSERT_TRUE(ctx.verify(resigned));
+  EXPECT_FALSE(open_window(ctx, resigned).has_value());
+  const auto genuine = open_window(ctx, world.message.signed_root);
+  ASSERT_TRUE(genuine.has_value());
+  EXPECT_EQ(genuine->root().prover, kProver);
+  EXPECT_EQ(genuine->signed_root(), world.message.signed_root);
+}
+
 // Node level: the prover itself sends a window whose root signature is
 // corrupted. The verifier drops the whole message before touching round
 // state, so it holds no bundle for any round. The same window with its

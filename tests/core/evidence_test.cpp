@@ -49,6 +49,10 @@ class AuditorTest : public ::testing::Test {
   }
 
   static const KeyDirectory& directory() { return keys_->directory; }
+  // The window root as a verifier accepts it (throws if it does not open).
+  [[nodiscard]] static VerifiedWindow opened(const SignedWindow& window) {
+    return open_window(directory().verify_context(), window.signed_root).value();
+  }
   static const crypto::RsaPrivateKey& key_of(bgp::AsNumber asn) {
     return keys_->private_keys.at(asn).priv;
   }
@@ -88,13 +92,13 @@ class AuditorTest : public ::testing::Test {
     const SealedWindow sealed = run(misbehavior);
     if (kind == ViolationKind::kEquivocation) {
       const auto conflict = check_root_equivocation(
-          directory().verify_context(), kN1, sealed.honest.signed_root,
-          sealed.variant->signed_root);
+          kN1, opened(sealed.honest), opened(*sealed.variant));
       if (conflict) return *conflict;
       ADD_FAILURE() << "expected equivocation evidence";
       return {};
     }
     const SignedWindow& window = sealed.honest;
+    const VerifiedWindow verified = opened(window);
     const SignedWindow::Round& round = window.rounds.front();
     std::vector<Evidence> all;
     for (const auto& [provider, length] :
@@ -103,11 +107,11 @@ class AuditorTest : public ::testing::Test {
                                   .route = route_len(length, provider)};
       const auto it = round.provider_reveals.find(provider);
       auto found = verify_as_provider(
-          directory(), provider, own, window.signed_root, round.bundle,
+          provider, own, verified, round.bundle,
           it == round.provider_reveals.end() ? nullptr : &it->second);
       all.insert(all.end(), found.begin(), found.end());
     }
-    auto found = verify_as_recipient(directory(), kRecipient, window.signed_root,
+    auto found = verify_as_recipient(directory().verify_context(), kRecipient, verified,
                                      round.bundle, &round.recipient_reveal,
                                      &round.export_statement);
     all.insert(all.end(), found.begin(), found.end());

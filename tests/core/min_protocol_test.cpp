@@ -49,7 +49,11 @@ class MinProtocolTest : public ::testing::Test {
   }
 
   static const AsKeyPairs& keys() { return *keys_; }
-  static const KeyDirectory& directory() { return keys_->directory; }
+  static const VerifyContext& ctx() { return keys_->directory.verify_context(); }
+  // The window root as a verifier accepts it (throws if it does not open).
+  [[nodiscard]] static VerifiedWindow opened(const SignedWindow& window) {
+    return open_window(ctx(), window.signed_root).value();
+  }
   static const crypto::RsaPrivateKey& key_of(bgp::AsNumber asn) {
     return keys_->private_keys.at(asn).priv;
   }
@@ -105,19 +109,19 @@ class MinProtocolTest : public ::testing::Test {
   [[nodiscard]] static std::vector<Evidence> verify_everything(
       const ProverResult& result) {
     const SignedWindow window = seal(result).honest;
+    const VerifiedWindow verified = opened(window);
     const SignedWindow::Round& round = window.rounds.front();
     std::vector<Evidence> all;
     for (const auto& [provider, length] :
          std::vector<std::pair<bgp::AsNumber, std::size_t>>{{kN1, 3}, {kN2, 2}}) {
       const auto it = round.provider_reveals.find(provider);
       auto found = verify_as_provider(
-          directory(), provider, own_input_of(provider, length),
-          window.signed_root, round.bundle,
+          provider, own_input_of(provider, length), verified, round.bundle,
           it == round.provider_reveals.end() ? nullptr : &it->second);
       all.insert(all.end(), found.begin(), found.end());
     }
-    auto found = verify_as_recipient(directory(), kRecipient, window.signed_root,
-                                     round.bundle, &round.recipient_reveal,
+    auto found = verify_as_recipient(ctx(), kRecipient, verified, round.bundle,
+                                     &round.recipient_reveal,
                                      &round.export_statement);
     all.insert(all.end(), found.begin(), found.end());
     return all;
@@ -217,7 +221,7 @@ TEST_F(MinProtocolTest, HonestEmptyRoundExportsNothing) {
   EXPECT_FALSE(result.export_statement.has_route);
   const SignedWindow window = seal(result).honest;
   const SignedWindow::Round& round = window.rounds.front();
-  auto found = verify_as_recipient(directory(), kRecipient, window.signed_root,
+  auto found = verify_as_recipient(ctx(), kRecipient, opened(window),
                                    round.bundle, &round.recipient_reveal,
                                    &round.export_statement);
   EXPECT_TRUE(found.empty());
@@ -282,9 +286,8 @@ TEST_F(MinProtocolTest, DetectsSkippedReveal) {
 TEST_F(MinProtocolTest, DetectsEquivocation) {
   const SealedWindow window = seal(run({.equivocate = true}));
   ASSERT_TRUE(window.variant.has_value());
-  const auto conflict = check_root_equivocation(
-      directory().verify_context(), kN1, window.honest.signed_root,
-      window.variant->signed_root);
+  const auto conflict = check_root_equivocation(kN1, opened(window.honest),
+                                                opened(*window.variant));
   ASSERT_TRUE(conflict.has_value());
   EXPECT_EQ(conflict->kind, ViolationKind::kEquivocation);
   EXPECT_EQ(conflict->accused, kProver);
@@ -293,19 +296,19 @@ TEST_F(MinProtocolTest, DetectsEquivocation) {
 TEST_F(MinProtocolTest, NoFalseEquivocationOnIdenticalBundles) {
   const SealedWindow window = seal(run());
   EXPECT_FALSE(window.variant.has_value());
-  EXPECT_FALSE(check_root_equivocation(directory().verify_context(), kN1,
-                                       window.honest.signed_root,
-                                       window.honest.signed_root)
+  EXPECT_FALSE(check_root_equivocation(kN1, opened(window.honest),
+                                       opened(window.honest))
                    .has_value());
 }
 
+// A root whose signature fails never becomes a window, so it can never be
+// half of an equivocation proof. The genuine variant root is the control.
 TEST_F(MinProtocolTest, EquivocationRequiresValidSignatures) {
   const SealedWindow window = seal(run({.equivocate = true}));
   SignedMessage forged = window.variant->signed_root;
   forged.signature[0] ^= 1;
-  EXPECT_FALSE(check_root_equivocation(directory().verify_context(), kN1,
-                                       window.honest.signed_root, forged)
-                   .has_value());
+  EXPECT_FALSE(open_window(ctx(), forged).has_value());
+  EXPECT_TRUE(open_window(ctx(), window.variant->signed_root).has_value());
 }
 
 // ---- Tampered-message handling ----
@@ -314,9 +317,8 @@ TEST_F(MinProtocolTest, TamperedBundleFlaggedAsBadSignature) {
   const SignedWindow window = seal(run()).honest;
   LeafOpening bundle = window.rounds.front().bundle;
   bundle.leaf.payload[20] ^= 1;
-  const auto evidence =
-      verify_as_provider(directory(), kN1, own_input_of(kN1, 3),
-                         window.signed_root, bundle, nullptr);
+  const auto evidence = verify_as_provider(kN1, own_input_of(kN1, 3),
+                                           opened(window), bundle, nullptr);
   ASSERT_FALSE(evidence.empty());
   EXPECT_EQ(evidence.front().kind, ViolationKind::kBadSignature);
 }
@@ -325,16 +327,15 @@ TEST_F(MinProtocolTest, ProviderOutsideDomainChecksNothing) {
   // A provider whose route is longer than max_len is outside the promise.
   const SignedWindow window = seal(run()).honest;
   const auto evidence = verify_as_provider(
-      directory(), kN3, own_input_of(kN3, kMaxLen + 5), window.signed_root,
+      kN3, own_input_of(kN3, kMaxLen + 5), opened(window),
       window.rounds.front().bundle, nullptr);
   EXPECT_TRUE(evidence.empty());
 }
 
 TEST_F(MinProtocolTest, SilentProviderChecksNothing) {
   const SignedWindow window = seal(run()).honest;
-  const auto evidence =
-      verify_as_provider(directory(), kN3, std::nullopt, window.signed_root,
-                         window.rounds.front().bundle, nullptr);
+  const auto evidence = verify_as_provider(kN3, std::nullopt, opened(window),
+                                           window.rounds.front().bundle, nullptr);
   EXPECT_TRUE(evidence.empty());
 }
 

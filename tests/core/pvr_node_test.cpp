@@ -271,6 +271,53 @@ TEST(PvrNodeTest, MultipleSequentialEpochs) {
   EXPECT_TRUE(world.node(world.recipient).evidence().empty());
 }
 
+// The recipient's own window message is held back, so the window's root
+// reaches it first as a gossip copy and enters the root dedup from there.
+// The late direct message must still file the round's leaves: the honest
+// round accepts its route with no evidence.
+TEST(PvrNodeTest, WindowLeavesFiledWhenGossipRootArrivesFirst) {
+  Figure1Handles handles = make_figure1_world({.seed = 14});
+  Figure1World& world = *handles.world;
+  constexpr net::SimTime kLatency = 1000;  // every Figure-1 link
+  constexpr net::SimTime kHoldBack = 5000;
+  net::SimTime direct_arrival = 0;
+  net::SimTime first_gossip_arrival = 0;
+  world.sim.set_interceptor([&](net::Transport& sim, const net::Message& message) {
+    if (message.to != world.recipient) return net::InterceptDecision{};
+    const net::SimTime arrival = sim.now() + kLatency;
+    if (message.channel == kBundleAggChannel) {
+      direct_arrival = arrival + kHoldBack;
+      return net::InterceptDecision{.drop = false, .extra_delay = kHoldBack};
+    }
+    if (message.channel == kGossipRootChannel && first_gossip_arrival == 0) {
+      first_gossip_arrival = arrival;
+    }
+    return net::InterceptDecision{};
+  });
+  world.sim.schedule(0, [&] {
+    const std::vector<std::size_t> lengths = {4, 2, 6};
+    for (std::size_t i = 0; i < world.providers.size(); ++i) {
+      world.node(world.providers[i])
+          .provide_input(world.sim.transport(), 1, handles.prefix,
+                         route_len(lengths[i], world.providers[i], handles.prefix));
+    }
+    world.node(world.prover).start_round(world.sim.transport(), 1, handles.prefix);
+  });
+  world.sim.run();
+  ASSERT_GT(direct_arrival, 0);
+  ASSERT_GT(first_gossip_arrival, 0);
+  ASSERT_LT(first_gossip_arrival, direct_arrival);
+
+  PvrNode& recipient = world.node(world.recipient);
+  EXPECT_EQ(recipient.seen_root_digests(), 1u);
+  recipient.finalize_round(handles.round_id(1));
+  EXPECT_TRUE(recipient.evidence().empty())
+      << recipient.evidence().front().to_string();
+  const auto accepted = recipient.accepted_route(handles.round_id(1));
+  ASSERT_TRUE(accepted.has_value());
+  EXPECT_EQ(accepted->path.length(), 3u);  // the length-2 input, prepended
+}
+
 // A 58-byte unsigned gossip root from one provider to another: a hops
 // byte, then a SignedMessage whose AggregatedBundle claims 2^32 - 1
 // prefixes. The decoder must reject the count before it reserves for it;

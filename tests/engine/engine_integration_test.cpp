@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 
 #include "core/evidence.h"
@@ -231,19 +232,13 @@ TEST(EngineIntegrationTest, DeferFinalizeIsIdempotent) {
   (void)engine.drain();
   EXPECT_TRUE(provider.evidence().empty());  // honest round, one evaluation
 
-  // The deferred id carries the full round identity for delivery.
+  // A deferred round is one closure; a second defer returns none.
   core::PvrNode& other = world.node(world.providers[1]);
-  std::optional<core::DeferredRoundChecks> deferred =
+  const std::function<core::RoundFindings()> check =
       other.defer_finalize_checks(handles.round_id(1));
-  ASSERT_TRUE(deferred.has_value());
-  EXPECT_EQ(deferred->id.prover, world.prover);
-  EXPECT_EQ(deferred->id.prefix, handles.prefix);
-  EXPECT_EQ(deferred->id.epoch, 1u);
-  core::RoundFindings folded;
-  for (auto& check : deferred->checks) {
-    core::fold_round_findings(folded, check());
-  }
-  other.apply_round_findings(handles.round_id(1), std::move(folded));
+  ASSERT_TRUE(check);
+  EXPECT_FALSE(other.defer_finalize_checks(handles.round_id(1)));
+  other.apply_round_findings(handles.round_id(1), check());
   EXPECT_TRUE(other.evidence().empty());
 }
 

@@ -5,6 +5,7 @@
 // supplying non-trivial evidence.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 
 #include "core/evidence.h"
@@ -121,10 +122,9 @@ TEST(MultiPrefixParityTest, EngineMatchesSequentialAt1_2_8Workers) {
   }
 }
 
-// The intra-round split itself: a round with observed equivocation yields
-// several check closures (bundle pairs + root pairs + the role part), and
-// folding their findings in order reproduces the sequential finalize_round
-// byte for byte. This is the reducer the engine's drain runs.
+// The deferred form of a round: one closure per node-round, which yields
+// exactly the findings of the sequential finalize_round. This is the task
+// the engine's workers run.
 TEST(MultiPrefixParityTest, SplitChecksFoldToSequentialFindings) {
   Figure1Handles sequential = run_two_prefix_equivocation_world();
   Figure1Handles split = run_two_prefix_equivocation_world();
@@ -132,19 +132,12 @@ TEST(MultiPrefixParityTest, SplitChecksFoldToSequentialFindings) {
 
   for (const bgp::AsNumber verifier : sequential.world->providers) {
     core::PvrNode& split_node = split.world->node(verifier);
-    std::optional<core::DeferredRoundChecks> checks =
+    const std::function<core::RoundFindings()> check =
         split_node.defer_finalize_checks(id);
-    ASSERT_TRUE(checks.has_value());
-    // Equivocation world: at least one pair check plus the role check.
-    EXPECT_GE(checks->checks.size(), 2u) << "verifier " << verifier;
+    ASSERT_TRUE(check);
     // A second defer must refuse: the round is finalized.
-    EXPECT_FALSE(split_node.defer_finalize_checks(id).has_value());
-
-    core::RoundFindings folded;
-    for (auto& check : checks->checks) {
-      core::fold_round_findings(folded, check());
-    }
-    split_node.apply_round_findings(id, folded);
+    EXPECT_FALSE(split_node.defer_finalize_checks(id));
+    split_node.apply_round_findings(id, check());
 
     sequential.world->node(verifier).finalize_round(id);
     EXPECT_EQ(evidence_fingerprint(split_node.evidence()),
@@ -153,10 +146,9 @@ TEST(MultiPrefixParityTest, SplitChecksFoldToSequentialFindings) {
   }
 }
 
-// Chunked pair enumeration: a round with a huge observed-root set has
-// O(pairs) equivocation checks; defer_finalize_checks must bound the task
-// count at ceil(pairs / 32) while the fold stays byte-identical to the
-// sequential path.
+// A round with a large observed-root set: its O(pairs) equivocation
+// checks all run in the round's one deferred closure, byte-identical to
+// the sequential path.
 TEST(MultiPrefixParityTest, ChunkedPairChecksBoundTasksAndFoldIdentically) {
   // + the honest window = 11 roots -> 55 pairs.
   constexpr std::size_t kVariants = 10;
@@ -209,17 +201,12 @@ TEST(MultiPrefixParityTest, ChunkedPairChecksBoundTasksAndFoldIdentically) {
   sequential.world->node(kVerifier).finalize_round(id);
   ASSERT_FALSE(sequential.world->node(kVerifier).evidence().empty());
 
-  // 11 observed roots -> 55 pairs: ceil(55/32) = 2 chunks + the role check.
+  // 11 observed roots -> 55 pairs, plus the role check, in one closure.
   core::PvrNode& node = chunked.world->node(kVerifier);
-  std::optional<core::DeferredRoundChecks> checks =
+  const std::function<core::RoundFindings()> check =
       node.defer_finalize_checks(id);
-  ASSERT_TRUE(checks.has_value());
-  EXPECT_EQ(checks->checks.size(), 3u);
-  core::RoundFindings folded;
-  for (auto& check : checks->checks) {
-    core::fold_round_findings(folded, check());
-  }
-  node.apply_round_findings(id, folded);
+  ASSERT_TRUE(check);
+  node.apply_round_findings(id, check());
 
   EXPECT_EQ(evidence_fingerprint(node.evidence()),
             evidence_fingerprint(

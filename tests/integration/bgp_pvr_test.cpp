@@ -8,6 +8,7 @@
 #include "bgp/speaker.h"
 #include "core/bundle_aggregation.h"
 #include "core/min_protocol.h"
+#include "core/verify_context.h"
 
 namespace pvr {
 namespace {
@@ -144,17 +145,20 @@ TEST(BgpPvrIntegration, PvrRoundOverRealRibInVerifiesCleanly) {
                         keys.private_keys.at(prover).priv, rng)
           .honest;
   const core::SignedWindow::Round& round = window.rounds.front();
+  const core::VerifyContext& ctx = keys.directory.verify_context();
+  const core::VerifiedWindow verified =
+      core::open_window(ctx, window.signed_root).value();
 
   // All providers and one recipient verify with zero findings.
   for (const auto& [provider, announcement] : announcements) {
     const auto it = round.provider_reveals.find(provider);
     const auto evidence = core::verify_as_provider(
-        keys.directory, provider, announcement, window.signed_root,
-        round.bundle, it == round.provider_reveals.end() ? nullptr : &it->second);
+        provider, announcement, verified, round.bundle,
+        it == round.provider_reveals.end() ? nullptr : &it->second);
     EXPECT_TRUE(evidence.empty()) << evidence.front().to_string();
   }
   const auto evidence = core::verify_as_recipient(
-      keys.directory, participants.front(), window.signed_root, round.bundle,
+      ctx, participants.front(), verified, round.bundle,
       &round.recipient_reveal, &round.export_statement);
   EXPECT_TRUE(evidence.empty()) << evidence.front().to_string();
 

@@ -9,6 +9,7 @@
 #include "core/bundle_aggregation.h"
 #include "core/graph_commitment.h"
 #include "core/min_protocol.h"
+#include "core/verify_context.h"
 #include "crypto/drbg.h"
 #include "crypto/encoding.h"
 #include "net/message_trace.h"
@@ -260,20 +261,31 @@ TEST(DecoderRobustness, WindowMessageLeavesAndEvidence) {
                 evidence.encode(), rng);
 }
 
-// The verifier entry points must likewise survive adversarial envelopes:
-// random bytes in place of every protocol message yield (at most) findings,
-// never crashes.
+// The verifier entry points must likewise survive adversarial envelopes.
+// Random bytes in place of a signed root never become a window: open_window
+// is the only door, and it rejects every one. Random bytes in place of the
+// leaves under a genuine window yield findings, never crashes.
 TEST(DecoderRobustness, VerifiersSurviveGarbageEnvelopes) {
   crypto::Drbg key_rng(10, "fuzz-verifier-keys");
-  const core::AsKeyPairs keys = core::generate_keys({1, 2, 11}, key_rng, 512);
+  const core::AsKeyPairs keys = core::generate_keys({7, 2, 11}, key_rng, 512);
+  const core::VerifyContext& ctx = keys.directory.verify_context();
   crypto::Drbg rng(11, "fuzz-verifier");
+  const core::ProverResult result =
+      core::run_prover(sample_id(), core::OperatorKind::kMinimum, {}, 4, rng);
+  const core::VerifiedWindow genuine =
+      core::open_window(ctx, core::seal_window(7, sample_id().epoch, 0, 0,
+                                               std::span(&result, 1),
+                                               keys.private_keys.at(7).priv, rng)
+                                 .honest.signed_root)
+          .value();
 
   for (int trial = 0; trial < 20; ++trial) {
     const core::SignedMessage garbage{
-        .signer = 1,
+        .signer = 7,  // the window's prover: only the bytes are wrong
         .payload = rng.bytes(rng.uniform(200)),
         .signature = rng.bytes(64),
     };
+    EXPECT_FALSE(core::open_window(ctx, garbage).has_value());
     core::LeafOpening leaf{.leaf = {.kind = core::LeafKind::kBundle,
                                     .salt = {},
                                     .payload = rng.bytes(rng.uniform(200))},
@@ -281,17 +293,14 @@ TEST(DecoderRobustness, VerifiersSurviveGarbageEnvelopes) {
                                      .leaf_count = rng.uniform(4),
                                      .siblings = {crypto::sha256("x")}}};
     const auto provider_findings = core::verify_as_provider(
-        keys.directory, 11,
+        11,
         core::InputAnnouncement{.id = sample_id(), .provider = 11,
                                 .route = sample_route()},
-        garbage, leaf, &leaf);
-    EXPECT_FALSE(provider_findings.empty());  // at least bad-signature
-    const auto recipient_findings = core::verify_as_recipient(
-        keys.directory, 2, garbage, leaf, &leaf, &leaf);
+        genuine, leaf, &leaf);
+    EXPECT_FALSE(provider_findings.empty());  // the bundle does not open
+    const auto recipient_findings =
+        core::verify_as_recipient(ctx, 2, genuine, leaf, &leaf, &leaf);
     EXPECT_FALSE(recipient_findings.empty());
-    EXPECT_FALSE(core::check_root_equivocation(keys.directory.verify_context(),
-                                               11, garbage, garbage)
-                     .has_value());
   }
 }
 

@@ -16,6 +16,7 @@
 #include "core/evidence.h"
 #include "core/min_protocol.h"
 #include "core/promise.h"
+#include "core/verify_context.h"
 
 namespace pvr::core {
 namespace {
@@ -100,21 +101,22 @@ struct RandomRound {
                   keys.private_keys.at(kProver).priv, salt_rng)
           .honest;
   const SignedWindow::Round& sealed = window.rounds.front();
+  const VerifyContext& ctx = keys.directory.verify_context();
+  const VerifiedWindow verified = open_window(ctx, window.signed_root).value();
   std::vector<Evidence> all;
   for (const bgp::AsNumber provider : round.providers) {
     const auto announcement = round.announcements.find(provider);
     const auto reveal = sealed.provider_reveals.find(provider);
     auto found = verify_as_provider(
-        keys.directory, provider,
+        provider,
         announcement == round.announcements.end()
             ? std::nullopt
             : std::optional(announcement->second),
-        window.signed_root, sealed.bundle,
+        verified, sealed.bundle,
         reveal == sealed.provider_reveals.end() ? nullptr : &reveal->second);
     all.insert(all.end(), found.begin(), found.end());
   }
-  auto found = verify_as_recipient(keys.directory, kRecipient,
-                                   window.signed_root, sealed.bundle,
+  auto found = verify_as_recipient(ctx, kRecipient, verified, sealed.bundle,
                                    &sealed.recipient_reveal,
                                    &sealed.export_statement);
   all.insert(all.end(), found.begin(), found.end());
