@@ -81,23 +81,28 @@ std::vector<bgp::AsNumber> PvrNode::gossip_peers() const {
 void PvrNode::provide_input(net::Transport& sim, std::uint64_t epoch,
                             const bgp::Ipv4Prefix& prefix,
                             const std::optional<bgp::Route>& route) {
+  const std::optional<InputAnnouncement>& announcement =
+      record_input(epoch, prefix, route);
+  if (!announcement.has_value()) return;
+  const SignedMessage signed_input =
+      sign_message(config_.asn, *config_.private_key, announcement->encode());
+  send(sim, config_.prover, kInputChannel, signed_input.encode());
+}
+
+const std::optional<InputAnnouncement>& PvrNode::record_input(
+    std::uint64_t epoch, const bgp::Ipv4Prefix& prefix,
+    const std::optional<bgp::Route>& route) {
   if (config_.role != PvrRole::kProvider) {
-    throw std::logic_error("provide_input: not a provider");
+    throw std::logic_error("record_input: not a provider");
   }
   const ProtocolId id{.prover = config_.prover, .prefix = prefix, .epoch = epoch};
-  if (!route.has_value()) {
-    round_state(id).own_input = std::nullopt;
-    return;
+  std::optional<InputAnnouncement>& own_input = round_state(id).own_input;
+  if (route.has_value()) {
+    own_input = InputAnnouncement{.id = id, .provider = config_.asn, .route = *route};
+  } else {
+    own_input = std::nullopt;
   }
-  const InputAnnouncement announcement{
-      .id = id,
-      .provider = config_.asn,
-      .route = *route,
-  };
-  round_state(id).own_input = announcement;
-  const SignedMessage signed_input =
-      sign_message(config_.asn, *config_.private_key, announcement.encode());
-  send(sim, config_.prover, kInputChannel, signed_input.encode());
+  return own_input;
 }
 
 void PvrNode::start_round(net::Transport& sim, std::uint64_t epoch,
@@ -259,14 +264,17 @@ void PvrNode::observe_root(net::Transport& sim, const SignedMessage& signed_root
   peak_seen_root_digests_ = std::max(peak_seen_root_digests_, seen_roots_.size());
   attach_root(window);
   if (hops < config_.gossip_hop_budget) {
-    // One encoding serves every peer: the relayed bytes are the same.
-    const std::vector<std::uint8_t> relayed =
-        wrap_hops(static_cast<std::uint8_t>(hops + 1), signed_root.encode());
+    // One encoding serves every peer: the relayed bytes are the same. It is
+    // built at the first connected peer, so a plane without links (trace
+    // replay) never builds it.
+    std::vector<std::uint8_t> relayed;
     for (const bgp::AsNumber peer : gossip_peers()) {
-      if (peer == origin) continue;
-      if (sim.connected(config_.asn, peer)) {
-        send(sim, peer, kGossipRootChannel, relayed);
+      if (peer == origin || !sim.connected(config_.asn, peer)) continue;
+      if (relayed.empty()) {
+        relayed = wrap_hops(static_cast<std::uint8_t>(hops + 1),
+                            signed_root.encode());
       }
+      send(sim, peer, kGossipRootChannel, relayed);
     }
   }
 }
@@ -452,10 +460,11 @@ std::function<RoundFindings()> PvrNode::defer_finalize_checks(
   RoundState& round = round_state(id);
   if (round.finalized) return {};
   round.finalized = true;
-  // The closure checks its own copy of the round, so the simulator can keep
-  // mutating live state while a worker runs it. The copy shares the
-  // immutable windows rather than duplicating them.
-  return [config = &config_, snapshot = round] {
+  // The closure takes the round's state, so a worker can check it while the
+  // simulator keeps running. Nothing reads a finalized round again: the
+  // moved-from leaf optionals stay engaged, so a late window message still
+  // stops at `round.bundle.has_value()`, and gc_finalized drops the entry.
+  return [config = &config_, snapshot = std::move(round)] {
     return check_round(*config, snapshot);
   };
 }

@@ -110,12 +110,21 @@ class PvrNode : public net::Node {
     on_window_closed_ = std::move(handler);
   }
 
-  // Provider-side: sign and send `route` to the prover for round
-  // (prover, prefix, epoch). Pass nullopt to explicitly provide nothing
-  // (bookkeeping only).
+  // Provider-side: record_input, then sign and send `route` to the prover
+  // for round (prover, prefix, epoch). Pass nullopt to explicitly provide
+  // nothing (bookkeeping only).
   void provide_input(net::Transport& sim, std::uint64_t epoch,
                      const bgp::Ipv4Prefix& prefix,
                      const std::optional<bgp::Route>& route);
+
+  // Provider-side state half of provide_input: records `route` as this
+  // provider's own input for the round, which verify-as-provider compares
+  // the prover's reveal against. Signs and sends nothing, so a trace
+  // replay, whose prover already received the signed input, calls this
+  // alone. Returns the recorded announcement (nullopt for no route).
+  const std::optional<InputAnnouncement>& record_input(
+      std::uint64_t epoch, const bgp::Ipv4Prefix& prefix,
+      const std::optional<bgp::Route>& route);
 
   // Prover-side: adds (prefix, epoch) to the current collection window for
   // `epoch` (opening one if none is pending). When the window elapses, the
@@ -131,9 +140,9 @@ class PvrNode : public net::Node {
   void finalize_round(const ProtocolId& id);
 
   // Engine-backed finalize: packages the checks for round `id` as one
-  // closure over a copy of the round's state, safe to run on a worker
-  // thread, and marks the round finalized so a later finalize_round is a
-  // no-op. Returns an empty function if the round is already finalized.
+  // closure that takes the round's state (nothing checks a finalized round
+  // again), safe to run on a worker thread, and marks the round finalized
+  // so a later finalize_round is a no-op. Returns an empty function if the round is already finalized.
   // The closure computes exactly what finalize_round would; the engine
   // delivers its findings via apply_round_findings.
   [[nodiscard]] std::function<RoundFindings()> defer_finalize_checks(

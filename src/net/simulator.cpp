@@ -1,5 +1,6 @@
 #include "net/simulator.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "net/message_trace.h"
@@ -72,31 +73,33 @@ void Simulator::send(Message message) {
   if (link == nullptr) {
     throw std::logic_error("Simulator::send: no link between nodes");
   }
-  ChannelStats& channel_stats = stats_.per_channel[message.channel];
+  // std::map nodes are stable, so the delivery holds its channel's stats.
+  ChannelStats* channel_stats = &stats_.per_channel[message.channel];
+  const std::size_t wire_size = message.wire_size();
   PVR_OBS_COUNT(sim_messages, 1);
   stats_.messages_sent += 1;
-  stats_.bytes_sent += message.wire_size();
-  channel_stats.messages_sent += 1;
-  channel_stats.bytes_sent += message.wire_size();
+  stats_.bytes_sent += wire_size;
+  channel_stats->messages_sent += 1;
+  channel_stats->bytes_sent += wire_size;
   InterceptDecision intercept;
   if (interceptor_) intercept = interceptor_(transport_, message);
   if (intercept.drop) {
     stats_.messages_dropped += 1;
-    channel_stats.messages_dropped += 1;
+    channel_stats->messages_dropped += 1;
     return;
   }
   if (link->drop_probability > 0.0 && rng_.coin(link->drop_probability)) {
     stats_.messages_dropped += 1;
-    channel_stats.messages_dropped += 1;
+    channel_stats->messages_dropped += 1;
     return;
   }
   const NodeId to = message.to;
   schedule(now_ + link->latency + intercept.extra_delay,
-           [this, to, msg = std::move(message)]() mutable {
+           [this, channel_stats, to, msg = std::move(message)]() mutable {
              const auto it = nodes_.find(to);
              if (it == nodes_.end()) return;  // node removed mid-flight
              stats_.messages_delivered += 1;
-             stats_.per_channel[msg.channel].messages_delivered += 1;
+             channel_stats->messages_delivered += 1;
              if (trace_ != nullptr) trace_->record_delivery(now_, msg);
              it->second->on_message(transport_, msg);
            });
@@ -108,7 +111,9 @@ void Simulator::set_interceptor(Interceptor interceptor) {
 
 void Simulator::schedule(SimTime at, std::function<void()> fn) {
   if (at < now_) throw std::invalid_argument("Simulator::schedule: time in the past");
-  queue_.push(Event{.at = at, .sequence = next_sequence_++, .action = std::move(fn)});
+  queue_.push_back(
+      Event{.at = at, .sequence = next_sequence_++, .action = std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), EventOrder{});
 }
 
 void Simulator::schedule_after(SimTime delay, std::function<void()> fn) {
@@ -152,11 +157,13 @@ void Simulator::run() { run_until(~SimTime{0}); }
 
 void Simulator::run_until(SimTime until) {
   start_pending_nodes();
-  while (!queue_.empty() && queue_.top().at <= until) {
-    // priority_queue::top() is const; the event is copied out so the action
-    // can run after pop (handlers may schedule new events).
-    Event event = queue_.top();
-    queue_.pop();
+  while (!queue_.empty() && queue_.front().at <= until) {
+    // The event is moved out of the heap before its action runs (handlers
+    // may schedule new events). (at, sequence) is a strict total order, so
+    // the dispatch order does not depend on the heap's shape.
+    std::pop_heap(queue_.begin(), queue_.end(), EventOrder{});
+    Event event = std::move(queue_.back());
+    queue_.pop_back();
     now_ = event.at;
     PVR_OBS_COUNT(sim_events, 1);
     event.action();

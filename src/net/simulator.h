@@ -17,7 +17,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "crypto/drbg.h"
@@ -122,7 +121,7 @@ class Simulator {
   bool started_ = false;
   std::map<NodeId, std::unique_ptr<Node>> nodes_;
   std::map<std::pair<NodeId, NodeId>, LinkConfig> links_;  // key: minmax order
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  std::vector<Event> queue_;  // binary heap under EventOrder
   // deque: a periodic callback may itself call schedule_periodic, and the
   // push_back must not relocate the PeriodicTask whose fn is mid-execution.
   std::deque<PeriodicTask> periodic_;

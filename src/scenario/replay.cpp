@@ -74,30 +74,36 @@ ScenarioReport replay_trace(const ScenarioSpec& spec,
   ReplayTransport transport(clock);
 
   // Provider own-input state: verify-as-provider compares the revealed
-  // input against what the provider itself supplied, so the plan's
-  // provide_input events re-run (their sends are sunk — the prover learns
-  // the input from the trace delivery, exactly like the recorded run).
-  // start_round events deliberately do NOT re-run: the prover's window
-  // machinery would schedule dynamic events that cannot reproduce the
-  // recorded sequence interleaving, and every message it produced is in
-  // the trace already.
+  // input against what the provider itself supplied, so the plan's input
+  // events re-run as World::record_input, which records the input and
+  // neither signs nor sends it (the prover learns the input from the trace
+  // delivery, exactly like the recorded run). start_round events
+  // deliberately do NOT re-run: the prover's window machinery would
+  // schedule dynamic events that cannot reproduce the recorded sequence
+  // interleaving, and every message it produced is in the trace already.
   for (const AppEvent& event : plan.app_events) {
     if (!event.is_input) continue;
-    clock.schedule(event.at,
-                   [&world, &transport, &event] { world.apply(transport, event); });
+    clock.schedule(event.at, [&world, &event] { world.record_input(event); });
   }
 
-  std::vector<net::TraceEntry> entries = trace.entries;
+  // Deliveries in recorded global order. The trace is borrowed, not copied:
+  // each event refers to its entry, and the entries are ordered through a
+  // vector of pointers.
+  std::vector<const net::TraceEntry*> entries;
+  entries.reserve(trace.entries.size());
+  for (const net::TraceEntry& entry : trace.entries) entries.push_back(&entry);
   std::sort(entries.begin(), entries.end(),
-            [](const net::TraceEntry& a, const net::TraceEntry& b) {
-              return a.sequence < b.sequence;
+            [](const net::TraceEntry* a, const net::TraceEntry* b) {
+              return a->sequence < b->sequence;
             });
-  for (net::TraceEntry& entry : entries) {
-    if (entry.at < clock.now()) {
+  net::SimTime last_at = 0;
+  for (const net::TraceEntry* entry : entries) {
+    if (entry->at < last_at) {
       throw std::invalid_argument("replay_trace: trace timestamps regress");
     }
-    clock.schedule(entry.at, [&world, &transport, entry = std::move(entry)] {
-      world.deliver(transport, entry.message);
+    last_at = entry->at;
+    clock.schedule(entry->at, [&world, &transport, entry] {
+      world.deliver(transport, entry->message);
     });
   }
 

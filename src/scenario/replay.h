@@ -13,8 +13,9 @@
 // Prover-side dynamic state (round windows, coalescing timers) is NOT
 // replayed: the prover's outputs are already in the trace, and its
 // rounds_started/windows_fired counters travel in MessageTrace::provers.
-// Provider own-input state IS replayed (the plan's provide_input events,
-// sends swallowed) because verify-as-provider consults it.
+// Provider own-input state IS replayed, because verify-as-provider consults
+// it: the plan's input events run World::record_input, which records each
+// input and neither signs nor sends it, so a replay signs nothing.
 #pragma once
 
 #include <cstddef>

@@ -371,20 +371,30 @@ World::World(const ScenarioSpec& spec, const WorldPlan& plan,
   }
 }
 
-void World::apply(net::Transport& transport, const AppEvent& event) const {
+core::PvrNode& World::actor(const AppEvent& event) const {
   const Hood& hood = hoods_[event.hood];
-  core::PvrNode* actor =
+  core::PvrNode* node =
       event.is_input ? hood.verifiers[event.provider_index] : hood.prover;
-  if (actor == nullptr) {
-    throw std::logic_error("World::apply: the event's actor is not local");
+  if (node == nullptr) {
+    throw std::logic_error("World: the event's actor is not local");
   }
+  return *node;
+}
+
+void World::apply(net::Transport& transport, const AppEvent& event) const {
   if (event.is_input) {
-    actor->provide_input(
+    actor(event).provide_input(
         transport, event.epoch, event.prefix,
         provider_route(event.prefix, event.actor, event.route_length));
   } else {
-    actor->start_round(transport, event.epoch, event.prefix);
+    actor(event).start_round(transport, event.epoch, event.prefix);
   }
+}
+
+void World::record_input(const AppEvent& event) const {
+  actor(event).record_input(
+      event.epoch, event.prefix,
+      provider_route(event.prefix, event.actor, event.route_length));
 }
 
 void World::deliver(net::Transport& transport,

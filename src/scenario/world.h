@@ -156,7 +156,11 @@ class World {
 
   // Event sources. apply() runs a planned app event on its actor, which
   // must be local; deliver() hands a message to its recipient if local.
+  // record_input() is the state half of an input event's apply(): the
+  // provider records its own input without signing or sending it (a trace
+  // replay, where the prover's copy is already a recorded delivery).
   void apply(net::Transport& transport, const AppEvent& event) const;
+  void record_input(const AppEvent& event) const;
   void deliver(net::Transport& transport, const net::Message& message) const;
 
   // Selects the online schedule, driven by `transport`'s clock (which must
@@ -198,6 +202,8 @@ class World {
     core::ProtocolId id;
   };
 
+  // The local node that runs `event`; throws std::logic_error if remote.
+  [[nodiscard]] core::PvrNode& actor(const AppEvent& event) const;
   // Submits round `id` for every local verifier of hoods_[hood].
   void submit_round(std::size_t hood, const core::ProtocolId& id);
   void consume(const engine::EngineReport& drained);

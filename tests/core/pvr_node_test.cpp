@@ -395,6 +395,39 @@ TEST(PvrNodeTest, ForgedHugeWindowMessageIsDroppedWithoutAbortingTheRun) {
   EXPECT_EQ(world.node(receiver).seen_root_epochs(), 0u);
 }
 
+// record_input is provide_input's state half: the provider's round holds
+// its own input, so a round whose bundle never arrives is reported as a
+// missing reveal, and nothing is signed or put on the wire.
+TEST(PvrNodeTest, RecordInputKeepsOwnInputWithoutSending) {
+  Figure1Handles handles = make_figure1_world({.seed = 15});
+  Figure1World& world = *handles.world;
+  PvrNode& recorded = world.node(world.providers[0]);
+  PvrNode& declined = world.node(world.providers[1]);
+  PvrNode& silent = world.node(world.providers[2]);
+  const auto& announcement = recorded.record_input(
+      1, handles.prefix, route_len(3, world.providers[0], handles.prefix));
+  ASSERT_TRUE(announcement.has_value());
+  EXPECT_EQ(announcement->id, handles.round_id(1));
+  EXPECT_EQ(announcement->provider, world.providers[0]);
+  EXPECT_FALSE(declined.record_input(1, handles.prefix, std::nullopt).has_value());
+  world.sim.run();
+  EXPECT_EQ(world.sim.stats().messages_sent, 0u);
+  EXPECT_EQ(recorded.bytes_sent(), 0u);
+
+  recorded.finalize_round(handles.round_id(1));
+  ASSERT_EQ(recorded.evidence().size(), 1u);
+  EXPECT_EQ(recorded.evidence()[0].kind, ViolationKind::kMissingReveal);
+  EXPECT_EQ(recorded.evidence()[0].accused, world.prover);
+  // No input (declined) or no call at all (silent): nothing was owed.
+  declined.finalize_round(handles.round_id(1));
+  silent.finalize_round(handles.round_id(1));
+  EXPECT_TRUE(declined.evidence().empty());
+  EXPECT_TRUE(silent.evidence().empty());
+  EXPECT_THROW((void)world.node(world.prover)
+                   .record_input(1, handles.prefix, std::nullopt),
+               std::logic_error);
+}
+
 TEST(PvrNodeTest, RoleValidation) {
   Figure1Setup setup{.seed = 10};
   Figure1Handles handles = make_figure1_world(setup);

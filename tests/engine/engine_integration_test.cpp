@@ -213,6 +213,16 @@ TEST(EngineIntegrationTest, FailedRoundDoesNotCorruptNextBatch) {
 TEST(EngineIntegrationTest, DeferFinalizeIsIdempotent) {
   Figure1Handles handles = core::make_figure1_world({.seed = 33});
   Figure1World& world = *handles.world;
+  // A copy of provider 1's window message, delivered again after its round
+  // is deferred.
+  net::Message window_message;
+  world.sim.set_interceptor([&](net::Transport&, const net::Message& message) {
+    if (message.to == world.providers[1] &&
+        message.channel == core::kBundleAggChannel) {
+      window_message = message;
+    }
+    return net::InterceptDecision{};
+  });
   world.sim.schedule(0, [&world, &handles] {
     for (std::size_t i = 0; i < world.providers.size(); ++i) {
       world.node(world.providers[i])
@@ -238,8 +248,16 @@ TEST(EngineIntegrationTest, DeferFinalizeIsIdempotent) {
       other.defer_finalize_checks(handles.round_id(1));
   ASSERT_TRUE(check);
   EXPECT_FALSE(other.defer_finalize_checks(handles.round_id(1)));
+  // The closure took the round's state. A late window message for the
+  // deferred round changes nothing: it yields no second closure, and the
+  // one closure still checks the round as it stood.
+  ASSERT_FALSE(window_message.payload.empty());
+  other.on_message(world.sim.transport(), window_message);
+  EXPECT_FALSE(other.defer_finalize_checks(handles.round_id(1)));
   other.apply_round_findings(handles.round_id(1), check());
   EXPECT_TRUE(other.evidence().empty());
+  ASSERT_TRUE(other.gc_finalized(handles.round_id(1)));
+  EXPECT_EQ(other.open_rounds(), 0u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "net/message_trace.h"
+#include "obs/metrics.h"
 #include "scenario/replay.h"
 #include "scenario/runner.h"
 
@@ -89,6 +90,27 @@ TEST_P(TraceReplayTest, TraceSurvivesCodecRoundTrip) {
   EXPECT_EQ(replayed.evidence_digest, recorded.evidence_digest);
 }
 
+// Everything a replay checks is already signed: it records the providers'
+// inputs without re-signing them, and still reproduces the recording.
+TEST_P(TraceReplayTest, ReplaySignsNothing) {
+  const std::string adversary = GetParam();
+  const ScenarioSpec spec = replay_spec(adversary, 91);
+
+  net::MessageTrace trace;
+  const ScenarioReport recorded = run_scenario(spec, &trace);
+
+  const obs::Counter& signs = obs::MetricsRegistry::global().hot.crypto_rsa_signs;
+  const std::uint64_t signs_before = signs.value();
+  const ScenarioReport replayed = replay_trace(spec, trace, 2);
+  EXPECT_EQ(signs.value() - signs_before, 0u) << adversary;
+  if (obs::kCompiledIn) {
+    // The delta above is live: the recorded run counted its signatures.
+    EXPECT_GT(signs_before, 0u);
+  }
+  EXPECT_EQ(replayed.fingerprint(), recorded.fingerprint()) << adversary;
+  EXPECT_EQ(replayed.evidence_digest, recorded.evidence_digest) << adversary;
+}
+
 TEST(TraceReplayGuardTest, MismatchedIdentityIsRejected) {
   const ScenarioSpec spec = replay_spec("honest", 5);
   net::MessageTrace trace;
@@ -97,6 +119,19 @@ TEST(TraceReplayGuardTest, MismatchedIdentityIsRejected) {
   ScenarioSpec other = spec;
   other.seed = 6;
   EXPECT_THROW((void)replay_trace(other, trace, 1), std::invalid_argument);
+}
+
+// Deliveries replay in sequence order, so a trace whose delivery times go
+// backwards in that order cannot be the record of a run.
+TEST(TraceReplayGuardTest, RegressingTimestampsAreRejected) {
+  const ScenarioSpec spec = replay_spec("honest", 5);
+  net::MessageTrace trace;
+  (void)run_scenario(spec, &trace);
+  ASSERT_GT(trace.entries.size(), 2u);
+  const std::size_t k = trace.entries.size() / 2;
+  ASSERT_GT(trace.entries[k - 1].at, 0u);
+  trace.entries[k].at = trace.entries[k - 1].at - 1;
+  EXPECT_THROW((void)replay_trace(spec, trace, 1), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(Adversaries, TraceReplayTest,
