@@ -71,7 +71,8 @@ void BM_RsaSign(benchmark::State& state) {
     benchmark::DoNotOptimize(rsa_sign(key.priv, message));
   }
 }
-BENCHMARK(BM_RsaSign)->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RsaSign)->Arg(512)->Arg(1024)->Arg(2048)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RsaVerify(benchmark::State& state) {
   const RsaKeyPair& key = rsa_key(static_cast<std::size_t>(state.range(0)));
@@ -82,7 +83,7 @@ void BM_RsaVerify(benchmark::State& state) {
     benchmark::DoNotOptimize(rsa_verify(key.pub, message, signature));
   }
 }
-BENCHMARK(BM_RsaVerify)->Arg(1024)->Arg(2048);
+BENCHMARK(BM_RsaVerify)->Arg(512)->Arg(1024)->Arg(2048);
 
 void BM_RsaKeygen(benchmark::State& state) {
   std::uint64_t seed = 1000;

@@ -15,15 +15,22 @@
 // fully unrolls, and a runtime-width fallback for every other width.
 // powmod() picks one once per call from width(); for the fixed widths its
 // window table, accumulator and conversions live in stack arrays, so a
-// ladder makes no heap allocation.
+// ladder makes no heap allocation. At 4 limbs (the CRT halves of the
+// scenarios' 512-bit keys) a host whose cpuid reports BMI2 and ADX runs
+// the ladder on a mulx/adcx/adox multiply and a dedicated square
+// (detail::mont_mul4_adx / mont_sqr4_adx) instead of cios_mul<4>; every
+// other host keeps the portable kernel. powmod_pair() runs the two CRT
+// ladders of one RSA private operation interleaved, so the two independent
+// kernel chains overlap in the core.
 //
 // The schoolbook path (Bignum::mulmod / Bignum::powmod_reference) is kept
 // as the differential-test reference; tests/crypto/montgomery_test.cpp
 // fuzzes the two against each other over random operands and edge moduli,
-// and the fixed-width kernels against the runtime-width one.
+// and the fixed-width and ADX kernels against the runtime-width one.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "crypto/bignum.h"
@@ -56,7 +63,21 @@ class MontgomeryCtx {
   // 4-bit fixed window. Matches Bignum::powmod_reference bit for bit.
   [[nodiscard]] Bignum powmod(const Bignum& base, const Bignum& exponent) const;
 
+  // {p.powmod(base_p, exp_p), q.powmod(base_q, exp_q)}, the two halves of
+  // an RSA-CRT private operation. When both moduli are 4 limbs the two
+  // 4-bit fixed-window ladders run interleaved in one loop, aligned from
+  // the top window of the longer exponent; any other width runs the two
+  // powmod() calls in turn. Same results either way.
+  [[nodiscard]] static std::pair<Bignum, Bignum> powmod_pair(
+      const MontgomeryCtx& p, const Bignum& base_p, const Bignum& exp_p,
+      const MontgomeryCtx& q, const Bignum& base_q, const Bignum& exp_q);
+
  private:
+  // One modulus's ladder state on the kernel for width W (0 = runtime
+  // width): the window table, the accumulator and the constant 1.
+  template <std::size_t W>
+  class Ladder;
+
   // powmod() on the kernel for width W (0 = runtime width).
   template <std::size_t W>
   [[nodiscard]] Bignum powmod_w(const Bignum& base, const Bignum& exponent) const;

@@ -142,9 +142,11 @@ Bignum rsa_public_apply(const RsaPublicKey& key, const Bignum& x) {
 }
 
 Bignum rsa_private_apply(const RsaPrivateKey& key, const Bignum& y) {
-  // CRT: m1 = y^dP mod p, m2 = y^dQ mod q, h = qInv(m1-m2) mod p.
-  const Bignum m1 = key.crt->p.powmod(y % key.p, key.d_p);
-  const Bignum m2 = key.crt->q.powmod(y % key.q, key.d_q);
+  // CRT: m1 = y^dP mod p, m2 = y^dQ mod q, h = qInv(m1-m2) mod p. The two
+  // exponentiations run as one interleaved pair when both halves are 4
+  // limbs (512-bit keys), one after the other otherwise.
+  const auto [m1, m2] = MontgomeryCtx::powmod_pair(
+      key.crt->p, y % key.p, key.d_p, key.crt->q, y % key.q, key.d_q);
   // (m1 - m2) mod p without negative numbers: add p*? — m2 < q, reduce first.
   const Bignum m2_mod_p = m2 % key.p;
   const Bignum diff = m1 >= m2_mod_p ? m1 - m2_mod_p : (m1 + key.p) - m2_mod_p;

@@ -4,8 +4,11 @@
 // signatures (~2 ms on 2011 hardware); route announcements, commitments,
 // and evidence objects in this repo are all signed with this module.
 // Signing uses the CRT on Montgomery contexts for p and q that
-// generate_rsa_keypair builds once per key; verification uses the public
-// exponent directly, on RsaVerifyKey's per-key context.
+// generate_rsa_keypair builds once per key, and runs the two CRT
+// exponentiations as one interleaved MontgomeryCtx::powmod_pair (on the
+// ADX kernels at 4 limbs, i.e. 512-bit keys, where cpuid reports them);
+// verification uses the public exponent directly, on RsaVerifyKey's
+// per-key context.
 #pragma once
 
 #include <cstdint>

@@ -187,7 +187,6 @@ EngineReport VerificationEngine::collect(bool rethrow_errors) {
   }
   report.outcomes = std::move(batch.outcomes);
   report.rounds = report.outcomes.size();
-  PVR_OBS_COUNT(engine_rounds_folded, report.rounds);
 
   // Overlap accounting: the batch's async window is [begin, done]; the
   // slice of it that elapsed before the caller arrived here is work that

@@ -116,7 +116,6 @@ constexpr HotScalar kHotScalars[] = {
     // kSched: one drain per offline run, but one per child process in a
     // multiprocess deployment — schedule-shaped, so fingerprint-exempt.
     {"engine.drains", Domain::kSched, &HotMetrics::engine_drains},
-    {"engine.rounds_folded", Domain::kSim, &HotMetrics::engine_rounds_folded},
     {"engine.tasks", Domain::kSim, &HotMetrics::engine_tasks},
     {"node.root_epochs_gced", Domain::kSim, &HotMetrics::node_root_epochs_gced},
     {"node.rounds_gced", Domain::kSim, &HotMetrics::node_rounds_gced},

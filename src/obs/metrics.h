@@ -213,7 +213,6 @@ struct HotMetrics {
   // Engine.
   Counter engine_tasks;           // engine check tasks executed
   Counter engine_drains;          // batches sealed (begin_drain / drain)
-  Counter engine_rounds_folded;   // rounds collect() handed back
   Histogram engine_task_us;       // WALL: per-task execution time
   Histogram engine_overlap_us;    // WALL: per-batch verification overlapped
                                   // with the submitting thread being away

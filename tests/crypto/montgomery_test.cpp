@@ -5,12 +5,14 @@
 // kernel is right (the RSA known-answer vectors in rsa_test.cpp pin it to
 // an outside implementation on top). The fixed-width kernels (4, 8 and 16
 // limbs) and the runtime-width one are also driven directly, with aliased
-// operands, at every width either serves.
+// operands, at every width either serves, and the 4-limb ADX kernels
+// against cios_mul<4> limb for limb.
 #include "crypto/montgomery.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "crypto/bignum.h"
@@ -226,6 +228,113 @@ TEST(MontgomeryTest, PowmodMatchesReferenceAtEveryKernelWidth) {
       }
     }
   }
+}
+
+// The ADX multiply and square against cios_mul<4>, limb for limb: random
+// operands, 0, 1, m - 1 and the ladder's constants, moduli whose top limb
+// is all ones (results near 2m, so the final subtraction runs at its edge)
+// or short (a 4-limb modulus far below 2^256), and every aliasing form a
+// ladder uses.
+TEST(MontgomeryTest, AdxKernelsMatchPortable) {
+#if defined(__x86_64__)
+  if (!detail::cpu_has_adx()) GTEST_SKIP() << "cpuid reports no BMI2/ADX";
+  Drbg rng(7106, "montgomery-adx-fuzz");
+  enum class Top { kRandom, kAllOnes, kShort };
+  for (const Top top : {Top::kRandom, Top::kAllOnes, Top::kShort}) {
+    for (int round = 0; round < 40; ++round) {
+      Limbs n = to_width(random_modulus(rng, 4, top == Top::kAllOnes), 4);
+      if (top == Top::kShort) n[3] = 1 + rng.uniform(0xffff);
+      const Bignum m = Bignum::from_limbs(n);
+      const std::uint64_t n0inv = detail::neg_inverse_64(n[0]);
+      // 1 and R mod m (1 in Montgomery form) are the constants a ladder
+      // converts through; m - R mod m is -1 in Montgomery form, whose
+      // products carry out of the accumulator's top limb.
+      const Bignum r = (Bignum(1) << 256) % m;
+      const std::vector<Limbs> operands = {
+          to_width(rng.random_below(m), 4), to_width(rng.random_below(m), 4),
+          to_width(Bignum(0), 4),           to_width(Bignum(1), 4),
+          to_width(r, 4),                   to_width(m - r, 4),
+          to_width(m - Bignum(1), 4)};
+      for (const Limbs& a : operands) {
+        Limbs want_sqr(4);
+        detail::cios_mul<4>(a.data(), a.data(), n.data(), n0inv, 4,
+                            want_sqr.data());
+        Limbs got(4);
+        detail::mont_sqr4_adx(a.data(), n.data(), n0inv, got.data());
+        ASSERT_EQ(got, want_sqr) << "sqr m=" << m.to_hex();
+        got = a;
+        detail::mont_sqr4_adx(got.data(), n.data(), n0inv, got.data());
+        ASSERT_EQ(got, want_sqr) << "sqr out == a, m=" << m.to_hex();
+
+        for (const Limbs& b : operands) {
+          Limbs want(4);
+          detail::cios_mul<4>(a.data(), b.data(), n.data(), n0inv, 4,
+                              want.data());
+          detail::mont_mul4_adx(a.data(), b.data(), n.data(), n0inv,
+                                got.data());
+          ASSERT_EQ(got, want) << "mul m=" << m.to_hex();
+          got = a;
+          detail::mont_mul4_adx(got.data(), b.data(), n.data(), n0inv,
+                                got.data());
+          ASSERT_EQ(got, want) << "mul out == a, m=" << m.to_hex();
+          got = b;
+          detail::mont_mul4_adx(a.data(), got.data(), n.data(), n0inv,
+                                got.data());
+          ASSERT_EQ(got, want) << "mul out == b, m=" << m.to_hex();
+        }
+        detail::mont_mul4_adx(a.data(), a.data(), n.data(), n0inv, got.data());
+        ASSERT_EQ(got, want_sqr) << "mul a == b, m=" << m.to_hex();
+        got = a;
+        detail::mont_mul4_adx(got.data(), got.data(), n.data(), n0inv,
+                              got.data());
+        ASSERT_EQ(got, want_sqr) << "mul out == a == b, m=" << m.to_hex();
+      }
+    }
+  }
+#else
+  GTEST_SKIP() << "ADX kernels are x86-64 only";
+#endif
+}
+
+// The interleaved CRT ladder against two powmod_reference calls: equal and
+// unequal exponent lengths, a 32-bit-or-shorter exponent (which a lone
+// powmod runs on the binary ladder), zero exponents, bases past the
+// modulus, and a pair whose widths differ (the sequential path).
+TEST(MontgomeryTest, CrtPairLadderMatchesReference) {
+  Drbg rng(7107, "montgomery-pair-fuzz");
+  const auto check = [](const Bignum& p, const Bignum& bp, const Bignum& ep,
+                        const Bignum& q, const Bignum& bq, const Bignum& eq) {
+    const MontgomeryCtx ctx_p(p);
+    const MontgomeryCtx ctx_q(q);
+    const auto [got_p, got_q] =
+        MontgomeryCtx::powmod_pair(ctx_p, bp, ep, ctx_q, bq, eq);
+    EXPECT_EQ(got_p, bp.powmod_reference(ep, p))
+        << "p=" << p.to_hex() << " e=" << ep.to_hex();
+    EXPECT_EQ(got_q, bq.powmod_reference(eq, q))
+        << "q=" << q.to_hex() << " e=" << eq.to_hex();
+  };
+  for (int round = 0; round < 24; ++round) {
+    const bool top_all_ones = round % 2 == 1;
+    const Bignum p = random_modulus(rng, 4, top_all_ones);
+    const Bignum q = random_modulus(rng, 4, !top_all_ones);
+    const Bignum bp = round == 0 ? p - Bignum(1) : rng.random_below(p + p);
+    const Bignum bq = rng.random_below(q + q);
+    const Bignum e256p = rng.random_bits(256);
+    const Bignum e256q = rng.random_bits(256);
+    check(p, bp, e256p, q, bq, e256q);
+    check(p, bp, e256p, q, bq, rng.random_bits(1 + rng.uniform(200)));
+    check(p, bp, rng.random_bits(1 + rng.uniform(32)), q, bq, e256q);
+    check(p, bp, Bignum(65537), q, bq, Bignum(3));
+    check(p, bp, Bignum(0), q, bq, e256q);
+    check(p, bp, e256p, q, bq, Bignum(0));
+    check(p, bp, Bignum(0), q, bq, Bignum(0));
+    check(p, bp, Bignum(1), q, bq, Bignum(2));
+  }
+  // Widths other than 4 run the two ladders in turn.
+  const Bignum p8 = random_modulus(rng, 8, false);
+  const Bignum q4 = random_modulus(rng, 4, true);
+  check(p8, rng.random_below(p8), rng.random_bits(500), q4,
+        rng.random_below(q4), rng.random_bits(250));
 }
 
 // Bignum::powmod routes odd moduli through the Montgomery kernel and even
