@@ -328,7 +328,7 @@ int main(int argc, char** argv) {
     const bool mp_ok =
         fingerprint_parity && obs_parity && gates_hold(distributed.report);
     std::printf("\nmultiprocess leg: %zu rounds over %zu node processes — "
-                "fingerprint %s, obs aggregation %s (%zu stats polls)\n",
+                "fingerprint %s, obs aggregation %s (%zu stats points)\n",
                 kMpRounds, kMpProcesses,
                 fingerprint_parity ? "parity" : "DIVERGED",
                 obs_parity ? "parity" : "DIVERGED",

@@ -14,7 +14,10 @@
 //   3. the attack is fully detected with zero false evidence,
 //   4. the conductor's merged metrics shards (its own delta + every
 //      child's) reproduce the single-process run's SIM-domain metrics
-//      fingerprint byte for byte (DESIGN.md §14).
+//      fingerprint byte for byte (DESIGN.md §14),
+//   5. the stats timeline has a point for every rank, each rank's time and
+//      send count never decrease, and no point's peak open rounds exceed
+//      the simulated run's.
 //
 //   ./example_multiprocess_world [--scenario=NAME] [--seed=N]
 //                                [--rounds=N] [--processes=N]
@@ -22,7 +25,7 @@
 //
 // --trace-out arms Chrome tracing in every process and stitches the shards
 // into BASE.json; --obs-out appends the machine-readable parity row plus
-// one obs_snapshot row per rank and the polled stats timeline to PATH
+// one obs_snapshot row per rank and the per-grant stats timeline to PATH
 // (the multiprocess-smoke CI artifacts).
 #include <algorithm>
 #include <cstdio>
@@ -135,9 +138,44 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("  obs aggregation parity: %zu shards merged == single-process "
-              "(%zu stats polls)\n",
+              "(%zu stats points)\n",
               distributed.child_obs.size() + 1,
               distributed.stats_timeline.size());
+
+  // The stats timeline: every rank was granted at least once, each rank's
+  // time and send count never go back, and no child's peak exceeds the
+  // single-process peak over all nodes.
+  for (std::size_t rank = 0; rank < options.processes; ++rank) {
+    const scenario::MultiprocessResult::StatsPoint* last = nullptr;
+    for (const auto& point : distributed.stats_timeline) {
+      if (point.rank != rank) continue;
+      if (last != nullptr && (point.at_us < last->at_us ||
+                              point.messages_sent < last->messages_sent)) {
+        std::printf("FAIL: rank %zu's stats timeline goes back in time or "
+                    "sends\n",
+                    rank);
+        return 1;
+      }
+      if (point.peak_open_rounds < 0 ||
+          static_cast<std::uint64_t>(point.peak_open_rounds) >
+              simulated.peak_open_rounds) {
+        std::printf("FAIL: rank %zu's peak open rounds %lld exceed the "
+                    "simulated run's %llu\n",
+                    rank, static_cast<long long>(point.peak_open_rounds),
+                    static_cast<unsigned long long>(
+                        simulated.peak_open_rounds));
+        return 1;
+      }
+      last = &point;
+    }
+    if (last == nullptr) {
+      std::printf("FAIL: rank %zu has no stats timeline point\n", rank);
+      return 1;
+    }
+  }
+  std::printf("  stats timeline: every rank sampled, monotone, peak within "
+              "the simulated run's %llu\n",
+              static_cast<unsigned long long>(simulated.peak_open_rounds));
   if (!distributed.merged_trace_path.empty()) {
     std::printf("  merged trace: %s\n", distributed.merged_trace_path.c_str());
   }
@@ -175,7 +213,7 @@ int main(int argc, char** argv) {
                    obs::kCompiledIn ? "true" : "false",
                    distributed.child_obs[rank].to_json_fields().c_str());
     }
-    // Per-rank poll summary: how the live gauges moved over the run.
+    // Per-rank summary of the per-grant points: how the gauges moved.
     for (std::size_t rank = 0; rank < options.processes; ++rank) {
       std::size_t polls = 0;
       long long max_open = 0;

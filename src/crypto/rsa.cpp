@@ -2,6 +2,7 @@
 
 #include <array>
 #include <stdexcept>
+#include <string>
 
 #include "crypto/encoding.h"
 #include "obs/metrics.h"
@@ -95,14 +96,25 @@ bool is_probable_prime(const Bignum& n, Drbg& rng, int rounds) {
   return true;
 }
 
+// Attempts per candidate bit before generate_prime gives up. An odd
+// `bits`-bit candidate is prime with density about 2/(bits·ln 2), so
+// kPrimeAttemptsPerBit·bits misses in a row happen with probability about
+// exp(-2·kPrimeAttemptsPerBit/ln 2) = e^-184 at 64: never, unless the
+// arithmetic behind Miller–Rabin is wrong.
+constexpr std::size_t kPrimeAttemptsPerBit = 64;
+
 Bignum generate_prime(std::size_t bits, Drbg& rng) {
   if (bits < 16) throw std::invalid_argument("generate_prime: need >= 16 bits");
-  while (true) {
+  for (std::size_t attempt = 0; attempt < kPrimeAttemptsPerBit * bits;
+       ++attempt) {
     Bignum candidate = rng.random_bits(bits);
     candidate.set_bit(0);         // odd
     candidate.set_bit(bits - 2);  // top two bits set -> full-width products
     if (is_probable_prime(candidate, rng)) return candidate;
   }
+  throw std::runtime_error("generate_prime: no prime in " +
+                           std::to_string(kPrimeAttemptsPerBit * bits) +
+                           " candidates; modular arithmetic is broken");
 }
 
 RsaKeyPair generate_rsa_keypair(std::size_t modulus_bits, Drbg& rng) {

@@ -72,7 +72,9 @@ struct RsaKeyPair {
 [[nodiscard]] bool is_probable_prime(const Bignum& n, Drbg& rng, int rounds = 24);
 
 // Generates a random prime with exactly `bits` bits (top two bits set, so
-// products of two such primes have exactly 2*bits bits).
+// products of two such primes have exactly 2*bits bits). Throws
+// std::runtime_error after 64·bits composite candidates, which only broken
+// arithmetic reaches.
 [[nodiscard]] Bignum generate_prime(std::size_t bits, Drbg& rng);
 
 // Generates an RSA key pair with a modulus of `modulus_bits` bits, e = 65537.

@@ -31,17 +31,17 @@
 
 namespace pvr::net {
 
-// Frame types.
+// Frame types of the lockstep control plane (scenario/multiprocess.cpp).
+// A node process sends Hello once at connect, then only answers: one Done
+// per Grant, and one Result after Finish.
 inline constexpr std::uint8_t kFrameHello = 1;  // body: u32 process index
-// Live introspection (DESIGN.md §14): the conductor's request has an empty
-// body; the node process replies with a bare encoded obs::StatsSample
-// from its obs::StatsServer.
-inline constexpr std::uint8_t kFrameStats = 4;
-// Multiprocess lockstep control plane (scenario/multiprocess.cpp).
+// body: u8 grant kind, u64 granted time, then the kind's operand.
 inline constexpr std::uint8_t kFrameGrant = 18;
+// body: the shard's gauges (u64 open rounds, u64 peak open rounds, u64 RSA
+// verifies since the run baseline), then the grant's actions.
 inline constexpr std::uint8_t kFrameDone = 19;
-inline constexpr std::uint8_t kFrameFinish = 20;
-inline constexpr std::uint8_t kFrameResult = 21;
+inline constexpr std::uint8_t kFrameFinish = 20;  // empty body
+inline constexpr std::uint8_t kFrameResult = 21;  // evidence, counters, obs
 
 // Encodes `message` into exactly message.wire_size() bytes (the cookie is
 // in-memory only and never serialized).

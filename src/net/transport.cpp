@@ -32,6 +32,4 @@ void SimTransport::schedule_periodic(SimTime interval, std::function<void()> fn)
   sim_->schedule_periodic(interval, std::move(fn));
 }
 
-const SimStats& SimTransport::stats() const { return sim_->stats(); }
-
 }  // namespace pvr::net

@@ -3,9 +3,9 @@
 // Historically PvrNode, the BGP speakers, and the scenario adversaries were
 // written directly against the concrete discrete-event `net::Simulator`.
 // `net::Transport` lifts the surface they actually used — send(), link
-// queries, the clock, one-shot/periodic scheduling, the wire interceptor,
-// and byte accounting — into a virtual interface with three backends, one
-// per deployment of a world (DESIGN.md §13):
+// queries, the clock, one-shot/periodic scheduling and the wire
+// interceptor — into a virtual interface with three backends, one per
+// deployment of a world (DESIGN.md §13):
 //
 //   * `net::SimTransport` — a thin adapter over a `Simulator`. Zero behavior
 //     change: `Simulator::transport()` returns the canonical instance and
@@ -15,6 +15,12 @@
 //   * `LockstepTransport` (scenario/multiprocess.cpp) — a node process's
 //     plane in the multiprocess deployment, executing conductor grants.
 //
+// The backends differ only in send, links and clock. Byte accounting is
+// not part of the interface: it belongs to `net::Simulator`
+// (`Simulator::stats()`), which keeps the books every report is scored
+// from — the runner's simulator, the multiprocess conductor's, and the
+// recorded stats a replay reads from its trace.
+//
 // What callers may assume of the plane that carries messages (the
 // simulator's; the lockstep backend mirrors each send into the conductor's
 // simulator, and tests/net/transport_conformance_test.cpp holds it to this):
@@ -23,7 +29,7 @@
 //     delivered in send order (absent interceptor delays and drops).
 //   * send() to a pair without a link throws std::logic_error.
 //   * The interceptor runs once per send, before any loss, and its drop
-//     decision is counted in stats().messages_dropped.
+//     decision is counted in the simulator's stats().messages_dropped.
 //   * now() is monotone and handlers observe the time their event fired.
 //
 // What callers may NOT assume: cross-pair ordering. Determinism comes from
@@ -103,6 +109,10 @@ struct LinkConfig {
   double drop_probability = 0.0;
 };
 
+// Wire accounting, kept by net::Simulator (Simulator::stats()) and carried
+// in a recorded MessageTrace: bytes are Message::wire_size() regardless of
+// physical overhead, so byte totals are fingerprint-identical across the
+// simulated, replayed and multiprocess runs of a world.
 struct ChannelStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_delivered = 0;
@@ -164,11 +174,6 @@ class Transport {
   // semantics are backend-specific (the simulator stops re-arming once no
   // real work remains; the lockstep backend refuses periodic tasks).
   virtual void schedule_periodic(SimTime interval, std::function<void()> fn) = 0;
-
-  // Wire accounting, same counting rules on every backend: bytes are
-  // Message::wire_size() regardless of physical overhead, so byte totals
-  // are comparable (and fingerprint-identical) across backends.
-  [[nodiscard]] virtual const SimStats& stats() const = 0;
 };
 
 class Simulator;  // net/simulator.h
@@ -188,7 +193,6 @@ class SimTransport final : public Transport {
   [[nodiscard]] SimTime now() const override;
   void schedule(SimTime at, std::function<void()> fn) override;
   void schedule_periodic(SimTime interval, std::function<void()> fn) override;
-  [[nodiscard]] const SimStats& stats() const override;
 
   [[nodiscard]] Simulator& simulator() noexcept { return *sim_; }
 

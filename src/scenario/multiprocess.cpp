@@ -25,7 +25,6 @@
 #include "net/frame.h"
 #include "net/simulator.h"
 #include "obs/export.h"
-#include "obs/stats_server.h"
 #include "obs/trace.h"
 #include "scenario/world.h"
 
@@ -62,8 +61,8 @@ constexpr std::uint8_t kActionSchedule = 1;
 // ---------------------------------------------------------------------------
 
 // The node-process message plane. Executes ONLY inside a conductor grant:
-// now() is the granted event time, and send() and schedule() append the
-// handler's actions, in order, to the done reply. A sent message travels
+// now() is the granted event time, and send() and schedule() record the
+// handler's actions, in order, for the done reply. A sent message travels
 // in that reply to the conductor, whose simulator carries it and grants its
 // delivery to the owning process; a scheduled closure waits here until the
 // conductor grants its timer.
@@ -80,11 +79,11 @@ class LockstepTransport final : public net::Transport {
 
   void begin_grant(net::SimTime at) {
     now_ = at;
-    done_ = crypto::ByteWriter{};
+    actions_ = crypto::ByteWriter{};
   }
-  // The done reply's body: every action since begin_grant, in order.
-  [[nodiscard]] const std::vector<std::uint8_t>& done() const noexcept {
-    return done_.data();
+  // Every action since begin_grant, in order: the done reply's tail.
+  [[nodiscard]] const std::vector<std::uint8_t>& actions() const noexcept {
+    return actions_.data();
   }
   [[nodiscard]] std::function<void()> take_timer(std::uint64_t id) {
     const auto it = timers_.find(id);
@@ -103,14 +102,6 @@ class LockstepTransport final : public net::Transport {
     const std::uint64_t cookie =
         (static_cast<std::uint64_t>(process_index_ + 1) << 40) |
         next_cookie_++;
-    // Local byte accounting for live introspection (kFrameStats). The
-    // CONDUCTOR's simulator keeps the authoritative books the report is
-    // scored from; these per-process numbers feed the polled time series.
-    stats_.messages_sent += 1;
-    stats_.bytes_sent += message.wire_size();
-    net::ChannelStats& channel_stats = stats_.per_channel[message.channel];
-    channel_stats.messages_sent += 1;
-    channel_stats.bytes_sent += message.wire_size();
     // The send half of the cross-process flow arrow: the cookie rides with
     // the message through the conductor, so the delivery end can emit the
     // matching 'f' in its own trace shard.
@@ -119,16 +110,9 @@ class LockstepTransport final : public net::Transport {
       tracer.flow('s', "msg.flow", "flow", obs::Track::kSim, message.from,
                   now_, cookie);
     }
-    done_.put_u8(kActionSend);
-    done_.put_u64(cookie);
-    done_.put_bytes(net::encode_message_body(message));
-  }
-
-  // Called when a granted delivery lands on a local node, completing the
-  // sent/delivered pairing in the polled stats.
-  void note_delivered(const net::Message& message) {
-    stats_.messages_delivered += 1;
-    stats_.per_channel[message.channel].messages_delivered += 1;
+    actions_.put_u8(kActionSend);
+    actions_.put_u64(cookie);
+    actions_.put_bytes(net::encode_message_body(message));
   }
 
   [[nodiscard]] bool connected(net::NodeId a, net::NodeId b) const override {
@@ -149,9 +133,9 @@ class LockstepTransport final : public net::Transport {
   void schedule(net::SimTime at, std::function<void()> fn) override {
     const std::uint64_t id = next_timer_++;
     timers_.emplace(id, std::move(fn));
-    done_.put_u8(kActionSchedule);
-    done_.put_u64(at);
-    done_.put_u64(id);
+    actions_.put_u8(kActionSchedule);
+    actions_.put_u64(at);
+    actions_.put_u64(id);
   }
   void schedule_periodic(net::SimTime interval,
                          std::function<void()> fn) override {
@@ -159,20 +143,16 @@ class LockstepTransport final : public net::Transport {
     (void)fn;
     throw std::logic_error("LockstepTransport: periodic tasks unsupported");
   }
-  [[nodiscard]] const net::SimStats& stats() const override { return stats_; }
 
  private:
   std::size_t process_index_;
   std::set<std::pair<net::NodeId, net::NodeId>> links_;
   std::map<net::NodeId, std::vector<net::NodeId>> adjacency_;
   net::SimTime now_ = 0;
-  crypto::ByteWriter done_;
+  crypto::ByteWriter actions_;
   std::map<std::uint64_t, std::function<void()>> timers_;
   std::uint64_t next_timer_ = 1;
   std::uint64_t next_cookie_ = 1;
-  // This process's shard of the traffic (kFrameStats polls report it); the
-  // conductor's simulator keeps the authoritative report accounting.
-  net::SimStats stats_;
 };
 
 // Serves lockstep grants until the finish verb, then ships results.
@@ -211,35 +191,17 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
   // Observability: the metrics baseline isolates this process's RUN work
   // (grant handlers + shard verification) from startup noise — plan_world
   // keygen runs in every process and must not be multiply counted when the
-  // conductor merges the shard deltas. The StatsServer answers the
-  // conductor's kFrameStats polls with live gauges over the local nodes.
+  // conductor merges the shard deltas.
   const obs::MetricsSnapshot obs_baseline =
       obs::MetricsRegistry::global().snapshot();
-  obs::StatsServer stats_server(static_cast<std::uint32_t>(process_index));
-  stats_server.arm();
-  stats_server.set_gauges([&world] {
-    obs::StatsServer::Gauges gauges;
-    for (const auto& [asn, node] : world.nodes()) {
-      gauges.open_rounds += static_cast<std::int64_t>(node->open_rounds());
-      gauges.peak_open_rounds =
-          std::max(gauges.peak_open_rounds,
-                   static_cast<std::int64_t>(node->peak_open_rounds()));
-    }
-    return gauges;
-  });
+  const obs::Counter& rsa_verifies =
+      obs::MetricsRegistry::global().hot.crypto_rsa_verifies;
+  const std::uint64_t rsa_verifies_base = rsa_verifies.value();
 
   std::uint8_t type = 0;
   std::vector<std::uint8_t> body;
   while (true) {
     if (!control.read_one_frame(type, body)) return 2;
-    if (type == net::kFrameStats) {
-      crypto::ByteWriter reply;
-      reply.put_raw(
-          stats_server.sample(transport.now(), transport.stats()).encode());
-      control.append(net::kFrameStats, reply.data());
-      if (!control.flush_all()) return 2;
-      continue;
-    }
     if (type == net::kFrameGrant) {
       crypto::ByteReader reader(body);
       const std::uint8_t kind = reader.get_u8();
@@ -253,7 +215,6 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
         const std::uint64_t cookie = reader.get_u64();
         const net::Message message =
             net::decode_message_body(reader.get_bytes());
-        transport.note_delivered(message);
         obs::TraceWriter& tracer = obs::TraceWriter::global();
         if (tracer.active()) {
           // Anchor slice + finish half of the flow arrow whose 's' lives in
@@ -268,7 +229,22 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
       } else {
         return 2;
       }
-      control.append(net::kFrameDone, transport.done());
+      // The done reply: the shard's gauges after the grant (open rounds
+      // summed over the local nodes, their peak maximum, RSA verifies since
+      // the baseline), then the grant's actions.
+      std::uint64_t open_rounds = 0;
+      std::uint64_t peak_open_rounds = 0;
+      for (const auto& [asn, node] : world.nodes()) {
+        open_rounds += node->open_rounds();
+        peak_open_rounds = std::max<std::uint64_t>(peak_open_rounds,
+                                                   node->peak_open_rounds());
+      }
+      crypto::ByteWriter done;
+      done.put_u64(open_rounds);
+      done.put_u64(peak_open_rounds);
+      done.put_u64(rsa_verifies.value() - rsa_verifies_base);
+      done.put_raw(transport.actions());
+      control.append(net::kFrameDone, done.data());
       if (!control.flush_all()) return 2;
       continue;
     }
@@ -335,6 +311,7 @@ class ProxyNode final : public net::Node {
 struct ChildProc {
   pid_t pid = -1;
   std::unique_ptr<net::FrameConn> control;
+  std::uint64_t messages_sent = 0;  // kActionSend actions mirrored so far
 };
 
 class Conductor {
@@ -379,7 +356,6 @@ class Conductor {
   }
   void grant_and_apply(std::size_t child,
                        std::span<const std::uint8_t> grant_body);
-  void poll_child_stats(std::size_t child);
   void collect_results(MultiprocessResult& out);
   void reap_children();
 
@@ -427,7 +403,8 @@ void Conductor::accept_children(int control_listen) {
 
 void Conductor::grant_and_apply(std::size_t child,
                                 std::span<const std::uint8_t> grant_body) {
-  net::FrameConn& control = *children_.at(child).control;
+  ChildProc& proc = children_.at(child);
+  net::FrameConn& control = *proc.control;
   control.append(net::kFrameGrant, grant_body);
   if (!control.flush_all()) {
     throw std::runtime_error("conductor: child hung up mid-grant");
@@ -437,12 +414,21 @@ void Conductor::grant_and_apply(std::size_t child,
   if (!control.read_one_frame(type, body) || type != net::kFrameDone) {
     throw std::runtime_error("conductor: missing done reply");
   }
+  // The shard's gauges come first; the point's time is the granted time
+  // and its send count the sends mirrored from this child.
+  crypto::ByteReader reader(body);
+  MultiprocessResult::StatsPoint point{
+      .rank = static_cast<std::uint32_t>(child),
+      .at_us = sim_.now(),
+      .open_rounds = static_cast<std::int64_t>(reader.get_u64()),
+      .peak_open_rounds = static_cast<std::int64_t>(reader.get_u64()),
+      .rsa_verifies = reader.get_u64()};
   // Mirror the child's actions into the deterministic queue, in execution
   // order — this is what pins sequence parity with the monolithic run.
-  crypto::ByteReader reader(body);
   while (!reader.exhausted()) {
     const std::uint8_t kind = reader.get_u8();
     if (kind == kActionSend) {
+      proc.messages_sent += 1;
       const std::uint64_t cookie = reader.get_u64();
       net::Message message = net::decode_message_body(reader.get_bytes());
       message.cookie = cookie;
@@ -459,30 +445,7 @@ void Conductor::grant_and_apply(std::size_t child,
       throw std::runtime_error("conductor: malformed action");
     }
   }
-  poll_child_stats(child);
-}
-
-void Conductor::poll_child_stats(std::size_t child) {
-  net::FrameConn& control = *children_.at(child).control;
-  control.append(net::kFrameStats, {});
-  if (!control.flush_all()) {
-    throw std::runtime_error("conductor: child hung up at stats poll");
-  }
-  std::uint8_t type = 0;
-  std::vector<std::uint8_t> body;
-  if (!control.read_one_frame(type, body) || type != net::kFrameStats) {
-    throw std::runtime_error("conductor: missing stats reply");
-  }
-  const obs::StatsSample sample = obs::StatsSample::decode(body);
-  MultiprocessResult::StatsPoint point;
-  point.rank = sample.rank;
-  point.at_us = sample.at_us;
-  point.open_rounds = sample.open_rounds;
-  point.peak_open_rounds = sample.peak_open_rounds;
-  point.messages_sent = sample.messages_sent;
-  for (const auto& entry : sample.metrics.scalars) {
-    if (entry.name == "crypto.rsa_verifies") point.rsa_verifies = entry.value;
-  }
+  point.messages_sent = proc.messages_sent;
   stats_timeline_.push_back(point);
 }
 

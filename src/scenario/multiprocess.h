@@ -14,11 +14,12 @@
 //
 //   grant(app event k / timer id / deliver cookie + message bytes)  →
 //   child executes the closure against its real PvrNodes and replies with
-//   the ordered list of actions the handler took (sends as cookie + the
-//   encoded message, one-shot schedules). The conductor replays those
-//   actions into its simulator — sends as the real messages, so latency
-//   draws, interceptor decisions (replay included) and byte accounting are
-//   the simulated run's; schedules as future grants.
+//   its shard's gauges and the ordered list of actions the handler took
+//   (sends as cookie + the encoded message, one-shot schedules). One frame
+//   pair per grant: the child never speaks unasked. The conductor replays
+//   those actions into its simulator — sends as the real messages, so
+//   latency draws, interceptor decisions (replay included) and byte
+//   accounting are the simulated run's; schedules as future grants.
 //
 // Sequence parity is by construction: the conductor's simulator makes the
 // same schedule()/send() calls in the same order as the monolithic run's
@@ -53,9 +54,8 @@ struct MultiprocessOptions {
   // Distributed observability (DESIGN.md §14). `trace_base` != "" arms
   // Chrome tracing in the conductor and every child ("<base>.conductor
   // .json" / "<base>.<pid>.json") and stitches the shards into
-  // "<base>.json" after the run. Whether tracing or not, the conductor
-  // sends a kFrameStats probe to the granted child after every grant
-  // cycle, accumulating the per-process stats_timeline below.
+  // "<base>.json" after the run. Whether tracing or not, every done reply
+  // carries the child's gauges into the stats_timeline below.
   std::string trace_base;
 };
 
@@ -71,14 +71,14 @@ struct MultiprocessResult {
   obs::MetricsSnapshot merged_obs;
   std::vector<obs::MetricsSnapshot> child_obs;  // per-rank deltas
 
-  // One row per kFrameStats poll (one per grant cycle).
+  // One point per grant: the granted child's gauges from its done reply.
   struct StatsPoint {
-    std::uint32_t rank = 0;
-    std::uint64_t at_us = 0;  // lockstep (sim) time of the poll
-    std::int64_t open_rounds = 0;
-    std::int64_t peak_open_rounds = 0;
-    std::uint64_t rsa_verifies = 0;
-    std::uint64_t messages_sent = 0;
+    std::uint32_t rank = 0;   // the granted child's index
+    std::uint64_t at_us = 0;  // the granted (sim) time
+    std::int64_t open_rounds = 0;       // summed over the child's nodes
+    std::int64_t peak_open_rounds = 0;  // maximum over the child's nodes
+    std::uint64_t rsa_verifies = 0;     // the child's, since run start
+    std::uint64_t messages_sent = 0;    // sends mirrored from the child
   };
   std::vector<StatsPoint> stats_timeline;
 

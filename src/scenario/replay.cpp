@@ -45,11 +45,9 @@ class ReplayTransport final : public net::Transport {
                          std::function<void()> fn) override {
     clock_->schedule_periodic(interval, std::move(fn));
   }
-  [[nodiscard]] const net::SimStats& stats() const override { return stats_; }
 
  private:
   net::Simulator* clock_;  // not owned
-  net::SimStats stats_;    // empty: the recorded run's stats travel in the trace
 };
 
 }  // namespace

@@ -156,20 +156,38 @@ TEST(MontgomeryTest, PowmodEdgeExponents) {
 
 // Each kernel, called directly, against the schoolbook product: out * R
 // must equal a * b mod m. Covers out aliasing a, b or both (the squaring
-// a ladder runs), operands at m - 1, and top-limb-all-ones moduli; the
-// fixed-width kernels must also match the runtime-width one limb for limb.
+// a ladder runs), operands at m - 1, R mod m and m - R mod m, and
+// top-limb-all-ones and all-ones moduli; the fixed-width kernels must also
+// match the runtime-width one limb for limb.
 TEST(MontgomeryTest, KernelsMatchSchoolbookAtEveryWidthWithAliasing) {
   Drbg rng(7104, "montgomery-kernel-fuzz");
   for (const std::size_t w : kKernelWidths) {
     const Kernel kernel = kernel_for(w);
     for (const bool top_all_ones : {false, true}) {
-      for (int round = 0; round < 12; ++round) {
-        const Bignum m = random_modulus(rng, w, top_all_ones);
+      // Round 16, in the top-all-ones pass only, takes the all-ones modulus
+      // R - 1, where m - R mod m = m - 1: its (m - 1)^2 product carries
+      // out of the accumulator's top limb while adding a[i] * b, at every
+      // width. Random moduli reach that carry only now and then.
+      const int rounds = top_all_ones ? 17 : 16;
+      for (int round = 0; round < rounds; ++round) {
+        const Bignum m = round == 16 ? (Bignum(1) << (64 * w)) - Bignum(1)
+                                     : random_modulus(rng, w, top_all_ones);
         const Limbs n = to_width(m, w);
         const std::uint64_t n0inv = detail::neg_inverse_64(n[0]);
         const Bignum r = (Bignum(1) << (64 * w)) % m;
-        const Bignum a = round == 0 ? m - Bignum(1) : rng.random_below(m);
-        const Bignum b = round <= 1 ? m - Bignum(1) : rng.random_below(m);
+        // Rounds 0-1 use m - 1; rounds 12-15 use R mod m (1 in Montgomery
+        // form) and m - R mod m (-1 in Montgomery form, the value a ladder
+        // over base m - 1 holds). The other rounds draw random operands.
+        const Bignum minus_one = m - Bignum(1);
+        const Bignum minus_r = m - r;
+        const Bignum a = round == 0                   ? minus_one
+                         : round == 12 || round == 15 ? r
+                         : round >= 13                ? minus_r
+                                                      : rng.random_below(m);
+        const Bignum b = round <= 1 || round == 14    ? minus_one
+                         : round == 12                ? r
+                         : round >= 13                ? minus_r
+                                                      : rng.random_below(m);
         const Limbs al = to_width(a, w);
         const Limbs bl = to_width(b, w);
         const auto check = [&](const Limbs& out, const Bignum& x,

@@ -1,8 +1,8 @@
 // Transport conformance: every behavioral guarantee transport.h documents,
 // held against the simulator's SimTransport on a two-node world (one
 // link) — per-pair FIFO, payload fidelity incl. >64 KiB chunked payloads,
-// interceptor drop/delay semantics, stats counting rules, disconnect, and
-// trace recording. Protocol code reaches the plane only through
+// interceptor drop/delay semantics, the simulator's stats counting rules,
+// disconnect, and trace recording. Protocol code reaches the plane only through
 // sim.transport(), so that is what each test sends on.
 #include <gtest/gtest.h>
 
@@ -85,9 +85,9 @@ TEST_F(TransportConformanceTest, FramingRoundTripsEverySizeClassInOrder) {
   }
   // Byte accounting uses wire_size(), the length of the lockstep plane's
   // framed message body (net/frame.h).
-  EXPECT_EQ(transport().stats().bytes_sent, expected_bytes);
-  EXPECT_EQ(transport().stats().messages_sent, sizes.size());
-  EXPECT_EQ(transport().stats().messages_delivered, sizes.size());
+  EXPECT_EQ(sim_.stats().bytes_sent, expected_bytes);
+  EXPECT_EQ(sim_.stats().messages_sent, sizes.size());
+  EXPECT_EQ(sim_.stats().messages_delivered, sizes.size());
 }
 
 TEST_F(TransportConformanceTest, PerPairFifoHoldsAcrossChannels) {
@@ -135,8 +135,8 @@ TEST_F(TransportConformanceTest, InterceptorDropAndDelaySemantics) {
 
   // The dropped message was counted (sent AND dropped) and never arrived;
   // the delayed one arrived after the undelayed one.
-  EXPECT_EQ(transport().stats().messages_sent, 3u);
-  EXPECT_EQ(transport().stats().messages_dropped, 1u);
+  EXPECT_EQ(sim_.stats().messages_sent, 3u);
+  EXPECT_EQ(sim_.stats().messages_dropped, 1u);
   ASSERT_EQ(received_at_b().size(), 2u);
   EXPECT_EQ(received_at_b()[0].channel, "t.plain");
   EXPECT_EQ(received_at_b()[1].channel, "t.delay");

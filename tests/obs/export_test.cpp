@@ -12,7 +12,6 @@
 
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/stats_server.h"
 #include "obs/trace.h"
 
 namespace pvr::obs {
@@ -193,29 +192,6 @@ TEST(SnapshotDeltaTest, SchedDomainSurvivesMergeButNotFingerprint) {
   // obs_snapshot row shape is unchanged.
   EXPECT_NE(merged.to_json_fields().find("\"engine_drains\":2"),
             std::string::npos);
-}
-
-TEST(StatsSampleTest, RoundTripsThroughWire) {
-  StatsSample sample;
-  sample.rank = 3;
-  sample.at_us = 123456;
-  sample.open_rounds = 17;
-  sample.peak_open_rounds = 42;
-  sample.messages_sent = 1000;
-  sample.messages_delivered = 990;
-  sample.messages_dropped = 10;
-  sample.bytes_sent = 65536;
-  sample.metrics = sample_snapshot(2);
-  const StatsSample decoded = StatsSample::decode(sample.encode());
-  EXPECT_EQ(decoded.rank, 3u);
-  EXPECT_EQ(decoded.at_us, 123456u);
-  EXPECT_EQ(decoded.open_rounds, 17);
-  EXPECT_EQ(decoded.peak_open_rounds, 42);
-  EXPECT_EQ(decoded.messages_sent, 1000u);
-  EXPECT_EQ(decoded.messages_delivered, 990u);
-  EXPECT_EQ(decoded.messages_dropped, 10u);
-  EXPECT_EQ(decoded.bytes_sent, 65536u);
-  EXPECT_TRUE(snapshots_equal(decoded.metrics, sample.metrics));
 }
 
 [[nodiscard]] std::string slurp(const std::string& path) {
