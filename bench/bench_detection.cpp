@@ -37,7 +37,8 @@ struct Tally {
                                  const std::vector<bgp::AsNumber>& providers,
                                  crypto::Drbg& rng) {
   Tally tally;
-  const core::Auditor auditor(&keys.directory);
+  const core::VerifyContext ctx(&keys.directory);
+  const core::Auditor auditor(&ctx);
 
   for (int round = 0; round < kRounds; ++round) {
     tally.rounds += 1;
@@ -93,12 +94,12 @@ struct Tally {
         keys.private_keys.at(1).priv, rng);
 
     core::RoundFindings findings = verify_neighborhood(
-        keys.directory, sealed.honest, announcements, {2});
+        ctx, sealed.honest, announcements, {2});
     std::vector<core::Evidence>& evidence = findings.evidence;
     if (sealed.variant.has_value()) {
       if (auto conflict = core::check_root_equivocation(
-              providers.front(), open_sealed(keys.directory, sealed.honest),
-              open_sealed(keys.directory, *sealed.variant))) {
+              providers.front(), open_sealed(ctx, sealed.honest),
+              open_sealed(ctx, *sealed.variant))) {
         evidence.push_back(std::move(*conflict));
       }
     }

@@ -12,9 +12,8 @@
 //   1. worker sweep  — full round verification through the engine at
 //      1/2/4/8 workers, rounds spread over 25 prefixes (cross-round
 //      parallelism; thread-level speedup tracks physical cores);
-//   2. verify rate   — core::verify_message through the directory's
-//      VerifyContext over the rounds' signed window roots, the path engine
-//      workers and nodes run.
+//   2. verify rate   — one shared cache-off core::VerifyContext over the
+//      rounds' signed window roots, the path engine workers and nodes run.
 //
 // Exits nonzero when the evidence diverges across worker counts.
 #include <algorithm>
@@ -109,9 +108,10 @@ struct Workload {
 
 // Full verification of one round: all providers + the recipient.
 [[nodiscard]] core::RoundFindings check_round(const Workload& w,
+                                              const core::VerifyContext& ctx,
                                               const Round& round) {
-  return verify_neighborhood(w.keys.directory, round.window,
-                             round.announcements, {w.recipient});
+  return verify_neighborhood(ctx, round.window, round.announcements,
+                             {w.recipient});
 }
 
 [[nodiscard]] std::string evidence_digest(
@@ -144,11 +144,14 @@ struct SweepResult {
 };
 
 // Drains every round through one engine.
-[[nodiscard]] SweepResult run_sweep(const Workload& w, std::size_t workers) {
+[[nodiscard]] SweepResult run_sweep(const Workload& w,
+                                    const core::VerifyContext& ctx,
+                                    std::size_t workers) {
   engine::VerificationEngine engine(workers);
   const double t0 = now_seconds();
   for (const Round& round : w.rounds) {
-    engine.submit(round.id, [&w, &round] { return check_round(w, round); });
+    engine.submit(round.id,
+                  [&w, &ctx, &round] { return check_round(w, ctx, round); });
   }
   const engine::EngineReport report = engine.drain();
   const double elapsed = now_seconds() - t0;
@@ -179,6 +182,9 @@ int main(int argc, char** argv) {
   const Workload w = build_workload(rounds, args.seed);
   std::printf("workload built in %.1f s (prover CPU, untimed below)\n\n",
               now_seconds() - t_build);
+  // One cache-off context shared by both measurements (per-key precompute
+  // built once), as every node and engine worker of a world shares one.
+  const core::VerifyContext ctx(&w.keys.directory);
 
   // --- 1. Worker sweep over full round verification (cross-round) -----------
   std::printf("%-8s %-10s %-12s %-9s  evidence_digest\n", "workers",
@@ -188,7 +194,7 @@ int main(int argc, char** argv) {
   double rps_at_8 = 0;
   bool deterministic = true;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    const SweepResult result = run_sweep(w, workers);
+    const SweepResult result = run_sweep(w, ctx, workers);
     if (workers == 1) {
       digest_at_1 = result.digest;
       rps_at_1 = result.rounds_per_sec;
@@ -213,9 +219,9 @@ int main(int argc, char** argv) {
               std::thread::hardware_concurrency());
 
   // --- 2. Shared-context verification rate ---------------------------------
-  // core::verify_message through the directory's VerifyContext (per-key
-  // precompute built once): what engine workers and nodes actually pay,
-  // and the verifies_per_sec the regression gate tracks.
+  // The shared cache-off VerifyContext (per-key precompute built once):
+  // what engine workers and nodes actually pay, and the verifies_per_sec
+  // the regression gate tracks.
   std::vector<core::SignedMessage> roots;
   for (const Round& round : w.rounds) roots.push_back(round.window.signed_root);
   // Repeat the loop until the sample is large enough for a stable rate,
@@ -232,7 +238,7 @@ int main(int argc, char** argv) {
     const double t_single = now_seconds();
     for (std::size_t rep = 0; rep < reps; ++rep) {
       for (const core::SignedMessage& message : roots) {
-        if (core::verify_message(w.keys.directory, message)) valid += 1;
+        if (ctx.verify(message)) valid += 1;
       }
     }
     shared_vps = std::max(shared_vps, per_pass / (now_seconds() - t_single));

@@ -55,7 +55,7 @@ void BM_Fig1_VerifyAsProvider(benchmark::State& state) {
   // The timed round includes the verifier opening the window root.
   for (auto _ : state) {
     const auto evidence = core::verify_as_provider(
-        provider, own, open_sealed(instance.keys.directory, window),
+        provider, own, open_sealed(*instance.ctx, window),
         round.bundle, &reveal);
     benchmark::DoNotOptimize(evidence);
   }
@@ -77,8 +77,7 @@ void BM_Fig1_VerifyAsRecipient(benchmark::State& state) {
 
   for (auto _ : state) {
     const auto evidence = core::verify_as_recipient(
-        instance.keys.directory.verify_context(), 2,
-        open_sealed(instance.keys.directory, window), round.bundle,
+        *instance.ctx, 2, open_sealed(*instance.ctx, window), round.bundle,
         &round.recipient_reveal, &round.export_statement);
     benchmark::DoNotOptimize(evidence);
   }

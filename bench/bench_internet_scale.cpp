@@ -64,6 +64,7 @@ struct ScaleRow {
   crypto::Drbg key_rng(11 + seed, "scale-keys");
   const core::AsKeyPairs keys =
       core::generate_keys(graph.as_numbers(), key_rng, key_bits);
+  const core::VerifyContext ctx(&keys.directory);
 
   // One entry per prover round, kept so the same verification work can be
   // replayed through the engine afterwards.
@@ -120,7 +121,7 @@ struct ScaleRow {
                       .customers = customers};
 
     const auto t1 = std::chrono::steady_clock::now();
-    row.violations += verify_neighborhood(keys.directory, round.window,
+    row.violations += verify_neighborhood(ctx, round.window,
                                           round.announcements, round.customers)
                           .evidence.size();
     row.verify_total_ms += std::chrono::duration<double, std::milli>(
@@ -136,8 +137,8 @@ struct ScaleRow {
   engine::VerificationEngine engine(8);
   const auto t2 = std::chrono::steady_clock::now();
   for (const ProverRound& round : prover_rounds) {
-    engine.submit(round.id, [&round, &keys] {
-      return verify_neighborhood(keys.directory, round.window,
+    engine.submit(round.id, [&round, &ctx] {
+      return verify_neighborhood(ctx, round.window,
                                  round.announcements, round.customers);
     });
   }

@@ -49,7 +49,7 @@ struct Row {
       core::run_prover(instance.id, core::OperatorKind::kMinimum,
                        instance.inputs, kMaxLen, rng, {}),
       instance.keys.private_keys.at(1).priv, rng);
-  (void)verify_neighborhood(instance.keys.directory, window,
+  (void)verify_neighborhood(*instance.ctx, window,
                             instance.announcements, {2});
   row.pvr_ms = std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - t0)

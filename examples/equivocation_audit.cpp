@@ -59,7 +59,7 @@ std::vector<core::Evidence> run_world(bool equivocate) {
   std::vector<core::Evidence> all;
   std::vector<bgp::AsNumber> verifiers = world.providers;
   verifiers.push_back(world.recipient);
-  const core::Auditor auditor(&handles.keys->directory);
+  const core::Auditor auditor(handles.verify_ctx.get());
   for (const bgp::AsNumber verifier : verifiers) {
     for (const core::Evidence& evidence : world.node(verifier).evidence()) {
       std::printf("  %s\n", evidence.to_string().c_str());

@@ -13,6 +13,7 @@
 #include "bgp/speaker.h"
 #include "core/bundle_aggregation.h"
 #include "core/min_protocol.h"
+#include "core/verify_context.h"
 
 namespace {
 
@@ -128,7 +129,7 @@ int main() {
   const auto t_verify = std::chrono::steady_clock::now();
   // Each neighbor first accepts the window root itself; a root that does
   // not open counts as a violation.
-  const core::VerifyContext& ctx = keys.directory.verify_context();
+  const core::VerifyContext ctx(&keys.directory);
   std::size_t violations = 0;
   for (const auto& [provider, input] : inputs) {
     const auto announcement = core::InputAnnouncement::decode(input->payload);

@@ -65,7 +65,7 @@ void run_scenario(const char* title, const core::ProverMisbehavior& misbehavior)
 
   std::vector<bgp::AsNumber> verifiers = world.providers;
   verifiers.push_back(world.recipient);
-  const core::Auditor auditor(&handles.keys->directory);
+  const core::Auditor auditor(handles.verify_ctx.get());
   bool any_violation = false;
   for (const bgp::AsNumber verifier : verifiers) {
     for (const core::Evidence& evidence : world.node(verifier).evidence()) {

@@ -5,6 +5,7 @@
 
 #include "core/bundle_aggregation.h"
 #include "core/min_protocol.h"
+#include "core/verify_context.h"
 #include "crypto/encoding.h"
 
 namespace pvr::core {
@@ -72,9 +73,9 @@ Evidence Evidence::decode(std::span<const std::uint8_t> data) {
   return evidence;
 }
 
-Auditor::Auditor(const KeyDirectory* directory) : directory_(directory) {
-  if (directory_ == nullptr) {
-    throw std::invalid_argument("Auditor: null key directory");
+Auditor::Auditor(const VerifyContext* ctx) : ctx_(ctx) {
+  if (ctx_ == nullptr) {
+    throw std::invalid_argument("Auditor: null verify context");
   }
 }
 
@@ -120,7 +121,7 @@ bool Auditor::validate(const Evidence& evidence) const {
     if (index >= evidence.messages.size()) return std::nullopt;
     const SignedMessage& message = evidence.messages[index];
     if (message.signer != evidence.accused) return std::nullopt;
-    if (!verify_message(*directory_, message)) return std::nullopt;
+    if (!ctx_->verify(message)) return std::nullopt;
     try {
       AggregatedBundle root = AggregatedBundle::decode(message.payload);
       if (root.prover != evidence.accused) return std::nullopt;
@@ -221,7 +222,7 @@ bool Auditor::validate(const Evidence& evidence) const {
       // Re-derive provenance validity exactly as the recipient verifier did.
       const auto provenance_length = [&]() -> std::optional<std::size_t> {
         if (!statement->provenance.has_value()) return std::nullopt;
-        if (!verify_message(*directory_, *statement->provenance)) {
+        if (!ctx_->verify(*statement->provenance)) {
           return std::nullopt;
         }
         InputAnnouncement input;

@@ -82,17 +82,22 @@ struct Evidence {
   [[nodiscard]] static Evidence decode(std::span<const std::uint8_t> data);
 };
 
-// Third-party evidence validation. Holds only public keys; never sees
-// protocol state, so whatever it accepts is reproducible by anyone.
+class VerifyContext;  // core/verify_context.h
+
+// Third-party evidence validation. Holds only public keys (through the
+// caller's verification context); never sees protocol state, so whatever
+// it accepts is reproducible by anyone.
 class Auditor {
  public:
-  explicit Auditor(const KeyDirectory* directory);
+  // Borrows `ctx`, which must outlive the Auditor. Throws
+  // std::invalid_argument on null.
+  explicit Auditor(const VerifyContext* ctx);
 
   // True iff the evidence proves the accused misbehaved.
   [[nodiscard]] bool validate(const Evidence& evidence) const;
 
  private:
-  const KeyDirectory* directory_;  // not owned
+  const VerifyContext* ctx_;  // not owned
 };
 
 }  // namespace pvr::core

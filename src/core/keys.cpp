@@ -1,46 +1,8 @@
 #include "core/keys.h"
 
-#include "core/verify_context.h"
 #include "crypto/encoding.h"
 
 namespace pvr::core {
-
-KeyDirectory::KeyDirectory() = default;
-KeyDirectory::~KeyDirectory() = default;
-
-KeyDirectory::KeyDirectory(const KeyDirectory& other) : keys_(other.keys_) {}
-
-KeyDirectory::KeyDirectory(KeyDirectory&& other) noexcept
-    : keys_(std::move(other.keys_)) {}
-
-KeyDirectory& KeyDirectory::operator=(const KeyDirectory& other) {
-  if (this != &other) {
-    keys_ = other.keys_;
-    ctx_ptr_.store(nullptr, std::memory_order_release);
-    ctx_.reset();
-  }
-  return *this;
-}
-
-KeyDirectory& KeyDirectory::operator=(KeyDirectory&& other) noexcept {
-  if (this != &other) {
-    keys_ = std::move(other.keys_);
-    ctx_ptr_.store(nullptr, std::memory_order_release);
-    ctx_.reset();
-  }
-  return *this;
-}
-
-const VerifyContext& KeyDirectory::verify_context() const {
-  const VerifyContext* ctx = ctx_ptr_.load(std::memory_order_acquire);
-  if (ctx != nullptr) return *ctx;
-  std::lock_guard lock(ctx_mu_);
-  if (ctx_ == nullptr) {
-    ctx_ = std::make_unique<VerifyContext>(this, /*cache_verdicts=*/false);
-    ctx_ptr_.store(ctx_.get(), std::memory_order_release);
-  }
-  return *ctx_;
-}
 
 void KeyDirectory::add(bgp::AsNumber asn, crypto::RsaPublicKey key) {
   keys_[asn] = std::move(key);
@@ -98,10 +60,11 @@ SignedMessage sign_message(bgp::AsNumber signer,
 }
 
 bool verify_message(const KeyDirectory& directory, const SignedMessage& message) {
-  // Routed through the directory's shared context so every legacy call
-  // site reuses the per-key Montgomery precompute. Verdicts are identical
-  // to a stateless crypto::rsa_verify over the signing input.
-  return directory.verify_context().verify(message);
+  const crypto::RsaPublicKey* key = directory.find(message.signer);
+  if (key == nullptr) return false;
+  return crypto::rsa_verify(
+      *key, message_signing_input(message.signer, message.payload),
+      message.signature);
 }
 
 AsKeyPairs generate_keys(const std::vector<bgp::AsNumber>& asns,

@@ -7,11 +7,8 @@
 // directory), as in S-BGP.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -20,41 +17,17 @@
 
 namespace pvr::core {
 
-class VerifyContext;
-
 // Public keys of all participating ASes.
 class KeyDirectory {
  public:
-  KeyDirectory();
-  ~KeyDirectory();
-  // Copies and moves transfer the key map only; the lazily-built default
-  // VerifyContext holds a back-pointer to its directory, so the target
-  // starts fresh and rebuilds on first use.
-  KeyDirectory(const KeyDirectory& other);
-  KeyDirectory(KeyDirectory&& other) noexcept;
-  KeyDirectory& operator=(const KeyDirectory& other);
-  KeyDirectory& operator=(KeyDirectory&& other) noexcept;
-
   void add(bgp::AsNumber asn, crypto::RsaPublicKey key);
   [[nodiscard]] const crypto::RsaPublicKey* find(bgp::AsNumber asn) const;
   [[nodiscard]] bool contains(bgp::AsNumber asn) const;
   [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
   [[nodiscard]] std::vector<bgp::AsNumber> members() const;
 
-  // The directory's shared default verification context (verify_context.h):
-  // per-key Montgomery precompute, verdict cache OFF. Built lazily on first
-  // use and reused by every verify_message(directory, ...) call site, so
-  // legacy callers amortize the per-key precompute without any plumbing.
-  // Thread-safe; the reference stays valid for the directory's lifetime.
-  [[nodiscard]] const VerifyContext& verify_context() const;
-
  private:
   std::map<bgp::AsNumber, crypto::RsaPublicKey> keys_;
-  // Double-checked lazy init: the atomic pointer is the fast path, the
-  // mutex serializes the one-time construction.
-  mutable std::mutex ctx_mu_;
-  mutable std::unique_ptr<VerifyContext> ctx_;
-  mutable std::atomic<const VerifyContext*> ctx_ptr_{nullptr};
 };
 
 struct SignedMessage {
@@ -74,6 +47,11 @@ struct SignedMessage {
                                          const crypto::RsaPrivateKey& key,
                                          std::vector<std::uint8_t> payload);
 
+// The stateless reference verifier: crypto::rsa_verify on the signer's
+// directory key over message_signing_input. False for an unknown signer.
+// Protocol code verifies through a core::VerifyContext (verify_context.h),
+// which returns exactly this verdict from prepared per-key state; tests
+// compare it against this function.
 [[nodiscard]] bool verify_message(const KeyDirectory& directory,
                                   const SignedMessage& message);
 

@@ -46,8 +46,8 @@ struct UnwrappedGossip {
 PvrNode::PvrNode(PvrConfig config)
     : config_(std::move(config)),
       rng_(config_.rng_seed ^ config_.asn, "pvr-node") {
-  if (config_.directory == nullptr || config_.private_key == nullptr) {
-    throw std::invalid_argument("PvrNode: missing keys");
+  if (config_.verify_ctx == nullptr || config_.private_key == nullptr) {
+    throw std::invalid_argument("PvrNode: missing verify context or key");
   }
 }
 
@@ -255,7 +255,7 @@ void PvrNode::observe_root(net::Transport& sim, const SignedMessage& signed_root
     return;
   }
   if (window == nullptr) {
-    auto opened = open_window(config_.verify_context(), signed_root);
+    auto opened = open_window(*config_.verify_ctx, signed_root);
     if (!opened) return;
     window = std::make_shared<const VerifiedWindow>(std::move(*opened));
   }
@@ -300,7 +300,7 @@ void PvrNode::attach_root(const std::shared_ptr<const VerifiedWindow>& window) {
 void PvrNode::open_aggregated(net::Transport& sim,
                               const AggregatedBundleMessage& message,
                               bgp::AsNumber origin) {
-  auto opened = open_window(config_.verify_context(), message.signed_root);
+  auto opened = open_window(*config_.verify_ctx, message.signed_root);
   if (!opened) return;
   const auto window = std::make_shared<const VerifiedWindow>(std::move(*opened));
   const AggregatedBundle& root = window->root();
@@ -357,7 +357,7 @@ void PvrNode::on_message(net::Transport& sim, const net::Message& message) {
     } catch (const std::out_of_range&) {
       return;
     }
-    if (!config_.verify_context().verify(envelope) ||
+    if (!config_.verify_ctx->verify(envelope) ||
         envelope.signer != message.from) {
       return;  // unauthenticated input: ignored
     }
@@ -432,7 +432,7 @@ RoundFindings PvrNode::check_round(const PvrConfig& config,
                                     *round.bundle, leaf(round.provider_reveal));
     findings.evidence.insert(findings.evidence.end(), found.begin(), found.end());
   } else if (config.role == PvrRole::kRecipient) {
-    auto found = verify_as_recipient(config.verify_context(), config.asn,
+    auto found = verify_as_recipient(*config.verify_ctx, config.asn,
                                      *round.window, *round.bundle,
                                      leaf(round.recipient_reveal),
                                      leaf(round.export_statement));
@@ -531,12 +531,13 @@ Figure1Handles make_figure1_world(const Figure1Setup& setup) {
   crypto::Drbg key_rng(setup.seed, "fig1-keys");
   handles.keys =
       std::make_unique<AsKeyPairs>(generate_keys(all, key_rng, setup.key_bits));
+  handles.verify_ctx = std::make_unique<VerifyContext>(&handles.keys->directory);
 
   auto make_node = [&](bgp::AsNumber asn, PvrRole role) {
     PvrConfig config{
         .asn = asn,
         .role = role,
-        .directory = &handles.keys->directory,
+        .verify_ctx = handles.verify_ctx.get(),
         .private_key = &handles.keys->private_keys.at(asn).priv,
         .op = setup.op,
         .max_len = setup.max_len,

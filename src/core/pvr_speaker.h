@@ -37,6 +37,7 @@
 
 #include "core/bundle_aggregation.h"
 #include "core/min_protocol.h"
+#include "core/verify_context.h"
 #include "crypto/sha256.h"
 #include "net/simulator.h"
 
@@ -51,16 +52,10 @@ enum class PvrRole : std::uint8_t { kProver, kProvider, kRecipient };
 struct PvrConfig {
   bgp::AsNumber asn = 0;
   PvrRole role = PvrRole::kProvider;
-  const KeyDirectory* directory = nullptr;        // not owned
-  // Shared verification context (engine workers + every node of a world,
-  // see core/verify_context.h). nullptr = fall back to the directory's own
-  // cache-off context; verdicts are identical either way.
+  // The context every verification in this node goes through, shared by
+  // the engine workers and every node of a world (core/verify_context.h).
+  // Required: PvrNode's constructor throws std::invalid_argument on null.
   const VerifyContext* verify_ctx = nullptr;      // not owned
-
-  // The context every verification in this node goes through.
-  [[nodiscard]] const VerifyContext& verify_context() const {
-    return verify_ctx != nullptr ? *verify_ctx : directory->verify_context();
-  }
   const crypto::RsaPrivateKey* private_key = nullptr;  // not owned
   OperatorKind op = OperatorKind::kMinimum;
   std::uint32_t max_len = 16;
@@ -366,6 +361,8 @@ struct Figure1Setup {
 struct Figure1Handles {
   std::unique_ptr<Figure1World> world;
   std::unique_ptr<AsKeyPairs> keys;
+  // The one cache-off context every node of the world verifies through.
+  std::unique_ptr<VerifyContext> verify_ctx;
   bgp::Ipv4Prefix prefix;
 
   // The identity of the round the harness drives for `epoch` over the

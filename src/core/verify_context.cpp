@@ -1,5 +1,7 @@
 #include "core/verify_context.h"
 
+#include <mutex>
+
 #include "crypto/encoding.h"
 #include "obs/metrics.h"
 

@@ -47,9 +47,6 @@ class VerifyContext {
   [[nodiscard]] const KeyDirectory& directory() const noexcept {
     return *directory_;
   }
-  [[nodiscard]] bool caches_verdicts() const noexcept {
-    return cache_verdicts_;
-  }
 
   // Returns EXACTLY what core::verify_message(directory, message) returns.
   [[nodiscard]] bool verify(const SignedMessage& message) const;

@@ -4,8 +4,9 @@
 // A trace records every DELIVERED message (dropped messages never appear),
 // in a single global delivery order, plus the run's wire accounting and the
 // per-prover round/window counters a ScenarioReport needs. Replaying the
-// trace through a SimTransport (scenario::replay_trace) re-delivers each
-// message to its destination node at its recorded time and order; because
+// trace (scenario::replay_trace, through its send-sunk ReplayTransport)
+// re-delivers each message to its destination node at its recorded time
+// and order; because
 // every verifier-side state transition happens on DELIVERY, the replayed
 // run reproduces the original evidence byte for byte and its
 // ScenarioReport::fingerprint() matches the recorded run (DESIGN.md §13).

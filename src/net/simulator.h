@@ -9,7 +9,8 @@
 // The message-plane surface (Message, Node, Interceptor, stats) lives in
 // net/transport.h; the simulator is one BACKEND of that interface, exposed
 // through the `SimTransport` returned by transport(). World construction —
-// add_node, connect, run — remains concrete simulator API.
+// add_node, connect, the interceptor, periodic ticks, run — remains
+// concrete simulator API.
 #pragma once
 
 #include <cstdint>
@@ -49,17 +50,16 @@ class Simulator {
 
   // Sends over an existing link; throws std::logic_error if none exists.
   // Delivery happens at now + latency unless the link drops the message.
-  // The active interceptor (a Transport-level concept, see
-  // Transport::set_interceptor) runs first: its drop/extra_delay verdict is
-  // applied BEFORE the link's random drop draw, so adversarial interference
-  // never perturbs the link-loss RNG stream.
+  // The active interceptor (set_interceptor) runs first: its
+  // drop/extra_delay verdict is applied BEFORE the link's random drop draw,
+  // so adversarial interference never perturbs the link-loss RNG stream.
   void send(Message message);
 
-  // Installs (or clears, with nullptr) the wire interceptor. Interception
-  // is part of the Transport interface — adversaries should install hooks
-  // through `transport().set_interceptor()` so they work on any backend;
-  // this method is the simulator-backend implementation of it. The hook
-  // receives the canonical SimTransport, never the Simulator itself.
+  // Installs (or clears, with nullptr) the wire interceptor. At most one is
+  // active; scenario adversaries compose their behaviors inside one hook,
+  // installed on the simulator that carries the deployment's messages (the
+  // runner's, or the multiprocess conductor's). The hook receives the
+  // canonical SimTransport, never the Simulator itself.
   void set_interceptor(Interceptor interceptor);
 
   // Attaches a delivery trace recorder: every delivered message is

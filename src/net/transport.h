@@ -1,11 +1,8 @@
 // The message-plane abstraction every protocol endpoint programs against.
 //
-// Historically PvrNode, the BGP speakers, and the scenario adversaries were
-// written directly against the concrete discrete-event `net::Simulator`.
-// `net::Transport` lifts the surface they actually used — send(), link
-// queries, the clock, one-shot/periodic scheduling and the wire
-// interceptor — into a virtual interface with three backends, one per
-// deployment of a world (DESIGN.md §13):
+// PvrNode, the BGP speakers and the scenario adversaries' hooks run their
+// handlers against `net::Transport`: four calls (send, connected, now,
+// schedule) that every deployment of a world backs (DESIGN.md §13):
 //
 //   * `net::SimTransport` — a thin adapter over a `Simulator`. Zero behavior
 //     change: `Simulator::transport()` returns the canonical instance and
@@ -15,11 +12,12 @@
 //   * `LockstepTransport` (scenario/multiprocess.cpp) — a node process's
 //     plane in the multiprocess deployment, executing conductor grants.
 //
-// The backends differ only in send, links and clock. Byte accounting is
-// not part of the interface: it belongs to `net::Simulator`
-// (`Simulator::stats()`), which keeps the books every report is scored
-// from — the runner's simulator, the multiprocess conductor's, and the
-// recorded stats a replay reads from its trace.
+// World construction and its instruments — node registration, link
+// wiring, the wire interceptor, periodic ticks and byte accounting — are
+// not part of the interface. They are `net::Simulator` API, applied by the
+// simulator that carries a deployment's messages (the runner's, the
+// multiprocess conductor's); a replay reads the recorded stats from its
+// trace.
 //
 // What callers may assume of the plane that carries messages (the
 // simulator's; the lockstep backend mirrors each send into the conductor's
@@ -86,7 +84,8 @@ struct InterceptDecision {
   SimTime extra_delay = 0;  // added on top of the link latency
 };
 
-// Runs inside Transport::send for every message on an existing link,
+// Installed on the net::Simulator that carries a deployment's messages.
+// Runs inside its send for every message on an existing link,
 // BEFORE any backend loss (the simulator's random drop draw), so
 // adversarial interference is deterministic and independent of link loss.
 // The hook may itself call send()/schedule() on the transport (e.g. to
@@ -155,25 +154,14 @@ class Transport {
   // Sends over an existing link; throws std::logic_error if none exists.
   virtual void send(Message message) = 0;
 
-  // Link queries (the gossip relays consult connected() before each hop).
+  // Link query (the gossip relays consult connected() before each hop).
   [[nodiscard]] virtual bool connected(NodeId a, NodeId b) const = 0;
-  [[nodiscard]] virtual std::vector<NodeId> neighbors_of(NodeId id) const = 0;
-
-  // Installs (or clears, with nullptr) the wire interceptor. At most one is
-  // active; scenario adversaries compose their behaviors inside one hook.
-  virtual void set_interceptor(Interceptor interceptor) = 0;
 
   // The clock: simulated µs (a node process sees the granted event time).
   [[nodiscard]] virtual SimTime now() const = 0;
 
   // Runs `fn` at absolute transport time `at` (>= now()).
   virtual void schedule(SimTime at, std::function<void()> fn) = 0;
-  virtual void schedule_after(SimTime delay, std::function<void()> fn);
-
-  // Runs `fn` every `interval` µs, first at now + interval. Termination
-  // semantics are backend-specific (the simulator stops re-arming once no
-  // real work remains; the lockstep backend refuses periodic tasks).
-  virtual void schedule_periodic(SimTime interval, std::function<void()> fn) = 0;
 };
 
 class Simulator;  // net/simulator.h
@@ -188,13 +176,8 @@ class SimTransport final : public Transport {
 
   void send(Message message) override;
   [[nodiscard]] bool connected(NodeId a, NodeId b) const override;
-  [[nodiscard]] std::vector<NodeId> neighbors_of(NodeId id) const override;
-  void set_interceptor(Interceptor interceptor) override;
   [[nodiscard]] SimTime now() const override;
   void schedule(SimTime at, std::function<void()> fn) override;
-  void schedule_periodic(SimTime interval, std::function<void()> fn) override;
-
-  [[nodiscard]] Simulator& simulator() noexcept { return *sim_; }
 
  private:
   Simulator* sim_;  // not owned

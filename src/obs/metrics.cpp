@@ -198,38 +198,6 @@ std::string MetricsSnapshot::to_json_fields() const {
   return out;
 }
 
-MetricsRegistry::MetricsRegistry() = default;
-
-Counter& MetricsRegistry::counter(std::string_view name, Domain domain) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Named& slot = named_[std::string(name)];
-  if (!slot.counter) {
-    slot.counter = std::make_unique<Counter>();
-    slot.domain = domain;
-  }
-  return *slot.counter;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name, Domain domain) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Named& slot = named_[std::string(name)];
-  if (!slot.gauge) {
-    slot.gauge = std::make_unique<Gauge>();
-    slot.domain = domain;
-  }
-  return *slot.gauge;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name, Domain domain) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Named& slot = named_[std::string(name)];
-  if (!slot.histogram) {
-    slot.histogram = std::make_unique<Histogram>();
-    slot.domain = domain;
-  }
-  return *slot.histogram;
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot out;
   for (const HotScalar& scalar : kHotScalars) {
@@ -244,27 +212,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         .domain = hist.domain,
         .hist = (hot.*hist.member).snapshot()});
   }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [name, slot] : named_) {
-      if (slot.counter) {
-        out.scalars.push_back(MetricsSnapshot::Entry{
-            .name = name, .domain = slot.domain, .value = slot.counter->value()});
-      }
-      if (slot.gauge) {
-        out.scalars.push_back(MetricsSnapshot::Entry{
-            .name = name,
-            .domain = slot.domain,
-            .value = static_cast<std::uint64_t>(slot.gauge->value())});
-      }
-      if (slot.histogram) {
-        out.histograms.push_back(MetricsSnapshot::HistEntry{
-            .name = name,
-            .domain = slot.domain,
-            .hist = slot.histogram->snapshot()});
-      }
-    }
-  }
   const auto by_name = [](const auto& a, const auto& b) {
     return a.name < b.name;
   };
@@ -276,12 +223,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 void MetricsRegistry::reset() {
   for (const HotScalar& scalar : kHotScalars) (hot.*scalar.member).reset();
   for (const HotHist& hist : kHotHists) (hot.*hist.member).reset();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, slot] : named_) {
-    if (slot.counter) slot.counter->reset();
-    if (slot.gauge) slot.gauge->reset();
-    if (slot.histogram) slot.histogram->reset();
-  }
 }
 
 MetricsRegistry& MetricsRegistry::global() {

@@ -1,4 +1,4 @@
-// Deterministic metrics: counters, gauges, and fixed-log-bucket histograms.
+// Deterministic metrics: counters and fixed-log-bucket histograms.
 //
 // This is the measurement layer the throughput ROADMAP items regress
 // against (overlap proof for item 1, the crypto profile item 3 demands,
@@ -38,11 +38,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #ifndef PVR_OBS_ENABLED
@@ -91,24 +87,6 @@ class Counter {
 
  private:
   std::array<detail::Cell, detail::kCells> cells_;
-};
-
-// Last-write-wins signed level (open rounds, queue depths).
-class Gauge {
- public:
-  void set(std::int64_t value) noexcept {
-    value_.store(value, std::memory_order_relaxed);
-  }
-  void add(std::int64_t delta) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::int64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { set(0); }
-
- private:
-  std::atomic<std::int64_t> value_{0};
 };
 
 // Deterministic view of one histogram: the state two runs must agree on.
@@ -233,7 +211,7 @@ struct MetricsSnapshot {
   struct Entry {
     std::string name;
     Domain domain = Domain::kSim;
-    std::uint64_t value = 0;  // counters/gauges (gauges cast)
+    std::uint64_t value = 0;
   };
   struct HistEntry {
     std::string name;
@@ -275,39 +253,18 @@ struct MetricsSnapshot {
                                              const MetricsSnapshot& earlier);
 };
 
-// Registry: the fixed HotMetrics plus dynamically named metrics. Named
-// lookups mutex a map and return stable references (hold the reference,
-// not the name, on hot paths). reset() zeroes values but never invalidates
+// Registry: the fixed HotMetrics, every one a direct member so hot paths
+// never pay a name lookup. reset() zeroes values but never invalidates
 // references.
 class MetricsRegistry {
  public:
-  MetricsRegistry();
-
   HotMetrics hot;
-
-  [[nodiscard]] Counter& counter(std::string_view name,
-                                 Domain domain = Domain::kSim);
-  [[nodiscard]] Gauge& gauge(std::string_view name,
-                             Domain domain = Domain::kSim);
-  [[nodiscard]] Histogram& histogram(std::string_view name,
-                                     Domain domain = Domain::kSim);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
   void reset();
 
   // The process-wide registry every PVR_OBS_* macro records into.
   [[nodiscard]] static MetricsRegistry& global();
-
- private:
-  struct Named {
-    Domain domain = Domain::kSim;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-  };
-
-  mutable std::mutex mutex_;
-  std::map<std::string, Named, std::less<>> named_;
 };
 
 }  // namespace pvr::obs

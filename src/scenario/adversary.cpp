@@ -7,6 +7,7 @@
 
 #include "core/pvr_speaker.h"
 #include "crypto/drbg.h"
+#include "net/simulator.h"
 
 namespace pvr::scenario {
 
@@ -133,7 +134,7 @@ class SelectiveDropStrategy final : public AdversaryStrategy {
   [[nodiscard]] core::ProverMisbehavior prover_misbehavior() const override {
     return {.equivocate = true};
   }
-  void install(net::Transport& sim, const std::vector<Neighborhood>& hoods,
+  void install(net::Simulator& sim, const std::vector<Neighborhood>& hoods,
                const std::vector<bool>& attacked, std::uint64_t seed) override {
     (void)attacked;  // the hostile wire does not spare honest neighborhoods
     auto state = std::make_shared<WireChaosState>(seed);
@@ -158,7 +159,7 @@ class DelayReplayStrategy final : public AdversaryStrategy {
   [[nodiscard]] net::SimTime max_replay_lag() const override {
     return kReplayStepUs * 2;  // replays_per_message below
   }
-  void install(net::Transport& sim, const std::vector<Neighborhood>& hoods,
+  void install(net::Simulator& sim, const std::vector<Neighborhood>& hoods,
                const std::vector<bool>& attacked, std::uint64_t seed) override {
     (void)attacked;  // the hostile wire does not spare honest neighborhoods
     auto state = std::make_shared<WireChaosState>(seed);
@@ -187,7 +188,7 @@ class ColludingPairStrategy final : public AdversaryStrategy {
     if (hood.providers.empty()) return {};
     return {hood.providers.front()};
   }
-  void install(net::Transport& sim, const std::vector<Neighborhood>& hoods,
+  void install(net::Simulator& sim, const std::vector<Neighborhood>& hoods,
                const std::vector<bool>& attacked, std::uint64_t seed) override {
     auto state = std::make_shared<WireChaosState>(seed);
     // Only attacked neighborhoods HAVE an accomplice: muting a provider in
@@ -219,7 +220,7 @@ class ReplayRelayStrategy final : public AdversaryStrategy {
   [[nodiscard]] net::SimTime max_replay_lag() const override {
     return kReplayStepUs * 3;  // replays_per_message below
   }
-  void install(net::Transport& sim, const std::vector<Neighborhood>& hoods,
+  void install(net::Simulator& sim, const std::vector<Neighborhood>& hoods,
                const std::vector<bool>& attacked, std::uint64_t seed) override {
     (void)hoods;
     (void)attacked;

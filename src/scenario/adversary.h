@@ -2,7 +2,7 @@
 //
 // Every strategy drives misbehavior through the SHIPPED machinery — the
 // prover's ProverMisbehavior knobs and wire-level interference via the
-// net::Transport interceptor hook — never through bespoke test code, so
+// simulator's interceptor hook — never through bespoke test code, so
 // an attack a strategy mounts can only be caught by the evidence checks
 // the production verifiers actually run. The strategy also states its
 // contract: which ViolationKind(s) must catch the attack (the runner
@@ -17,7 +17,7 @@
 
 #include "core/evidence.h"
 #include "core/min_protocol.h"
-#include "net/transport.h"
+#include "net/simulator.h"
 #include "scenario/topology_gen.h"
 
 namespace pvr::scenario {
@@ -63,14 +63,15 @@ class AdversaryStrategy {
   [[nodiscard]] virtual net::SimTime max_extra_delay() const { return 0; }
   [[nodiscard]] virtual net::SimTime max_replay_lag() const { return 0; }
 
-  // Installs wire-level interference (drop/delay/replay) once the world is
-  // built. `attacked[h]` says whether hoods[h]'s prover mounts the attack:
-  // pure wire chaos (drops, delays, replays) deliberately hits honest
+  // Installs wire-level interference (drop/delay/replay) on the simulator
+  // that carries the world's messages, once the world is built.
+  // `attacked[h]` says whether hoods[h]'s prover mounts the attack: pure
+  // wire chaos (drops, delays, replays) deliberately hits honest
   // neighborhoods too — they must stay evidence-silent under it — but
   // anything tied to the attack itself (e.g. muting a colluding verifier)
   // must be scoped to the attacked neighborhoods the runner scores
   // against. Default: none.
-  virtual void install(net::Transport& sim,
+  virtual void install(net::Simulator& sim,
                        const std::vector<Neighborhood>& hoods,
                        const std::vector<bool>& attacked, std::uint64_t seed) {
     (void)sim;

@@ -72,8 +72,6 @@ class LockstepTransport final : public net::Transport {
       : process_index_(process_index) {
     for (const PlannedLink& link : plan.links) {
       links_.insert(norm_pair(link.a, link.b));
-      adjacency_[link.a].push_back(link.b);
-      adjacency_[link.b].push_back(link.a);
     }
   }
 
@@ -118,17 +116,6 @@ class LockstepTransport final : public net::Transport {
   [[nodiscard]] bool connected(net::NodeId a, net::NodeId b) const override {
     return links_.contains(norm_pair(a, b));
   }
-  [[nodiscard]] std::vector<net::NodeId> neighbors_of(
-      net::NodeId id) const override {
-    const auto it = adjacency_.find(id);
-    return it == adjacency_.end() ? std::vector<net::NodeId>{} : it->second;
-  }
-  void set_interceptor(net::Interceptor interceptor) override {
-    if (interceptor) {
-      throw std::logic_error(
-          "LockstepTransport: interception runs on the conductor");
-    }
-  }
   [[nodiscard]] net::SimTime now() const override { return now_; }
   void schedule(net::SimTime at, std::function<void()> fn) override {
     const std::uint64_t id = next_timer_++;
@@ -137,17 +124,10 @@ class LockstepTransport final : public net::Transport {
     actions_.put_u64(at);
     actions_.put_u64(id);
   }
-  void schedule_periodic(net::SimTime interval,
-                         std::function<void()> fn) override {
-    (void)interval;
-    (void)fn;
-    throw std::logic_error("LockstepTransport: periodic tasks unsupported");
-  }
 
  private:
   std::size_t process_index_;
   std::set<std::pair<net::NodeId, net::NodeId>> links_;
-  std::map<net::NodeId, std::vector<net::NodeId>> adjacency_;
   net::SimTime now_ = 0;
   crypto::ByteWriter actions_;
   std::map<std::uint64_t, std::function<void()>> timers_;

@@ -15,10 +15,10 @@ namespace {
 // The replay message plane: a clock and an event queue (borrowed from a
 // node-less Simulator), with the send side sunk. Every message a replayed
 // node emits was already recorded as a delivery in the trace, so re-sending
-// would double-deliver; connected() == false and empty neighbors_of()
-// additionally keep the root-gossip relays quiet (their local state
-// transitions — root dedup, attachment — still happen exactly as in the
-// recorded run, where the sends DID go out and were recorded).
+// would double-deliver; connected() == false additionally keeps the
+// root-gossip relays quiet (their local state transitions — root dedup,
+// attachment — still happen exactly as in the recorded run, where the
+// sends DID go out and were recorded).
 class ReplayTransport final : public net::Transport {
  public:
   explicit ReplayTransport(net::Simulator& clock) noexcept : clock_(&clock) {}
@@ -29,21 +29,9 @@ class ReplayTransport final : public net::Transport {
     (void)b;
     return false;
   }
-  [[nodiscard]] std::vector<net::NodeId> neighbors_of(
-      net::NodeId id) const override {
-    (void)id;
-    return {};
-  }
-  void set_interceptor(net::Interceptor interceptor) override {
-    (void)interceptor;  // no wire to intercept — trace deliveries are final
-  }
   [[nodiscard]] net::SimTime now() const override { return clock_->now(); }
   void schedule(net::SimTime at, std::function<void()> fn) override {
     clock_->schedule(at, std::move(fn));
-  }
-  void schedule_periodic(net::SimTime interval,
-                         std::function<void()> fn) override {
-    clock_->schedule_periodic(interval, std::move(fn));
   }
 
  private:

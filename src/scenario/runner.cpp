@@ -116,7 +116,7 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
       [&world, &transport](const AppEvent& event) {
         world.apply(transport, event);
       });
-  if (spec.online) world.arm_online(transport);
+  if (spec.online) world.arm_online(sim);
 
   // Distributed-parity baseline (DESIGN.md §14): everything from here to the
   // end of scoring is the work the multiprocess deployment shards across the

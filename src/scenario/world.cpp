@@ -211,7 +211,7 @@ void wire_simulator(
   for (const PlannedLink& link : plan.links) {
     sim.connect(link.a, link.b, link.config);
   }
-  plan.adversary->install(sim.transport(), plan.hoods, plan.attacked, seed);
+  plan.adversary->install(sim, plan.hoods, plan.attacked, seed);
   for (const AppEvent& event : plan.app_events) {
     sim.schedule(event.at, [on_event, &event] { on_event(event); });
   }
@@ -256,7 +256,11 @@ void assemble_report(const ScenarioSpec& spec, const WorldPlan& plan,
   report.bytes_total = stats.channel_group("pvr.").bytes_sent;
 
   // Scoring, over every verifier's evidence log in (hood, verifier) order.
-  const core::Auditor auditor(&plan.keys.directory);
+  // The Auditor verifies through its own cache-off context: independent of
+  // the nodes' (possibly caching) one, so every score re-checks each
+  // signature it relies on.
+  const core::VerifyContext scoring_ctx(&plan.keys.directory);
+  const core::Auditor auditor(&scoring_ctx);
   const std::vector<core::ViolationKind> expected =
       plan.adversary->expected_kinds();
   std::set<core::ProtocolId> attacked_rounds;
@@ -324,8 +328,8 @@ World::World(const ScenarioSpec& spec, const WorldPlan& plan,
       workers_(workers),
       // Every node and engine worker verifies through this one context,
       // sharing per-key Montgomery precompute and (spec.world_sig_cache)
-      // the verified-signature cache. Verdicts match the per-directory
-      // context exactly, so the fingerprint cannot see it.
+      // the verified-signature cache. Verdicts match a cache-off context
+      // exactly, so the fingerprint cannot see it.
       ctx_(&plan.keys.directory, spec.world_sig_cache),
       hoods_(plan.hoods.size()),
       engine_(workers) {
@@ -337,7 +341,6 @@ World::World(const ScenarioSpec& spec, const WorldPlan& plan,
       auto node = std::make_unique<core::PvrNode>(core::PvrConfig{
           .asn = asn,
           .role = role,
-          .directory = &plan.keys.directory,
           .verify_ctx = &ctx_,
           .private_key = &plan.keys.private_keys.at(asn).priv,
           .op = core::OperatorKind::kMinimum,
@@ -403,12 +406,12 @@ void World::deliver(net::Transport& transport,
   if (it != nodes_.end()) it->second->on_message(transport, message);
 }
 
-void World::arm_online(net::Transport& transport) {
+void World::arm_online(net::Simulator& sim) {
   if (spec_->drain_interval_us == 0) {
     throw std::invalid_argument(
         "World::arm_online: online mode needs a nonzero drain_interval_us");
   }
-  transport_ = &transport;
+  sim_ = &sim;
   settle_horizon_ = settle_horizon_for(*spec_, *plan_->adversary);
   for (const RoundArrival& arrival : plan_->arrivals) {
     epoch_rounds_left_[{arrival.neighborhood, arrival.epoch}] += 1;
@@ -419,7 +422,7 @@ void World::arm_online(net::Transport& transport) {
     hoods_[h].prover->set_window_close_handler(
         [this, h, prover](std::uint64_t epoch,
                           const std::vector<bgp::Ipv4Prefix>& prefixes) {
-          const net::SimTime settled_at = transport_->now() + settle_horizon_;
+          const net::SimTime settled_at = sim_->now() + settle_horizon_;
           for (const bgp::Ipv4Prefix& prefix : prefixes) {
             pending_.push_back(SettledEntry{
                 .settled_at = settled_at,
@@ -432,14 +435,14 @@ void World::arm_online(net::Transport& transport) {
   // Pipelined tick: harvest batch N (findings applied one tick late), then
   // seal batch N+1 — the workers verify it while the simulator advances
   // toward the next tick.
-  transport.schedule_periodic(spec_->drain_interval_us, [this] {
+  sim.schedule_periodic(spec_->drain_interval_us, [this] {
     harvest();
     submit_settled(false);
   });
 }
 
 void World::finish() {
-  if (transport_ != nullptr) {
+  if (sim_ != nullptr) {
     // Tail barrier: harvest whatever the final tick left in flight, then
     // flush the rounds whose settle horizon outlived the trace (plus any
     // final partial batch) and harvest those too. The world is quiescent,
@@ -520,7 +523,7 @@ void World::harvest() {
 // defer_finalize_checks took at submit time, so the simulator mutating
 // live node state in between cannot race the checks.
 void World::submit_settled(bool flush_all) {
-  const net::SimTime now = transport_->now();
+  const net::SimTime now = sim_->now();
   batch_.clear();
   while (!pending_.empty() &&
          (flush_all || pending_.front().settled_at <= now)) {
@@ -577,7 +580,7 @@ void World::fill_report(const net::SimStats& stats,
                     return hoods_[h].verifiers[v]->evidence();
                   },
                   provers, stats, report);
-  report.online = transport_ != nullptr;
+  report.online = sim_ != nullptr;
   report.verify_failures = verify_failures_;
   report.drain_batches = drain_batches_;
   report.harvest_pending_at_end = harvest_pending_at_end_;

@@ -163,10 +163,10 @@ class World {
   void record_input(const AppEvent& event) const;
   void deliver(net::Transport& transport, const net::Message& message) const;
 
-  // Selects the online schedule, driven by `transport`'s clock (which must
-  // outlive the World). Throws std::invalid_argument on a zero
+  // Selects the online schedule, driven by `sim`'s clock and periodic tick
+  // (`sim` must outlive the World). Throws std::invalid_argument on a zero
   // spec.drain_interval_us.
-  void arm_online(net::Transport& transport);
+  void arm_online(net::Simulator& sim);
   // Runs the armed schedule's tail: the online barrier, or the whole
   // offline verification.
   void finish();
@@ -227,12 +227,12 @@ class World {
   // build flavors.
   obs::Histogram settle_hist_;
 
-  // Online schedule (transport_ != nullptr once armed). `pending_` is in
+  // Online schedule (sim_ != nullptr once armed). `pending_` is in
   // window-close order, which is settle order. The two-slot batch buffer
   // (DESIGN.md §12): `batch_` is gathered and sealed this tick; `inflight_`
   // is the previous batch, owned by the engine's workers until the next
   // tick harvests it.
-  net::Transport* transport_ = nullptr;
+  net::Simulator* sim_ = nullptr;
   net::SimTime settle_horizon_ = 0;
   std::deque<SettledEntry> pending_;
   std::vector<SettledEntry> batch_;

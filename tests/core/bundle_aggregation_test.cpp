@@ -96,8 +96,8 @@ TEST(AggregatedBundleTest, AllOpeningsVerify) {
   const AggregatedWorld world = make_aggregated(9, 5);
   // 9 bundles, then a recipient reveal and an export per round.
   ASSERT_EQ(world.message.openings.size(), 27u);
-  EXPECT_TRUE(world.keys.directory.verify_context().verify(
-      world.message.signed_root));
+  const VerifyContext ctx(&world.keys.directory);
+  EXPECT_TRUE(ctx.verify(world.message.signed_root));
   EXPECT_EQ(world.root.prefix_count(), 9u);
   EXPECT_EQ(world.root.leaf_count, 27u);
   for (std::size_t i = 0; i < world.message.openings.size(); ++i) {
@@ -181,7 +181,7 @@ TEST(AggregatedBundleTest, DuplicatePrefixRootRejected) {
 // as signatures and are still refused. The genuine root is the control.
 TEST(AggregatedBundleTest, OpenWindowRejectsMalformedPayload) {
   const AggregatedWorld world = make_aggregated(2, 1);
-  const VerifyContext& ctx = world.keys.directory.verify_context();
+  const VerifyContext ctx(&world.keys.directory);
   ASSERT_TRUE(open_window(ctx, world.message.signed_root).has_value());
   std::vector<std::uint8_t> truncated = world.message.signed_root.payload;
   truncated.pop_back();
@@ -193,7 +193,7 @@ TEST(AggregatedBundleTest, OpenWindowRejectsMalformedPayload) {
 
 TEST(AggregatedBundleTest, OpenWindowRejectsProverOtherThanSigner) {
   const AggregatedWorld world = make_aggregated(2, 1);
-  const VerifyContext& ctx = world.keys.directory.verify_context();
+  const VerifyContext ctx(&world.keys.directory);
   // AS 2 signs the statement that names kProver as its prover.
   const SignedMessage resigned = sign_message(
       2, world.keys.private_keys.at(2).priv, world.message.signed_root.payload);

@@ -42,16 +42,19 @@ class AuditorTest : public ::testing::Test {
   static void SetUpTestSuite() {
     crypto::Drbg rng(13, "auditor-keys");
     keys_ = new AsKeyPairs(generate_keys({kProver, kRecipient, kN1, kN2}, rng, 512));
+    ctx_ = new VerifyContext(&keys_->directory);
   }
   static void TearDownTestSuite() {
+    delete ctx_;
+    ctx_ = nullptr;
     delete keys_;
     keys_ = nullptr;
   }
 
-  static const KeyDirectory& directory() { return keys_->directory; }
+  static const VerifyContext& ctx() { return *ctx_; }
   // The window root as a verifier accepts it (throws if it does not open).
   [[nodiscard]] static VerifiedWindow opened(const SignedWindow& window) {
-    return open_window(directory().verify_context(), window.signed_root).value();
+    return open_window(ctx(), window.signed_root).value();
   }
   static const crypto::RsaPrivateKey& key_of(bgp::AsNumber asn) {
     return keys_->private_keys.at(asn).priv;
@@ -111,7 +114,7 @@ class AuditorTest : public ::testing::Test {
           it == round.provider_reveals.end() ? nullptr : &it->second);
       all.insert(all.end(), found.begin(), found.end());
     }
-    auto found = verify_as_recipient(directory().verify_context(), kRecipient, verified,
+    auto found = verify_as_recipient(ctx(), kRecipient, verified,
                                      round.bundle, &round.recipient_reveal,
                                      &round.export_statement);
     all.insert(all.end(), found.begin(), found.end());
@@ -124,9 +127,11 @@ class AuditorTest : public ::testing::Test {
 
  private:
   static AsKeyPairs* keys_;
+  static VerifyContext* ctx_;
 };
 
 AsKeyPairs* AuditorTest::keys_ = nullptr;
+VerifyContext* AuditorTest::ctx_ = nullptr;
 
 TEST_F(AuditorTest, RejectsNullDirectory) {
   EXPECT_THROW(Auditor(nullptr), std::invalid_argument);
@@ -137,44 +142,44 @@ TEST_F(AuditorTest, RejectsNullDirectory) {
 TEST_F(AuditorTest, ValidatesEquivocation) {
   const Evidence evidence =
       evidence_for({.equivocate = true}, ViolationKind::kEquivocation);
-  EXPECT_TRUE(Auditor(&directory()).validate(evidence));
+  EXPECT_TRUE(Auditor(&ctx()).validate(evidence));
 }
 
 TEST_F(AuditorTest, ValidatesBadOpening) {
   const Evidence evidence =
       evidence_for({.wrong_opening_for = kN1}, ViolationKind::kBadOpening);
-  EXPECT_TRUE(Auditor(&directory()).validate(evidence));
+  EXPECT_TRUE(Auditor(&ctx()).validate(evidence));
 }
 
 TEST_F(AuditorTest, ValidatesBitNotSet) {
   const Evidence evidence = evidence_for(
       {.export_nonminimal = true, .bits_match_lie = true},
       ViolationKind::kBitNotSet);
-  EXPECT_TRUE(Auditor(&directory()).validate(evidence));
+  EXPECT_TRUE(Auditor(&ctx()).validate(evidence));
 }
 
 TEST_F(AuditorTest, ValidatesNonMonotoneBits) {
   const Evidence evidence =
       evidence_for({.nonmonotone_bits = true}, ViolationKind::kNonMonotoneBits);
-  EXPECT_TRUE(Auditor(&directory()).validate(evidence));
+  EXPECT_TRUE(Auditor(&ctx()).validate(evidence));
 }
 
 TEST_F(AuditorTest, ValidatesOutputNotMinimal) {
   const Evidence evidence =
       evidence_for({.export_nonminimal = true}, ViolationKind::kOutputNotMinimal);
-  EXPECT_TRUE(Auditor(&directory()).validate(evidence));
+  EXPECT_TRUE(Auditor(&ctx()).validate(evidence));
 }
 
 TEST_F(AuditorTest, ValidatesOutputWithoutInput) {
   const Evidence evidence =
       evidence_for({.fabricate_route = true}, ViolationKind::kOutputWithoutInput);
-  EXPECT_TRUE(Auditor(&directory()).validate(evidence));
+  EXPECT_TRUE(Auditor(&ctx()).validate(evidence));
 }
 
 TEST_F(AuditorTest, ValidatesSuppressedOutput) {
   const Evidence evidence =
       evidence_for({.suppress_export = true}, ViolationKind::kSuppressedOutput);
-  EXPECT_TRUE(Auditor(&directory()).validate(evidence));
+  EXPECT_TRUE(Auditor(&ctx()).validate(evidence));
 }
 
 // ---- Fabricated evidence is rejected (Accuracy) ----
@@ -184,7 +189,7 @@ TEST_F(AuditorTest, RejectsAccusationAgainstHonestProver) {
   // violation kind using its genuine messages.
   const SignedWindow window = run({}).honest;
   const SignedWindow::Round& round = window.rounds.front();
-  const Auditor auditor(&directory());
+  const Auditor auditor(&ctx());
   for (const ViolationKind kind :
        {ViolationKind::kEquivocation, ViolationKind::kBadOpening,
         ViolationKind::kBitNotSet, ViolationKind::kNonMonotoneBits,
@@ -208,14 +213,14 @@ TEST_F(AuditorTest, RejectsEvidenceWithTamperedMessages) {
       evidence_for({.export_nonminimal = true}, ViolationKind::kOutputNotMinimal);
   ASSERT_FALSE(evidence.messages.empty());
   evidence.messages[0].payload[15] ^= 1;  // break the root signature
-  EXPECT_FALSE(Auditor(&directory()).validate(evidence));
+  EXPECT_FALSE(Auditor(&ctx()).validate(evidence));
 }
 
 TEST_F(AuditorTest, RejectsEvidenceAccusingWrongAs) {
   Evidence evidence =
       evidence_for({.export_nonminimal = true}, ViolationKind::kOutputNotMinimal);
   evidence.accused = kN1;  // redirect the accusation
-  EXPECT_FALSE(Auditor(&directory()).validate(evidence));
+  EXPECT_FALSE(Auditor(&ctx()).validate(evidence));
 }
 
 TEST_F(AuditorTest, RejectsEmptyEvidence) {
@@ -226,7 +231,7 @@ TEST_F(AuditorTest, RejectsEmptyEvidence) {
                        .messages = {},
                        .leaves = {},
                        .detail = ""};
-  EXPECT_FALSE(Auditor(&directory()).validate(empty));
+  EXPECT_FALSE(Auditor(&ctx()).validate(empty));
 }
 
 TEST_F(AuditorTest, RejectsLivenessKinds) {
@@ -240,14 +245,14 @@ TEST_F(AuditorTest, RejectsLivenessKinds) {
                           .messages = {window.signed_root},
                           .leaves = {window.rounds.front().bundle},
                           .detail = "no reveal"};
-  EXPECT_FALSE(Auditor(&directory()).validate(liveness));
+  EXPECT_FALSE(Auditor(&ctx()).validate(liveness));
 }
 
 // Evidence is self-contained: every provable kind validates from its wire
 // bytes alone, and one flipped byte in a leaf, a proof sibling or the root
 // signature makes it fail.
 TEST_F(AuditorTest, EveryKindValidatesFromWireBytesAndNotAfterAFlip) {
-  const Auditor auditor(&directory());
+  const Auditor auditor(&ctx());
   const std::vector<std::pair<ProverMisbehavior, ViolationKind>> cases = {
       {{.equivocate = true}, ViolationKind::kEquivocation},
       {{.wrong_opening_for = kN1}, ViolationKind::kBadOpening},

@@ -42,14 +42,17 @@ class MinProtocolTest : public ::testing::Test {
     crypto::Drbg rng(7, "min-protocol-keys");
     keys_ = new AsKeyPairs(
         generate_keys({kProver, kRecipient, kN1, kN2, kN3}, rng, 512));
+    ctx_ = new VerifyContext(&keys_->directory);
   }
   static void TearDownTestSuite() {
+    delete ctx_;
+    ctx_ = nullptr;
     delete keys_;
     keys_ = nullptr;
   }
 
   static const AsKeyPairs& keys() { return *keys_; }
-  static const VerifyContext& ctx() { return keys_->directory.verify_context(); }
+  static const VerifyContext& ctx() { return *ctx_; }
   // The window root as a verifier accepts it (throws if it does not open).
   [[nodiscard]] static VerifiedWindow opened(const SignedWindow& window) {
     return open_window(ctx(), window.signed_root).value();
@@ -135,9 +138,11 @@ class MinProtocolTest : public ::testing::Test {
 
  private:
   static AsKeyPairs* keys_;
+  static VerifyContext* ctx_;
 };
 
 AsKeyPairs* MinProtocolTest::keys_ = nullptr;
+VerifyContext* MinProtocolTest::ctx_ = nullptr;
 
 // ---- compute_bits ----
 

@@ -181,7 +181,7 @@ TEST(MultiPrefixTest, EquivocationAcrossTwoPrefixWindowIsProvable) {
 
   std::vector<bgp::AsNumber> verifiers = world.providers;
   verifiers.push_back(world.recipient);
-  const Auditor auditor(&run.handles.keys->directory);
+  const Auditor auditor(run.handles.verify_ctx.get());
   std::size_t equivocations = 0;
   std::size_t provable = 0;
   for (const bgp::AsNumber verifier : verifiers) {
@@ -293,7 +293,7 @@ TEST(MultiPrefixTest, BatchSplitEquivocationEscalatesToProvableEvidence) {
 
   std::vector<bgp::AsNumber> verifiers = world.providers;
   verifiers.push_back(world.recipient);
-  const Auditor auditor(&handles.keys->directory);
+  const Auditor auditor(handles.verify_ctx.get());
   for (const bgp::AsNumber verifier : verifiers) {
     world.node(verifier).finalize_round(id);
     std::size_t provable_equivocations = 0;
@@ -442,7 +442,7 @@ TEST(MultiPrefixTest, OrphanedRoundStillProvesGossipedRootConflict) {
 
   PvrNode& orphan = world.node(world.providers[3]);
   orphan.finalize_round(handles.round_id(1));
-  const Auditor auditor(&handles.keys->directory);
+  const Auditor auditor(handles.verify_ctx.get());
   bool provable_equivocation = false;
   for (const Evidence& item : orphan.evidence()) {
     if (item.kind == ViolationKind::kEquivocation && auditor.validate(item)) {

@@ -155,7 +155,7 @@ TEST_P(PvrDetectionTest, MisbehaviorDetectedOverTheWire) {
   ASSERT_NE(it, all.end()) << "expected " << to_string(test_case.expected);
   EXPECT_EQ(it->accused, world.prover);
 
-  const Auditor auditor(&handles.keys->directory);
+  const Auditor auditor(handles.verify_ctx.get());
   EXPECT_EQ(auditor.validate(*it), test_case.provable) << it->to_string();
 }
 
@@ -437,6 +437,23 @@ TEST(PvrNodeTest, RoleValidation) {
   EXPECT_THROW(world.node(world.prover)
                    .provide_input(world.sim.transport(), 1, handles.prefix, std::nullopt),
                std::logic_error);
+}
+
+// Every node verifies through the context its builder hands in; there is
+// no fallback to pick one silently, so a missing context is refused.
+TEST(PvrNodeTest, NullVerifyContextIsRejected) {
+  Figure1Setup setup{.seed = 10};
+  const Figure1Handles handles = make_figure1_world(setup);
+  const bgp::AsNumber prover = handles.world->prover;
+  PvrConfig config{
+      .asn = prover,
+      .role = PvrRole::kProver,
+      .verify_ctx = nullptr,
+      .private_key = &handles.keys->private_keys.at(prover).priv,
+  };
+  EXPECT_THROW(PvrNode{config}, std::invalid_argument);
+  config.verify_ctx = handles.verify_ctx.get();
+  EXPECT_NO_THROW(PvrNode{config});
 }
 
 }  // namespace

@@ -113,7 +113,7 @@ TEST(RootAttachmentTest, LateRootAttachesToExactlyItsRoundAmongThousands) {
   const Evidence& conflict = observer.evidence().front();
   EXPECT_EQ(conflict.kind, ViolationKind::kEquivocation);
   EXPECT_EQ(conflict.accused, world.handles.world->prover);
-  const Auditor auditor(&world.handles.keys->directory);
+  const Auditor auditor(world.handles.verify_ctx.get());
   EXPECT_TRUE(auditor.validate(conflict));
 }
 
@@ -128,7 +128,7 @@ TEST(RootAttachmentTest, OrphanRoundStillGetsSeenRootsAtFinalize) {
   observer.finalize_round(world.orphan_id);
   ASSERT_EQ(observer.evidence().size(), 1u);
   EXPECT_EQ(observer.evidence().front().kind, ViolationKind::kEquivocation);
-  const Auditor auditor(&world.handles.keys->directory);
+  const Auditor auditor(world.handles.verify_ctx.get());
   EXPECT_TRUE(auditor.validate(observer.evidence().front()));
 }
 

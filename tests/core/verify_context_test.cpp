@@ -34,6 +34,15 @@ class VerifyContextTest : public ::testing::Test {
                         std::move(payload));
   }
 
+  // `message` with the last signature byte flipped: the same signing input
+  // under a different signature that still passes the structural screen
+  // (s < n), so only a cache keyed on the signature bytes too can tell the
+  // two apart.
+  static SignedMessage with_flipped_last_byte(SignedMessage message) {
+    message.signature.back() ^= 0x01;
+    return message;
+  }
+
  private:
   static AsKeyPairs* keys_;
 };
@@ -46,6 +55,7 @@ TEST_F(VerifyContextTest, VerdictsMatchVerifyMessageWithAndWithoutCache) {
 
   std::vector<SignedMessage> messages;
   messages.push_back(signed_by(10, {1, 2, 3}));
+  messages.push_back(with_flipped_last_byte(messages.back()));
   messages.push_back(signed_by(20, {4, 5}));
   messages.push_back(signed_by(30, {}));
   SignedMessage tampered = signed_by(10, {9, 9});
@@ -69,10 +79,11 @@ TEST_F(VerifyContextTest, VerdictsMatchVerifyMessageWithAndWithoutCache) {
       EXPECT_EQ(caching.verify(message), expected) << "pass " << pass;
     }
   }
+  EXPECT_FALSE(verify_message(keys().directory, messages[1]));
   EXPECT_EQ(plain.cached_verdicts(), 0u);
-  // Valid and tampered/reattributed signatures are cached; the unknown
-  // signer and the structurally invalid one never reach the cache.
-  EXPECT_EQ(caching.cached_verdicts(), 5u);
+  // Valid, flipped and tampered/reattributed signatures are cached; the
+  // unknown signer and the structurally invalid one never reach the cache.
+  EXPECT_EQ(caching.cached_verdicts(), 6u);
 }
 
 TEST_F(VerifyContextTest, CacheHitSkipsExponentiationButCountsHit) {
@@ -131,26 +142,6 @@ TEST_F(VerifyContextTest, VerifyKeyIsStableAndNullForUnknownSigners) {
   EXPECT_EQ(ctx.verify_key(99), nullptr);  // unknowns are not negative-cached
 }
 
-TEST_F(VerifyContextTest, DirectoryContextIsSharedAndCacheOff) {
-  const VerifyContext& ctx = keys().directory.verify_context();
-  EXPECT_EQ(&keys().directory.verify_context(), &ctx);
-  EXPECT_FALSE(ctx.caches_verdicts());
-  EXPECT_EQ(&ctx.directory(), &keys().directory);
-}
-
-TEST_F(VerifyContextTest, CopiedDirectoryRebuildsItsOwnContext) {
-  KeyDirectory copy = keys().directory;
-  const VerifyContext& original_ctx = keys().directory.verify_context();
-  const VerifyContext& copy_ctx = copy.verify_context();
-  EXPECT_NE(&copy_ctx, &original_ctx);
-  EXPECT_EQ(&copy_ctx.directory(), &copy);
-  EXPECT_TRUE(copy_ctx.verify(signed_by(10, {8})));
-
-  KeyDirectory moved = std::move(copy);
-  EXPECT_EQ(&moved.verify_context().directory(), &moved);
-  EXPECT_TRUE(moved.verify_context().verify(signed_by(20, {8})));
-}
-
 // Many threads hammering one caching context: same verdicts as the
 // stateless path, no torn state under TSan.
 TEST_F(VerifyContextTest, ConcurrentVerifyIsConsistent) {
@@ -160,6 +151,8 @@ TEST_F(VerifyContextTest, ConcurrentVerifyIsConsistent) {
     messages.push_back(signed_by(i % 2 == 0 ? 10 : 20, {i}));
   }
   messages[3].payload[0] ^= 1;  // one forgery
+  // Same signing input as messages[0], different signature.
+  messages.insert(messages.begin() + 1, with_flipped_last_byte(messages[0]));
   std::vector<bool> expected;
   for (const SignedMessage& message : messages) {
     expected.push_back(verify_message(keys().directory, message));

@@ -110,7 +110,7 @@ TEST(EngineIntegrationTest, MatchesSequentialFinalizeUnderEquivocation) {
   }
 
   // The report counts exactly what the nodes received.
-  const core::Auditor auditor(&engined.keys->directory);
+  const core::Auditor auditor(engined.verify_ctx.get());
   std::size_t total = 0;
   std::size_t equivocations = 0;
   std::size_t provable = 0;
@@ -162,7 +162,7 @@ TEST(EngineIntegrationTest, TotalLossYieldsOnlyLivenessFindings) {
   }
   const EngineReport report = engine.drain();
 
-  const core::Auditor auditor(&handles.keys->directory);
+  const core::Auditor auditor(handles.verify_ctx.get());
   std::size_t total = 0;
   for (const bgp::AsNumber provider : world.providers) {
     const auto& evidence = world.node(provider).evidence();

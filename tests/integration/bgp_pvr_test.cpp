@@ -145,7 +145,7 @@ TEST(BgpPvrIntegration, PvrRoundOverRealRibInVerifiesCleanly) {
                         keys.private_keys.at(prover).priv, rng)
           .honest;
   const core::SignedWindow::Round& round = window.rounds.front();
-  const core::VerifyContext& ctx = keys.directory.verify_context();
+  const core::VerifyContext ctx(&keys.directory);
   const core::VerifiedWindow verified =
       core::open_window(ctx, window.signed_root).value();
 

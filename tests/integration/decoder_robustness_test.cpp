@@ -268,7 +268,7 @@ TEST(DecoderRobustness, WindowMessageLeavesAndEvidence) {
 TEST(DecoderRobustness, VerifiersSurviveGarbageEnvelopes) {
   crypto::Drbg key_rng(10, "fuzz-verifier-keys");
   const core::AsKeyPairs keys = core::generate_keys({7, 2, 11}, key_rng, 512);
-  const core::VerifyContext& ctx = keys.directory.verify_context();
+  const core::VerifyContext ctx(&keys.directory);
   crypto::Drbg rng(11, "fuzz-verifier");
   const core::ProverResult result =
       core::run_prover(sample_id(), core::OperatorKind::kMinimum, {}, 4, rng);

@@ -68,7 +68,7 @@ TEST(LossyNetworkTest, TotalLossYieldsOnlyLivenessFindings) {
   engine::VerificationEngine engine(4);
   engine::finalize_world_round(engine, world, handles.round_id(1));
 
-  const Auditor auditor(&handles.keys->directory);
+  const Auditor auditor(handles.verify_ctx.get());
   for (const bgp::AsNumber provider : world.providers) {
     const auto& evidence = world.node(provider).evidence();
     // Each provider that sent a route and heard nothing reports a liveness

@@ -101,7 +101,7 @@ struct RandomRound {
                   keys.private_keys.at(kProver).priv, salt_rng)
           .honest;
   const SignedWindow::Round& sealed = window.rounds.front();
-  const VerifyContext& ctx = keys.directory.verify_context();
+  const VerifyContext ctx(&keys.directory);
   const VerifiedWindow verified = open_window(ctx, window.signed_root).value();
   std::vector<Evidence> all;
   for (const bgp::AsNumber provider : round.providers) {
@@ -223,7 +223,8 @@ TEST_P(ProtocolPromiseProperty, HandCraftedTranscriptsCannotCheatTheMinimum) {
       const auto evidence = verify_all(keys(), round, result);
       ASSERT_FALSE(evidence.empty()) << "forge_bits=" << forge_bits;
       // And the evidence (when of a safety kind) convinces the auditor.
-      const Auditor auditor(&keys().directory);
+      const VerifyContext ctx(&keys().directory);
+      const Auditor auditor(&ctx);
       const bool any_provable = std::any_of(
           evidence.begin(), evidence.end(),
           [&](const Evidence& e) { return auditor.validate(e); });

@@ -3,7 +3,8 @@
 // link) — per-pair FIFO, payload fidelity incl. >64 KiB chunked payloads,
 // interceptor drop/delay semantics, the simulator's stats counting rules,
 // disconnect, and trace recording. Protocol code reaches the plane only through
-// sim.transport(), so that is what each test sends on.
+// sim.transport(), so that is what each test sends on; the interceptor is
+// simulator API and is installed on the simulator.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -116,7 +117,7 @@ TEST_F(TransportConformanceTest, SendWithoutLinkThrowsLogicError) {
 }
 
 TEST_F(TransportConformanceTest, InterceptorDropAndDelaySemantics) {
-  transport().set_interceptor(
+  sim_.set_interceptor(
       [](Transport& transport, const Message& message) {
         (void)transport;
         InterceptDecision decision;
@@ -131,7 +132,7 @@ TEST_F(TransportConformanceTest, InterceptorDropAndDelaySemantics) {
   transport().send(
       Message{.from = kA, .to = kB, .channel = "t.plain", .payload = {3}});
   sim_.run();
-  transport().set_interceptor(nullptr);
+  sim_.set_interceptor(nullptr);
 
   // The dropped message was counted (sent AND dropped) and never arrived;
   // the delayed one arrived after the undelayed one.

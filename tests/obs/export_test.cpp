@@ -41,7 +41,7 @@ namespace {
 }
 
 // A populated registry snapshot exercising scalars, histograms, every
-// domain, and named (non-hot) metrics.
+// domain, and non-hot entries.
 [[nodiscard]] MetricsSnapshot sample_snapshot(std::uint64_t scale) {
   MetricsRegistry registry;
   registry.hot.crypto_rsa_verifies.add(7 * scale);
@@ -51,9 +51,18 @@ namespace {
     registry.hot.scenario_settle_us.record(100 * (i + 1));
     registry.hot.engine_task_us.record(i);  // kWall
   }
-  registry.counter("test.named", Domain::kSim).add(11 * scale);
-  registry.histogram("test.named_us", Domain::kWall).record(scale);
-  return registry.snapshot();
+  MetricsSnapshot snapshot = registry.snapshot();
+  // Non-hot entries, appended in name order (both sort after every hot
+  // name).
+  snapshot.scalars.push_back(MetricsSnapshot::Entry{
+      .name = "test.named", .domain = Domain::kSim, .value = 11 * scale});
+  Histogram named_us;
+  named_us.record(scale);
+  snapshot.histograms.push_back(
+      MetricsSnapshot::HistEntry{.name = "test.named_us",
+                                 .domain = Domain::kWall,
+                                 .hist = named_us.snapshot()});
+  return snapshot;
 }
 
 TEST(SnapshotCodecTest, RoundTripIdentity) {

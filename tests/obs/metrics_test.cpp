@@ -97,16 +97,6 @@ TEST(CounterTest, ConcurrentAddsSumExactly) {
   EXPECT_EQ(counter.value(), 0u);
 }
 
-TEST(RegistryTest, NamedLookupsReturnStableReferences) {
-  MetricsRegistry registry;
-  Counter& counter = registry.counter("test.counter");
-  counter.add(3);
-  EXPECT_EQ(&registry.counter("test.counter"), &counter);
-  registry.reset();
-  EXPECT_EQ(&registry.counter("test.counter"), &counter);  // reset keeps refs
-  EXPECT_EQ(counter.value(), 0u);
-}
-
 TEST(RegistryTest, SimFingerprintCoversSimSectionOnly) {
   MetricsRegistry registry;
   registry.hot.crypto_rsa_signs.add(7);

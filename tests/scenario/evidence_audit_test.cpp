@@ -44,7 +44,7 @@ class Forwarder final : public net::Node {
       [&world, &sim](const AppEvent& event) {
         world.apply(sim.transport(), event);
       });
-  if (spec.online) world.arm_online(sim.transport());
+  if (spec.online) world.arm_online(sim);
   sim.run();
   world.finish();
   std::vector<core::Evidence> out;
@@ -62,7 +62,8 @@ class Forwarder final : public net::Node {
 // Checks every provable item of one run; returns the kinds it saw.
 std::set<core::ViolationKind> audit_from_wire(const ScenarioSpec& spec) {
   const WorldPlan plan = plan_world(spec);
-  const core::Auditor auditor(&plan.keys.directory);
+  const core::VerifyContext ctx(&plan.keys.directory);
+  const core::Auditor auditor(&ctx);
   std::set<core::ViolationKind> kinds;
   for (const core::Evidence& item : run_and_collect(spec, plan)) {
     if (!provable(item.kind)) continue;

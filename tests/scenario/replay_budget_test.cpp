@@ -87,7 +87,7 @@ TEST(ReplayBudgetTest, ReplayedCopiesCarryNoFlowCookie) {
   sim.add_node(2, std::make_unique<CookieRecorder>());
   sim.connect(1, 2);
   // No neighborhoods: nothing is droppable, so only delay and replay act.
-  make_adversary("delay_replay")->install(sim.transport(), {}, {}, 9);
+  make_adversary("delay_replay")->install(sim, {}, {}, 9);
   sim.schedule(0, [&sim] {
     sim.send(net::Message{.from = 1,
                           .to = 2,
